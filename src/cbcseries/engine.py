@@ -5,21 +5,25 @@ Evaluation contract
 Each result carries two proven error components:
 
 * ``truncation_bound``: upper bound on |true sum - partial sum|, from a
-  per-family term-majorant model (see :func:`tail_bound`).
-* ``rounding_bound``: upper bound on accumulated floating-point error,
-  reported as terms_used * max-partial-magnitude * 10^(1 - working digits).
-  Internal arithmetic runs with extra digits beyond the working precision,
-  so the reported figure dominates the true rounding error by many orders
-  of magnitude.
+  per-family term-majorant model (see :func:`tail_bound`).  It is always
+  ``tail_bound`` evaluated at the last summed index.
+* ``rounding_bound``: a counted bound on the arithmetic error.  Every family
+  is summed by one driver on integers scaled by 2^B (see :class:`_Kernel`):
+  each term follows from the previous one by a rational ratio R(n), and each
+  step truncates at most one unit of 2^-B.  No step multiplies an earlier
+  error by more than 1 (the n-weighted shapes by at most n/k over the steps
+  k..n), so the bound is (units per step) x (steps) x (that propagation
+  factor) x 2^-B, plus the final rounding of the scaled total to a
+  working-precision number.
 
-Terms are built from exact integer ingredients (binomial coefficients,
-Fibonacci/Lucas numbers, harmonic numbers as rationals) and converted to
-working precision once per term, for every index up to
-``EXACT_TERM_LIMIT``.  Certified adaptive evaluations in practice stop well
-inside that window.  Past the window a summation falls back to one of two
-drift-controlled continuations: a scaled-integer (fixed-point) loop for the
-slow C1/C2/J1 partial sums, or a floating ratio recurrence whose drift is
-absorbed by the reported rounding bound.
+:func:`sum_adaptive` picks the stop index N once, before summing: the least
+N whose ``tail_bound`` fits the target, found by doubling and then bisection
+(O(log N) calls).  When N lies past ``max_terms`` it raises
+:class:`ConvergenceError` without summing, and likewise when the rounding
+bound at N keeps the total above the target (its counted part is known
+before summing, the rounding of the value after the N + 1 terms).  ``term``
+and ``term_fraction`` compute single summands directly and are the
+independent checks of the driver.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from cbcseries.exact import binomial, fib_lucas, fib_lucas_step, harmonic
+from cbcseries.exact import binomial, fib_lucas, harmonic
 from cbcseries.families import (
     C_FAMILIES,
     F_FAMILIES,
@@ -41,18 +45,16 @@ from cbcseries.families import (
     PhiValue,
     SurdValue,
     T_FAMILIES,
-    four_alpha_pow_cmp,
     sign,
 )
 from cbcseries.precision import PrecisionContext, Real, UsageError
 
-EXACT_TERM_LIMIT = 20000
 DEFAULT_MAX_TERMS = 10_000_000
-# past this many terms, C1/C2/J1 fixed sums switch to the scaled-integer loop
-_FIXED_POINT_CUTOFF = 50000
-# multiplicative safety pad on every reported tail bound, so that the bound
-# stays an upper bound despite its own few-ulp evaluation error
+# multiplicative safety pad on every reported bound, so that the bound stays
+# an upper bound despite its own few-ulp evaluation error
 _BOUND_PAD = "1.00000001"
+# the stop-index search reports "more than 2^64" past this index
+_SEARCH_LIMIT = 2**64
 
 
 class UncertifiedError(Exception):
@@ -65,17 +67,31 @@ class UncertifiedError(Exception):
 
 
 class ConvergenceError(Exception):
-    """Adaptive summation hit the term cap before certifying the target."""
+    """Adaptive summation cannot certify the target within its limits.
 
-    def __init__(self, spec: FamilySpec, partial: "EvalResult", target):
+    Raised when the predicted stop index lies past the term cap (before
+    summing), or when the rounding bound at that index keeps the total above
+    the target.
+    ``partial`` is the uncertified sum up to index ``last`` (the cap, or the
+    predicted index); it is computed when first read.
+    """
+
+    def __init__(self, spec: FamilySpec, target, reason: str, ctx: PrecisionContext,
+                 last: int, partial: Optional["EvalResult"] = None):
         self.spec = spec
-        self.partial = partial
         self.target = target
+        self.last = last
+        self._ctx = ctx
+        self._partial = partial
         super().__init__(
-            f"{spec.describe()}: could not certify target {mp.nstr(mpf(target), 8)} "
-            f"within {partial.terms_used} terms "
-            f"(bound reached {mp.nstr(partial.error_bound(), 8)})"
+            f"{spec.describe()}: cannot certify target {mp.nstr(mpf(target), 8)}: {reason}"
         )
+
+    @property
+    def partial(self) -> "EvalResult":
+        if self._partial is None:
+            self._partial = sum_fixed(self.spec, self.last, self._ctx)
+        return self._partial
 
 
 @dataclass(frozen=True)
@@ -254,264 +270,6 @@ def term_fraction(spec: FamilySpec, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# incremental term streams (exact integers up to EXACT_TERM_LIMIT)
-
-
-def _stream_f12(spec: FamilySpec) -> Iterator[Tuple[int, Real]]:
-    x = spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)
-    pat = spec.sign_pattern()
-    cn, cd = x.coeff.numerator, x.coeff.denominator
-    dn, dd = x.radicand.numerator, x.radicand.denominator
-    scale = mp.sqrt(mpf(dn) / dd) if (dn, dd) != (1, 1) else None
-    c, pnum, pden, n = 1, cn, cd, 0
-    while n <= EXACT_TERM_LIMIT:
-        v = mpf(sign(pat, n) * c * pnum) / mpf((2 * n + 1) * pden)
-        yield n, v * scale if scale is not None else v
-        c = c * (2 * (2 * n + 1)) // (n + 1)
-        pnum *= cn * cn * dn
-        pden *= 4 * cd * cd * dd
-        n += 1
-    base = mpf(c * pnum) / mpf(pden)
-    if scale is not None:
-        base *= scale
-    while True:
-        yield n, sign(pat, n) * base / (2 * n + 1)
-        base = base * mpf(2 * (2 * n + 1) * cn * cn * dn) / mpf(4 * (n + 1) * cd * cd * dd)
-        n += 1
-
-
-def _stream_f3456(spec: FamilySpec) -> Iterator[Tuple[int, Real]]:
-    x = _rational_x(spec)
-    an, ad = x.numerator, x.denominator
-    pat = spec.sign_pattern()
-    linear = spec.family in ("F5", "F6")
-    c, pnum, pden, n = 1, 1, 1, 0
-    while n <= EXACT_TERM_LIMIT:
-        if not (linear and n == 0):
-            w = n if linear else 1
-            yield n, mpf(sign(pat, n) * w * c * pnum) / mpf(pden)
-        c = c * (2 * (2 * n + 1)) // (n + 1)
-        pnum *= an
-        pden *= 4 * ad
-        n += 1
-    base = mpf(c * pnum) / mpf(pden)
-    while True:
-        w = n if linear else 1
-        yield n, sign(pat, n) * w * base
-        base = base * mpf(2 * (2 * n + 1) * an) / mpf(4 * (n + 1) * ad)
-        n += 1
-
-
-def _stream_t(spec: FamilySpec, ctx: PrecisionContext) -> Iterator[Tuple[int, Real]]:
-    fam = spec.family
-    t = mp.tan(phi_real(spec.phi, ctx))
-    pat = spec.sign_pattern()
-    recip = fam in ("T1", "T2")
-    linear = fam in ("T5", "T6")
-    c, p4, n = 1, 1, 0
-    tpow = mpf(1)
-    while n <= EXACT_TERM_LIMIT:
-        if not (linear and n == 0):
-            w = n if linear else 1
-            den = p4 * ((2 * n + 1) if recip else 1)
-            yield n, mpf(sign(pat, n) * w * c) / mpf(den) * tpow
-        c = c * (2 * (2 * n + 1)) // (n + 1)
-        p4 *= 4
-        tpow *= t
-        n += 1
-    b = mpf(c) / mpf(p4)
-    while True:
-        w = n if linear else 1
-        den = (2 * n + 1) if recip else 1
-        yield n, sign(pat, n) * w * b * tpow / den
-        b = b * (2 * n + 1) / (2 * n + 2)
-        tpow *= t
-        n += 1
-
-
-def _stream_c(spec: FamilySpec) -> Iterator[Tuple[int, Real]]:
-    one = spec.family == "C1"
-    an, ad = spec.x.numerator, spec.x.denominator
-    a4n, a4d = an**4, ad**4
-    if one:
-        c, pnum, pden = 1, an, ad
-    else:
-        c, pnum, pden = 2, an**3, ad**3
-    n = 0
-    while n <= EXACT_TERM_LIMIT:
-        wden = (4 * n + 1) if one else (4 * n + 3)
-        yield n, mpf((-1 if n % 2 else 1) * c * pnum) / mpf(wden * pden)
-        if one:
-            c = c * (4 * (4 * n + 1) * (4 * n + 3)) // ((2 * n + 1) * (2 * n + 2))
-        else:
-            c = c * (4 * (4 * n + 3) * (4 * n + 5)) // ((2 * n + 2) * (2 * n + 3))
-        pnum *= a4n
-        pden *= a4d
-        n += 1
-    base = mpf(c * pnum) / mpf(pden)
-    while True:
-        wden = (4 * n + 1) if one else (4 * n + 3)
-        yield n, (-1 if n % 2 else 1) * base / wden
-        if one:
-            rn, rd = 4 * (4 * n + 1) * (4 * n + 3) * a4n, (2 * n + 1) * (2 * n + 2) * a4d
-        else:
-            rn, rd = 4 * (4 * n + 3) * (4 * n + 5) * a4n, (2 * n + 2) * (2 * n + 3) * a4d
-        base = base * mpf(rn) / mpf(rd)
-        n += 1
-
-
-def _stream_g(spec: FamilySpec, ctx: PrecisionContext) -> Iterator[Tuple[int, Real]]:
-    pat, weight, seqname = spec.g_shape()
-    linear = weight == "linear"
-    recip = weight == "recip"
-    pn, pd = spec.p.numerator, spec.p.denominator
-    fm, lm = fib_lucas(spec.m)
-    fk, lk = fib_lucas(spec.s)
-    c, pnp, pdp, n = 1, 1, 1, 0
-    while n <= EXACT_TERM_LIMIT:
-        sv = fk if seqname == "F" else lk
-        if not (linear and n == 0):
-            w = n if linear else 1
-            den = pnp * ((2 * n + 1) if recip else 1)
-            yield n, mpf(sign(pat, n) * w * c * sv * pdp) / mpf(den)
-        c = c * (2 * (2 * n + 1)) // (n + 1)
-        fk, lk = fib_lucas_step(fk, lk, fm, lm)
-        pnp *= pn
-        pdp *= pd
-        n += 1
-    b = mpf(c) / mpf(4**n)
-    g = mpf(4 * pd) / mpf(pn)
-    gp = g**n
-    f, ell = mpf(fk), mpf(lk)
-    mfm, mlm = mpf(fm), mpf(lm)
-    while True:
-        sv = f if seqname == "F" else ell
-        w = n if linear else 1
-        den = (2 * n + 1) if recip else 1
-        yield n, sign(pat, n) * w * b * sv * gp / den
-        b = b * (2 * n + 1) / (2 * n + 2)
-        f, ell = (f * mlm + ell * mfm) / 2, (ell * mlm + 5 * f * mfm) / 2
-        gp *= g
-        n += 1
-
-
-def _stream_h(spec: FamilySpec) -> Iterator[Tuple[int, Real]]:
-    fam = spec.family
-    an, ad = spec.x.numerator, spec.x.denominator
-    alt = fam in ("H1", "H3")
-    if fam in ("H1", "H2"):
-        c, n = 1, 0
-        num_extra = 1
-    else:
-        c, n = 2, 1  # the n = 0 summand is identically 0 and is skipped
-        num_extra = 4  # 2^(4n-2) = 16^n / 4
-    pnum, pden = an**n, (16 * ad) ** n
-    while n <= EXACT_TERM_LIMIT:
-        s = (-1 if n % 2 else 1) if alt else 1
-        yield n, mpf(s * c * pnum * num_extra) / mpf(pden)
-        if fam in ("H1", "H2"):
-            c = c * (4 * (4 * n + 1) * (4 * n + 3)) // ((2 * n + 1) * (2 * n + 2))
-        else:
-            c = c * (2 * (4 * n - 1) * (4 * n + 1)) // (n * (2 * n + 1))
-        pnum *= an
-        pden *= 16 * ad
-        n += 1
-    base = mpf(c * pnum * num_extra) / mpf(pden)
-    while True:
-        s = (-1 if n % 2 else 1) if alt else 1
-        yield n, s * base
-        if fam in ("H1", "H2"):
-            rn, rd = 4 * (4 * n + 1) * (4 * n + 3) * an, (2 * n + 1) * (2 * n + 2) * 16 * ad
-        else:
-            rn, rd = 2 * (4 * n - 1) * (4 * n + 1) * an, n * (2 * n + 1) * 16 * ad
-        base = base * mpf(rn) / mpf(rd)
-        n += 1
-
-
-def _stream_i(spec: FamilySpec) -> Iterator[Tuple[int, Real]]:
-    fam = spec.family
-    c, n = 1, 0
-    if fam == "I1":
-        fm, lm = fib_lucas(spec.r)
-        lr = lm
-        # Lucas values along stride r grow like alpha^(r n), so shrink the
-        # exact window in proportion to r to keep the integer sizes bounded;
-        # the float continuation covers the slow large-r evaluations.
-        exact_limit = min(EXACT_TERM_LIMIT, max(2000, EXACT_TERM_LIMIT // max(1, spec.r)))
-        fk, lk = 0, 2
-        den = 1
-        while n <= exact_limit:
-            yield n, mpf(c * lk) / mpf(den)
-            c = c * (4 * (4 * n + 1) * (4 * n + 3)) // ((2 * n + 1) * (2 * n + 2))
-            fk, lk = fib_lucas_step(fk, lk, fm, lm)
-            den *= 16 * lr
-            n += 1
-        b = mpf(c) / mpf(16) ** n
-        w = mpf(1) / mpf(lr) ** n
-        f, ell = mpf(fk), mpf(lk)
-        mfm, mlm = mpf(fm), mpf(lm)
-        while True:
-            yield n, b * ell * w
-            b = b * (4 * n + 1) * (4 * n + 3) / (4 * (2 * n + 1) * (2 * n + 2))
-            f, ell = (f * mlm + ell * mfm) / 2, (ell * mlm + 5 * f * mfm) / 2
-            w /= lr
-            n += 1
-    else:
-        if fam == "I2":
-            _, lr = fib_lucas(spec.r)
-            dstep = 4 * lr * lr
-        else:
-            dstep = 20
-        den = 1
-        while n <= EXACT_TERM_LIMIT:
-            yield n, mpf(c) / mpf(den)
-            c = c * (4 * (4 * n + 1) * (4 * n + 3)) // ((2 * n + 1) * (2 * n + 2))
-            den *= dstep
-            n += 1
-        base = mpf(c) / mpf(den)
-        while True:
-            yield n, base
-            base = base * (4 * (4 * n + 1) * (4 * n + 3)) / mpf((2 * n + 1) * (2 * n + 2) * dstep)
-            n += 1
-
-
-def _stream_j(spec: FamilySpec) -> Iterator[Tuple[int, Real]]:
-    c, n = 1, 0
-    h = Fraction(1)  # H_1
-    while n <= EXACT_TERM_LIMIT:
-        yield n, mpf(c * h.numerator) / mpf(16**n * (n + 1) * h.denominator)
-        c = c * (4 * (4 * n + 1) * (4 * n + 3)) // ((2 * n + 1) * (2 * n + 2))
-        h += Fraction(1, n + 2)
-        n += 1
-    b = mpf(c) / mpf(16) ** n
-    hf = mpf(h.numerator) / mpf(h.denominator)
-    while True:
-        yield n, b * hf / (n + 1)
-        b = b * (4 * n + 1) * (4 * n + 3) / (4 * (2 * n + 1) * (2 * n + 2))
-        hf += mpf(1) / (n + 2)
-        n += 1
-
-
-def _term_stream(spec: FamilySpec, ctx: PrecisionContext) -> Iterator[Tuple[int, Real]]:
-    fam = spec.family
-    if fam in ("F1", "F2"):
-        return _stream_f12(spec)
-    if fam in F_FAMILIES:
-        return _stream_f3456(spec)
-    if fam in T_FAMILIES:
-        return _stream_t(spec, ctx)
-    if fam in C_FAMILIES:
-        return _stream_c(spec)
-    if fam in G_FAMILIES:
-        return _stream_g(spec, ctx)
-    if fam in H_FAMILIES:
-        return _stream_h(spec)
-    if fam in ("I1", "I2", "I3"):
-        return _stream_i(spec)
-    return _stream_j(spec)
-
-
-# ---------------------------------------------------------------------------
 # certified tail bounds
 
 
@@ -634,13 +392,238 @@ def _j1_integral_bound(N: int) -> Real:
 
 
 # ---------------------------------------------------------------------------
+# the scaled-integer summation kernel
+
+
+class _Kernel(NamedTuple):
+    """One family at one parameter point, as the summation driver runs it.
+
+    The state holds term magnitudes scaled by 2^B.  From index ``first`` on,
+    term n is the state (negated when ``neg[n % 4]``), and the state steps by
+    the rational ratio R(n) = num(n)/den(n), cubic polynomials given by their
+    coefficients, constant first.  Two shapes carry a second component:
+
+    * ``step = (F_m, L_m)``: the state is a pair (f, l), scaled F and L
+      numbers, and each step also applies (F_k, L_k) -> (F_{k+m}, L_{k+m})
+      with the divisor 2 inside den.  The scaled total is out . (S_F, S_L).
+    * ``harmonic`` (J1, terms a_n H_{n+1}): by Abel summation the total is
+      H_{N+1} A_N - sum_{n<N} A_n/(n+2) over the partial sums A_n of a_n,
+      so a step adds two divisions by the small n+2.
+
+    Every step truncates below one unit and multiplies earlier errors by at
+    most 1 in modulus (for ``step``, on the eigenvectors (1, +-sqrt5) of the
+    F/L map, where a unit becomes at most 1 + sqrt5), except that a
+    ``weighted`` ratio folds in (n+1)/n.  So the scaled total errs by at
+    most ``units`` x steps x spread, where spread is the number of steps, or
+    N (1 + log2 N) >= n H_n for a weighted ratio.  The value is the scaled
+    total times sqrt(``radicand``) times 2^-B.
+    """
+
+    first: int
+    head: Tuple[int, ...]
+    num: Tuple[int, int, int, int]
+    den: Tuple[int, int, int, int]
+    neg: Tuple[bool, bool, bool, bool] = (False,) * 4
+    step: Optional[Tuple[int, int]] = None
+    out: Tuple[int, int] = (0, 1)
+    harmonic: bool = False
+    weighted: bool = False
+    units: int = 1
+    radicand: Fraction = Fraction(1)
+
+
+def _poly(c: int, *factors: Tuple[int, int]) -> Tuple[int, int, int, int]:
+    """Coefficients, constant first, of c * prod(a*n + b) over (a, b) factors."""
+    p = [c]
+    for a, b in factors:
+        p = [b * p[0]] + [b * p[i] + a * p[i - 1] for i in range(1, len(p))] + [a * p[-1]]
+    return tuple(p + [0] * (4 - len(p)))
+
+
+def _tan_scaled(phi: PhiValue, bits: int) -> int:
+    """floor(|tan phi| * 2^bits), within 2 units: computed with 32 guard bits."""
+    with mp.workprec(bits + 32):
+        v = mpf(phi.coeff.numerator) / phi.coeff.denominator
+        if phi.times_pi:
+            v *= mp.pi
+        return int(mp.floor(mp.ldexp(abs(mp.tan(v)), bits)))
+
+
+def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
+    """The summation descriptor of ``spec`` for indices up to N at scale 2^B."""
+    fam = spec.family
+    pat = spec.sign_pattern()
+    one = 1 << B
+
+    def signs(z_sign: int = 1, flip: int = 1) -> Tuple[bool, ...]:
+        return tuple(sign(pat, n) * z_sign**n * flip < 0 for n in range(4))
+
+    if fam in F_FAMILIES or fam in T_FAMILIES:
+        # C(2n,n)/4^n z^n with weight 1/(2n+1), 1 or n; z = x^2 (times one
+        # factor x) for F1/F2, x for F3-F6, tan(phi) for T
+        head, flip, radicand, units = one, 1, Fraction(1), 1
+        if fam in ("F1", "F2"):  # x^(2n+1) = sign(c) |c| sqrt(d) (c^2 d)^n for x = c sqrt(d)
+            x = spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)
+            c = x.coeff
+            z, z_sign, flip, radicand = x.squared(), 1, (-1 if c < 0 else 1), x.radicand
+            head = (abs(c.numerator) << B) // c.denominator
+        elif fam in F_FAMILIES:
+            z = _rational_x(spec)
+            z_sign = -1 if z < 0 else 1
+        else:
+            phi = spec.phi
+            z_sign = -1 if phi.coeff < 0 else 1
+            if phi.coeff == 0 or (phi.times_pi and abs(phi.coeff) == Fraction(1, 4)):
+                z = Fraction(z_sign if phi.coeff else 0)  # tan is exactly 0 or +-1
+            else:
+                # tan(phi) carries N.bit_length() + 2 bits more than the state, so
+                # its error adds at most 1 unit per step over N weighted steps
+                extra = B + N.bit_length() + 2
+                z, units = Fraction(_tan_scaled(phi, extra), 1 << extra), 2
+        zn, zd = abs(z.numerator), z.denominator
+        weight = spec.weight()
+        if weight == "recip":
+            num, den = _poly(zn, (2, 1), (2, 1)), _poly(zd, (2, 2), (2, 3))
+        elif weight == "plain":
+            num, den = _poly(zn, (2, 1)), _poly(zd, (2, 2))
+        else:  # linear: n C(2n,n) z^n/4^n from n = 1, where it is z/2
+            return _Kernel(1, ((zn << B) // (2 * zd),), _poly(zn, (2, 1)), _poly(zd, (2, 0)),
+                           signs(z_sign), weighted=True, units=units)
+        return _Kernel(0, (head,), num, den, signs(z_sign, flip), units=units,
+                       radicand=radicand)
+    if fam in C_FAMILIES:
+        x = spec.x
+        xn4, xd4 = x.numerator**4, x.denominator**4
+        flip = -1 if x < 0 else 1
+        if fam == "C1":  # C(4n,2n) |x|^(4n+1)/(4n+1)
+            return _Kernel(0, ((abs(x.numerator) << B) // x.denominator,),
+                           _poly(4 * xn4, (4, 1), (4, 1), (4, 3)),
+                           _poly(xd4, (2, 1), (2, 2), (4, 5)), signs(flip=flip))
+        head = Fraction(2 * abs(x) ** 3, 3)  # C(4n+2,2n+1) |x|^(4n+3)/(4n+3)
+        return _Kernel(0, ((head.numerator << B) // head.denominator,),
+                       _poly(4 * xn4, (4, 3), (4, 3), (4, 5)),
+                       _poly(xd4, (2, 2), (2, 3), (4, 7)), signs(flip=flip))
+    if fam in G_FAMILIES:
+        # C(2n,n)/p^n F-or-L(mn) with the weight, halved; the index shift s
+        # enters once at the end: 2 V(mn+s) = F(mn) L_s + L(mn) F_s for V = F,
+        # and L(mn) L_s + 5 F(mn) F_s for V = L
+        fm, lm = fib_lucas(spec.m)
+        fs, ls = fib_lucas(spec.s)
+        out = (ls, fs) if spec.seq == "F" else (5 * fs, ls)
+        pn, pd = spec.p.numerator, spec.p.denominator
+        units = 2 * abs(out[0]) + 4 * abs(out[1])
+        weight = spec.weight()
+        if weight == "linear":  # from n = 1: (pd/pn) (F_m, L_m)
+            head = ((pd * fm << B) // pn, (pd * lm << B) // pn)
+            return _Kernel(1, head, _poly(2 * pd, (2, 1)), _poly(pn, (2, 0)), signs(),
+                           (fm, lm), out, weighted=True, units=units)
+        if weight == "recip":
+            num, den = _poly(2 * pd, (2, 1), (2, 1)), _poly(pn, (2, 2), (2, 3))
+        else:
+            num, den = _poly(2 * pd, (2, 1)), _poly(pn, (2, 2))
+        return _Kernel(0, (0, one), num, den, signs(), (fm, lm), out, units=units)
+    # C(4n+4,2n+2)/(16 C(4n,2n)) = (4n+1)(4n+3)/(4 (2n+1)(2n+2)); the dens below
+    # carry the 4 (2n+1)(2n+2) with each family's other factors
+    quarter = _poly(1, (4, 1), (4, 3))
+    if fam in H_FAMILIES:
+        x = spec.x
+        xn, xd = abs(x.numerator), x.denominator
+        z_sign = -1 if x < 0 else 1
+        if fam in ("H1", "H2"):  # C(4n,2n) |x|^n/16^n
+            return _Kernel(0, (one,), _poly(xn, (4, 1), (4, 3)),
+                           _poly(4 * xd, (2, 1), (2, 2)), signs(z_sign))
+        # C(4n-2,2n-1) |x|^n/2^(4n-2) from n = 1, where it is |x|/2
+        return _Kernel(1, ((xn << B) // (2 * xd),), _poly(xn, (4, -1), (4, 1)),
+                       _poly(8 * xd, (1, 0), (2, 1)), signs(z_sign))
+    if fam == "I1":  # C(4n,2n)/16^n (F, L)(rn)/L_r^n
+        fr, lr = fib_lucas(spec.r)
+        return _Kernel(0, (0, 2 * one), quarter, _poly(8 * lr, (2, 1), (2, 2)),
+                       step=(fr, lr), units=4)
+    if fam == "I2":
+        _, lr = fib_lucas(spec.r)
+        return _Kernel(0, (one,), quarter, _poly(lr * lr, (2, 1), (2, 2)))
+    if fam == "I3":
+        return _Kernel(0, (one,), quarter, _poly(5, (2, 1), (2, 2)))
+    # J1: a_n = C(4n,2n)/(16^n (n+1)) steps by (4n+1)(4n+3)/(8 (2n+1)(n+2)).  A_n
+    # errs by at most n(n+1)/2 units and A_N, H_{N+1} <= 1 + log2(N+1), so the
+    # Abel total errs by less than (2 + log2(N+1)) (N+1)^2 units
+    return _Kernel(0, (one,), quarter, _poly(8, (2, 1), (1, 2)), harmonic=True,
+                   units=2 + (N + 1).bit_length())
+
+
+def _run(k: _Kernel, N: int) -> int:
+    """The scaled total of the terms first..N."""
+    a0, a1, a2, a3 = k.num
+    b0, b1, b2, b3 = k.den
+    neg = k.neg
+    if k.harmonic:
+        one = a = k.head[0]
+        partial = lower = 0
+        h = one  # H_{n+1}
+        for n in range(N):
+            partial += a
+            m = n + 2
+            lower += partial // m
+            h += one // m
+            a = a * (((a3 * n + a2) * n + a1) * n + a0) // (((b3 * n + b2) * n + b1) * n + b0)
+        return h * (partial + a) // one - lower
+    if k.step is None:
+        (u,) = k.head
+        total = 0
+        for n in range(k.first, N + 1):
+            if neg[n & 3]:
+                total -= u
+            else:
+                total += u
+            u = u * (((a3 * n + a2) * n + a1) * n + a0) // (((b3 * n + b2) * n + b1) * n + b0)
+        return total
+    fm, lm = k.step
+    f5 = 5 * fm
+    f, l = k.head
+    sf = sl = 0
+    for n in range(k.first, N + 1):
+        if neg[n & 3]:
+            sf -= f
+            sl -= l
+        else:
+            sf += f
+            sl += l
+        r = ((a3 * n + a2) * n + a1) * n + a0
+        s = ((b3 * n + b2) * n + b1) * n + b0
+        f, l = (f * lm + l * fm) * r // s, (l * lm + f * f5) * r // s
+    return k.out[0] * sf + k.out[1] * sl
+
+
+def _scaled_sum(spec: FamilySpec, N: int, ctx: PrecisionContext,
+                room: Optional[Real] = None) -> Tuple[Optional[Real], Real]:
+    """(value, rounding bound) of the terms with index 0..N.
+
+    Returns (None, fixed-point part of the bound) without summing when that
+    part alone exceeds ``room``.
+    """
+    B = math.ceil(ctx.working_digits * 3.3219280948873626) + 2 * (N + 1).bit_length() + 16
+    k = _kernel(spec, N, B)
+    steps = max(0, N - k.first + 1)
+    # a truncation at step j reaches term n multiplied by at most 1, or by
+    # n/j for a weighted ratio: sum_j n/j <= N (1 + log2 N)
+    spread = N * (1 + N.bit_length()) if k.weighted else steps
+    with ctx.workprec():
+        pad = mpf(_BOUND_PAD)
+        err = mp.ldexp(mpf(k.units * steps * spread), -B)
+        root = mp.sqrt(ctx.real(k.radicand)) if k.radicand != 1 else None
+        if root is not None:
+            err *= root
+        if room is not None and err * pad > room:
+            return None, err * pad
+        value = mp.ldexp(mpf(_run(k, N)), -B)
+        if root is not None:
+            value *= root
+        # the total, sqrt(d) and their product round once each
+        return value, (err + abs(value) * mp.ldexp(1, 4 - mp.prec)) * pad
+
+
+# ---------------------------------------------------------------------------
 # summation drivers
-
-
-def _rounding_bound(terms_used: int, max_partial: Real, ctx: PrecisionContext) -> Real:
-    if max_partial == 0 or terms_used == 0:
-        return mpf(0)
-    return terms_used * max_partial * mpf(10) ** (1 - ctx.working_digits)
 
 
 def sum_fixed(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
@@ -652,36 +635,46 @@ def sum_fixed(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
     """
     if N < 0:
         raise UsageError(f"sum_fixed: N must be >= 0, got {N}")
-    if spec.family in C_FAMILIES and N + 1 > _FIXED_POINT_CUTOFF:
-        return _sum_fixed_point_c(spec, N, ctx)
-    if spec.family == "J1" and N + 1 > _FIXED_POINT_CUTOFF:
-        return _sum_fixed_point_j(spec, N, ctx)
+    value, rounding = _scaled_sum(spec, N, ctx)
     with ctx.workprec():
-        total = mpf(0)
-        max_partial = mpf(0)
-        first = spec.first_index()
-        if N >= first:
-            stream = _term_stream(spec, ctx)
-            for n, t in stream:
-                if n > N:
-                    break
-                total += t
-                a = abs(total)
-                if a > max_partial:
-                    max_partial = a
         try:
             trunc = tail_bound(spec, N, ctx)
         except UncertifiedError:
             trunc = mpf("inf")
-        return EvalResult(
-            spec=spec,
-            value=+total,
-            terms_used=N + 1,
-            truncation_bound=trunc,
-            rounding_bound=_rounding_bound(N + 1, max_partial, ctx),
-            converged=False,
-            digits=ctx.digits,
-        )
+    return EvalResult(spec, value, N + 1, trunc, rounding, False, ctx.digits)
+
+
+def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
+    """(N, tail_bound(N)) for the least N >= first index with tail_bound(N) <= budget.
+
+    Doubles N, then bisects, so it calls ``tail_bound`` O(log N) times (the
+    bound falls as N grows).  Returns (None, None) past ``_SEARCH_LIMIT``.
+    """
+    lo = spec.first_index() - 1
+    hi = lo + 1
+    while True:
+        bound = tail_bound(spec, hi, ctx)
+        if bound <= budget:
+            break
+        if hi >= _SEARCH_LIMIT:
+            return None, None
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        b = tail_bound(spec, mid, ctx)
+        if b <= budget:
+            hi, bound = mid, b
+        else:
+            lo = mid
+    return hi, bound
+
+
+def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
+    if spec.family == "J1":
+        return "the J1 integral-comparison tail model"
+    if spec.family in C_FAMILIES:
+        return f"the alternating tail model (q = 16x^4 = {mp.nstr(16 * ctx.real(spec.x) ** 4, 8)})"
+    return f"the geometric tail model (q = {mp.nstr(_geometric_ratio(spec, ctx), 8)})"
 
 
 def sum_adaptive(
@@ -690,13 +683,14 @@ def sum_adaptive(
     ctx: PrecisionContext,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> EvalResult:
-    """Sum until truncation + rounding bounds certify ``target_abs_error``.
+    """Sum exactly the terms that truncation + rounding bounds need for the target.
 
-    Raises :class:`UncertifiedError` at parameter points with no tail model
-    and :class:`ConvergenceError` (carrying the best partial result) when
-    the cap is reached first.  The stop index is minimal within the bound
-    model while the exact-term window lasts; past it the convergence check
-    runs every 64 terms.
+    The stop index N is the least index whose ``tail_bound`` is within
+    (1 - 2^-16) of the target (the rest is left for rounding), computed once
+    before summing.  Raises :class:`UncertifiedError` at parameter points
+    with no tail model, and :class:`ConvergenceError` when N lies past
+    ``max_terms`` terms (counted from the family's first index) or when the
+    rounding bound keeps the total above the target.
     """
     if spec.at_certification_boundary():
         raise UncertifiedError(
@@ -707,126 +701,26 @@ def sum_adaptive(
         target = ctx.real(target_abs_error)
         if not target > 0:
             raise UsageError("sum_adaptive: target_abs_error must be > 0")
-        total = mpf(0)
-        max_partial = mpf(0)
-        count = 0
-        last_n = -1
-        stream = _term_stream(spec, ctx)
-        for n, t in stream:
-            total += t
-            count += 1
-            last_n = n
-            a = abs(total)
-            if a > max_partial:
-                max_partial = a
-            if n <= EXACT_TERM_LIMIT or count % 64 == 0:
-                trunc = tail_bound(spec, n, ctx)
-                rnd = _rounding_bound(n + 1, max_partial, ctx)
-                if trunc + rnd <= target:
-                    return EvalResult(
-                        spec=spec,
-                        value=+total,
-                        terms_used=n + 1,
-                        truncation_bound=trunc,
-                        rounding_bound=rnd,
-                        converged=True,
-                        digits=ctx.digits,
-                    )
-            if count >= max_terms:
-                trunc = tail_bound(spec, n, ctx)
-                rnd = _rounding_bound(n + 1, max_partial, ctx)
-                partial = EvalResult(
-                    spec=spec,
-                    value=+total,
-                    terms_used=n + 1,
-                    truncation_bound=trunc,
-                    rounding_bound=rnd,
-                    converged=False,
-                    digits=ctx.digits,
-                )
-                raise ConvergenceError(spec, partial, target)
-    raise AssertionError("unreachable: streams are infinite")
-
-
-# ---------------------------------------------------------------------------
-# scaled-integer partial sums for the slow bound-mode families
-#
-# All arithmetic below is on non-negative integers scaled by 2^B.  Each
-# ratio step and each product truncates at most one unit in the last place,
-# so the absolute drift after N terms is below N * 2^-B plus the propagated
-# products, still many orders under the reported rounding bound.
-
-
-def _fixed_point_bits(ctx: PrecisionContext) -> int:
-    return int(math.ceil(3.33 * ctx.working_digits)) + 64
-
-
-def _sum_fixed_point_c(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
-    one = spec.family == "C1"
-    an, ad = abs(spec.x.numerator), spec.x.denominator
-    a4n, a4d = an**4, ad**4
-    B = _fixed_point_bits(ctx)
-    if one:
-        u = (an << B) // ad
-    else:
-        u = (2 * an**3 << B) // (3 * ad**3)
-    total = 0
-    max_partial = 0
-    # u tracks |term_n| * 2^B with the 1/(4n+1)-style weight already folded
-    # into the ratio steps below
-    for n in range(N + 1):
-        if n % 2:
-            total -= u
-        else:
-            total += u
-        a = -total if total < 0 else total
-        if a > max_partial:
-            max_partial = a
-        if one:
-            rn = 4 * (4 * n + 1) * (4 * n + 1) * (4 * n + 3) * a4n
-            rd = (2 * n + 1) * (2 * n + 2) * (4 * n + 5) * a4d
-        else:
-            rn = 4 * (4 * n + 3) * (4 * n + 3) * (4 * n + 5) * a4n
-            rd = (2 * n + 2) * (2 * n + 3) * (4 * n + 7) * a4d
-        u = u * rn // rd
-    with ctx.workprec():
-        scale = mpf(2) ** (-B)
-        value = mpf(total) * scale
-        mp_max = mpf(max_partial) * scale
-        try:
-            trunc = tail_bound(spec, N, ctx)
-        except UncertifiedError:
-            trunc = mpf("inf")
-        return EvalResult(
-            spec=spec,
-            value=value,
-            terms_used=N + 1,
-            truncation_bound=trunc,
-            rounding_bound=_rounding_bound(N + 1, mp_max, ctx),
-            converged=False,
-            digits=ctx.digits,
-        )
-
-
-def _sum_fixed_point_j(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
-    B = _fixed_point_bits(ctx)
-    ONE = 1 << B
-    u = ONE  # C(4n,2n)/(16^n (n+1)) * 2^B at n = 0
-    h = ONE  # H_{n+1} * 2^B at n = 0
-    total = 0
-    for n in range(N + 1):
-        total += (u * h) >> B
-        u = u * ((4 * n + 1) * (4 * n + 3) * (n + 1)) // (4 * (2 * n + 1) * (2 * n + 2) * (n + 2))
-        h += ONE // (n + 2)
-    with ctx.workprec():
-        value = mpf(total) / mpf(ONE)
-        trunc = tail_bound(spec, N, ctx)
-        return EvalResult(
-            spec=spec,
-            value=value,
-            terms_used=N + 1,
-            truncation_bound=trunc,
-            rounding_bound=_rounding_bound(N + 1, value, ctx),
-            converged=False,
-            digits=ctx.digits,
+        last = spec.first_index() + max(max_terms, 1) - 1
+        N, trunc = _stop_index(spec, target * (1 - mpf(2) ** -16), ctx)
+        if N is None or N > last:
+            predicted = "more than 2^64" if N is None else str(N)
+            raise ConvergenceError(
+                spec, target,
+                f"{_tail_model(spec, ctx)} predicts N = {predicted}, past the cap of "
+                f"{max_terms} terms (tail_bound at N = {last} is "
+                f"{mp.nstr(tail_bound(spec, last, ctx), 8)})",
+                ctx, last,
+            )
+        value, rounding = _scaled_sum(spec, N, ctx, room=target - trunc)
+        partial = None
+        if value is not None:
+            if trunc + rounding <= target:
+                return EvalResult(spec, value, N + 1, trunc, rounding, True, ctx.digits)
+            partial = EvalResult(spec, value, N + 1, trunc, rounding, False, ctx.digits)
+        raise ConvergenceError(
+            spec, target,
+            f"at the predicted N = {N} the rounding bound {mp.nstr(rounding, 8)} leaves no "
+            f"room for it (truncation {mp.nstr(trunc, 8)}); it needs more working digits",
+            ctx, N, partial,
         )

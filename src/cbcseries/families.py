@@ -198,6 +198,21 @@ def four_alpha_pow_cmp(p: Fraction, m: int) -> int:
     return -1 if lhs < rhs else (1 if lhs > rhs else 0)
 
 
+def _sign_pattern_of(fam: str) -> SignPattern:
+    if fam in _FT_SIGN:
+        return _FT_SIGN[fam]
+    if fam in G_FAMILIES:
+        return _G_SHAPE[fam][0]
+    if fam in ("C1", "C2", "H1", "H3"):
+        return SignPattern.ALTERNATING
+    return SignPattern.PLUS
+
+
+def _first_index_of(fam: str) -> int:
+    """1 for the n-weighted shapes, whose n = 0 summand is identically 0."""
+    return 1 if fam in ("F5", "F6", "T5", "T6", "G9", "G10", "G11", "G12") else 0
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One series from the catalog plus its parameters.
@@ -299,14 +314,7 @@ class FamilySpec:
     # -- structural helpers used by the engine and closed forms --------------
 
     def sign_pattern(self) -> SignPattern:
-        fam = self.family
-        if fam in _FT_SIGN:
-            return _FT_SIGN[fam]
-        if fam in G_FAMILIES:
-            return _G_SHAPE[fam][0]
-        if fam in ("C1", "C2", "H1", "H3"):
-            return SignPattern.ALTERNATING
-        return SignPattern.PLUS
+        return _sign_pattern_of(self.family)
 
     def weight(self) -> str:
         """Per-term weight: "recip" (1/(2n+1)-like), "plain", or "linear"."""
@@ -329,7 +337,7 @@ class FamilySpec:
         return _G_SHAPE[self.family]
 
     def first_index(self) -> int:
-        return 1 if self.family in ("F5", "F6", "T5", "T6", "G9", "G10", "G11", "G12") else 0
+        return _first_index_of(self.family)
 
     def at_certification_boundary(self) -> bool:
         """True when the parameter sits where no proven tail bound exists.
@@ -379,7 +387,6 @@ def list_families() -> list[dict]:
         elif fam in C_FAMILIES:
             params, domain = "x", "|x| <= 1/2 (certified on the whole domain)"
         elif fam in G_FAMILIES:
-            pat, w, seqname = _G_SHAPE[fam]
             params = "m, s, p"
             domain = "integers m, s; rational p >= 4*alpha^|m| (certified needs >)"
         elif fam in H_FAMILIES:
@@ -394,20 +401,7 @@ def list_families() -> list[dict]:
             "id": fam,
             "parameters": params,
             "domain": domain,
-            "sign": _describe_sign(fam),
-            "starts_at": 1 if fam in ("F5", "F6", "T5", "T6", "G9", "G10", "G11", "G12") else 0,
+            "sign": _sign_pattern_of(fam).value,
+            "starts_at": _first_index_of(fam),
         })
     return rows
-
-
-def _describe_sign(fam: str) -> str:
-    probe = None
-    if fam in _FT_SIGN:
-        probe = _FT_SIGN[fam]
-    elif fam in G_FAMILIES:
-        probe = _G_SHAPE[fam][0]
-    elif fam in ("C1", "C2", "H1", "H3"):
-        probe = SignPattern.ALTERNATING
-    else:
-        probe = SignPattern.PLUS
-    return probe.value

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -183,6 +184,26 @@ def test_list_families_text(capsys):
     lines = [line for line in out.splitlines() if line.strip()]
     # header + separator-free rows, one per family
     assert len(lines) == 1 + 34
+
+
+def test_list_families_json_is_unchanged(capsys):
+    """The catalog JSON is byte-identical to the recorded one (sign and start per family)."""
+    code, out, err = run(capsys, "list-families", "--format", "json")
+    assert code == 0
+    recorded = Path(__file__).resolve().parent / "data" / "list_families.json"
+    assert out == recorded.read_text()
+
+
+def test_compare_past_the_cap_fails_fast(capsys):
+    """H2 at x = 0.999999 needs ~10^8 terms: refused before summing, naming the model."""
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "compare", "--family", "H2", "--x=999999/1000000", "--digits", "40"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert "geometric tail model (q = 0.999999) predicts N = 100392810" in err
+    assert "past the cap of 10000000 terms (tail_bound at N = 9999999 is 0.0057274734)" in err
 
 
 def test_json_output_is_reproducible(capsys):

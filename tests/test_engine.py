@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import cbcseries.engine as engine
@@ -13,7 +16,18 @@ from cbcseries.engine import (
     term,
     term_fraction,
 )
-from cbcseries.families import FamilySpec, PhiValue, SurdValue
+from cbcseries.closedforms import closed_value
+from cbcseries.families import (
+    ALL_FAMILIES,
+    C_FAMILIES,
+    F_FAMILIES,
+    G_FAMILIES,
+    H_FAMILIES,
+    T_FAMILIES,
+    FamilySpec,
+    PhiValue,
+    SurdValue,
+)
 from cbcseries.precision import UsageError, make_context
 
 CTX = make_context(30)
@@ -94,34 +108,35 @@ def test_term_matches_term_fraction():
                 assert abs(approx - want) <= mpf(10) ** -45 * max(1, abs(want))
 
 
+def driver_terms(spec, ctx, indexes):
+    """Term n as the summation driver produces it: the step between its partial sums."""
+    previous = None
+    for n in indexes:
+        if previous is None:
+            previous = sum_fixed(spec, n - 1, ctx).value if n > 0 else mpf(0)
+        current = sum_fixed(spec, n, ctx).value
+        yield n, current - previous
+        previous = current
+
+
 def test_streams_match_terms_in_exact_window():
+    """The driver's first terms of every shape agree with the direct ``term``."""
     with CTX40.workprec():
         for spec in spec_zoo():
-            stream = engine._term_stream(spec, CTX40)
-            for n, value in stream:
-                if n > 40:
-                    break
+            for n, value in driver_terms(spec, CTX40, range(41)):
                 direct = term(spec, n, CTX40)
-                if spec.first_index() > n:
-                    continue
                 assert abs(value - direct) <= mpf(10) ** -44 * max(1, abs(direct)), (
                     spec.describe(),
                     n,
                 )
 
 
-def test_streams_match_terms_past_window(monkeypatch):
-    """Shrinking the exact window forces every float continuation early."""
-    monkeypatch.setattr(engine, "EXACT_TERM_LIMIT", 3)
+def test_streams_match_terms_past_window():
+    """Terms a thousand steps into the scaled-integer recurrence show no drift."""
     with CTX.workprec():
         for spec in spec_zoo():
-            stream = engine._term_stream(spec, CTX)
-            for n, value in stream:
-                if n > 30:
-                    break
+            for n, value in driver_terms(spec, CTX, range(1000, 1031)):
                 direct = term(spec, n, CTX)
-                if spec.first_index() > n:
-                    continue
                 assert abs(value - direct) <= mpf(10) ** -32 * max(1, abs(direct)), (
                     spec.describe(),
                     n,
@@ -246,27 +261,30 @@ def test_sum_adaptive_bad_target():
         sum_adaptive(F3_HALF, 0, CTX)
 
 
-def test_fixed_point_c_matches_stream(monkeypatch):
-    direct = sum_fixed(C1_HALF, 300, CTX)
-    monkeypatch.setattr(engine, "_FIXED_POINT_CUTOFF", 100)
-    scaled = sum_fixed(C1_HALF, 300, CTX)
-    with CTX.workprec():
-        assert abs(direct.value - scaled.value) < mpf(10) ** -40
-    assert scaled.terms_used == direct.terms_used == 301
-
-    c2 = FamilySpec("C2", x=Fraction(-1, 2))
-    direct2 = sum_fixed(c2, 250, CTX)
-    scaled2 = sum_fixed(c2, 250, CTX)
-    with CTX.workprec():
-        assert abs(direct2.value - scaled2.value) < mpf(10) ** -40
+def exact_sum(spec, N):
+    total = sum(term_fraction(spec, n) for n in range(N + 1))
+    return mpf(total.numerator) / total.denominator
 
 
-def test_fixed_point_j_matches_stream(monkeypatch):
-    direct = sum_fixed(J1, 300, CTX)
-    monkeypatch.setattr(engine, "_FIXED_POINT_CUTOFF", 100)
-    scaled = sum_fixed(J1, 300, CTX)
+def test_fixed_point_c_matches_stream():
+    """C1/C2 driver sums, at both signs of x, equal the exact sum of their terms."""
+    for spec, N in ((C1_HALF, 300), (FamilySpec("C1", x=Fraction(-1, 2)), 300),
+                    (FamilySpec("C2", x=Fraction(-1, 2)), 250),
+                    (FamilySpec("C2", x=Fraction(2, 5)), 250)):
+        res = sum_fixed(spec, N, CTX)
+        assert res.terms_used == N + 1
+        with CTX.workprec():
+            err = abs(res.value - exact_sum(spec, N))
+            assert err < mpf(10) ** -40
+            assert err <= res.rounding_bound
+
+
+def test_fixed_point_j_matches_stream():
+    res = sum_fixed(J1, 300, CTX)
     with CTX.workprec():
-        assert abs(direct.value - scaled.value) < mpf(10) ** -40
+        err = abs(res.value - exact_sum(J1, 300))
+        assert err < mpf(10) ** -40
+        assert err <= res.rounding_bound
 
 
 def test_rounding_bound_scales_with_terms():
@@ -281,3 +299,105 @@ def test_rounding_bound_scales_with_terms():
 def test_negative_n_rejected():
     with pytest.raises(UsageError):
         sum_fixed(F3_HALF, -1, CTX)
+
+
+def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
+    """N comes from O(log N) tail_bound calls and is the least index that fits."""
+    calls = []
+    real_tail_bound = engine.tail_bound
+
+    def counted(spec, N, ctx):
+        calls.append(N)
+        return real_tail_bound(spec, N, ctx)
+
+    monkeypatch.setattr(engine, "tail_bound", counted)
+    for spec, ctx, target in ((F3_HALF, CTX40, Fraction(1, 10**42)),
+                              (FamilySpec("I1", r=4), CTX, Fraction(1, 10**32)),
+                              (FamilySpec("G10", m=2, s=3, p=Fraction(11)), CTX, Fraction(1, 10**32)),
+                              (FamilySpec("H3", x=Fraction(-9, 10)), CTX, Fraction(1, 10**32))):
+        calls.clear()
+        res = sum_adaptive(spec, target, ctx)
+        assert res.converged
+        assert len(calls) <= 64
+        N = res.terms_used - 1
+        with ctx.workprec():
+            assert res.truncation_bound == real_tail_bound(spec, N, ctx)
+            assert res.error_bound() <= ctx.real(target)
+            assert real_tail_bound(spec, N - 1, ctx) > ctx.real(target) * (1 - mpf(2) ** -16)
+            assert abs(res.value - closed_value(spec, ctx)) <= res.error_bound() + mpf(10) ** -40
+
+
+def test_sum_adaptive_refuses_at_the_rounding_floor():
+    """G1 at s = 202 has value ~2.8e41: 40 digits cannot carry it to 1e-42."""
+    spec = FamilySpec("G1", m=1, s=202, p=Fraction(8))
+    with pytest.raises(ConvergenceError) as info:
+        sum_adaptive(spec, Fraction(1, 10**42), CTX40, max_terms=2000)
+    assert "rounding bound" in str(info.value)
+    with CTX40.workprec():
+        assert info.value.partial.error_bound() > mpf(10) ** -42
+
+
+def test_c_families_keep_the_sign_of_negative_x_past_50000_terms():
+    N = 60_000
+    for family in ("C1", "C2"):
+        plus = sum_fixed(FamilySpec(family, x=Fraction(1, 2)), N, CTX)
+        minus_spec = FamilySpec(family, x=Fraction(-1, 2))
+        minus = sum_fixed(minus_spec, N, CTX)
+        with CTX.workprec():
+            assert minus.value == -plus.value
+            assert abs(minus.value - closed_value(minus_spec, CTX)) <= minus.error_bound()
+
+
+_ALPHA = (1 + 5**0.5) / 2
+
+
+@st.composite
+def rational_specs(draw):
+    """A rational-term family at a random point of its domain (boundaries included)."""
+    family = draw(st.sampled_from([f for f in ALL_FAMILIES if f[0] != "T"]))
+    den = draw(st.integers(1, 40))
+    if family in F_FAMILIES or family in C_FAMILIES or family in H_FAMILIES:
+        top = {"C": den // 2, "H": den - 1}.get(family[0], den)
+        return FamilySpec(family, x=Fraction(draw(st.integers(-top, top)), den))
+    if family in G_FAMILIES:
+        m = draw(st.integers(-3, 3))
+        low = math.ceil(4 * _ALPHA ** abs(m) * den) + 1
+        p = Fraction(draw(st.integers(low, low + 10 * den)), den)
+        return FamilySpec(family, m=m, s=draw(st.integers(-12, 12)), p=p)
+    if family in ("I1", "I2"):
+        return FamilySpec(family, r=2 * draw(st.integers(0 if family == "I1" else 1, 6)))
+    return FamilySpec(family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_specs(), st.integers(0, 300), st.sampled_from([10, 30, 60]))
+def test_counted_rounding_bound_holds(spec, N, digits):
+    ctx = make_context(digits)
+    res = sum_fixed(spec, N, ctx)
+    exact = sum(term_fraction(spec, n) for n in range(N + 1))
+    with mp.workdps(ctx.working_digits + 40):
+        assert abs(res.value - mpf(exact.numerator) / exact.denominator) <= res.rounding_bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(T_FAMILIES), st.sampled_from([-1, 1]), st.integers(0, 300))
+def test_counted_rounding_bound_holds_for_t_at_tan_one(family, t, N):
+    """At tan(phi) = +-1 the T terms are the F terms at x = t (T1/T2 at t = 1 only)."""
+    if family in ("T1", "T2"):
+        t = 1
+    res = sum_fixed(FamilySpec(family, phi=PhiValue(Fraction(t, 4), True)), N, CTX)
+    exact = sum(term_fraction(FamilySpec("F" + family[1], x=Fraction(t)), n) for n in range(N + 1))
+    with mp.workdps(CTX.working_digits + 40):
+        assert abs(res.value - mpf(exact.numerator) / exact.denominator) <= res.rounding_bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(T_FAMILIES), st.integers(-24, 24), st.integers(0, 120))
+def test_counted_rounding_bound_holds_for_irrational_tan(family, k, N):
+    phi = PhiValue(Fraction(k or 1, 97), times_pi=True)
+    spec = FamilySpec(family, phi=phi)
+    res = sum_fixed(spec, N, CTX)
+    deep = make_context(CTX.working_digits + 40)
+    with deep.workprec():
+        exact = sum(term(spec, n, deep) for n in range(N + 1))
+        assert abs(res.value - exact) <= res.rounding_bound + mpf(10) ** -(CTX.working_digits + 30)
