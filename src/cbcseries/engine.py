@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
@@ -146,7 +147,17 @@ def _rational_x(spec: FamilySpec) -> Fraction:
 
 
 def _alpha_pow(k: int, ctx: PrecisionContext) -> Real:
-    """alpha^k at working precision via alpha^k = (L_k + sqrt5 * F_k)/2."""
+    """alpha^k at working precision via alpha^k = (L_k + sqrt5 * F_k)/2.
+
+    Memoised per (k, ctx, precision): a G family's ``tail_bound`` needs
+    alpha^|s| at every stop-index probe, and the exact F/L pair behind it
+    has about 0.7 |s| bits.
+    """
+    return _alpha_pow_at(k, ctx, mp.prec)
+
+
+@lru_cache(maxsize=32)
+def _alpha_pow_at(k: int, ctx: PrecisionContext, prec: int) -> Real:
     f, ell = fib_lucas(k)
     return (ctx.real(ell) + mp.sqrt(mpf(5)) * ctx.real(f)) / 2
 

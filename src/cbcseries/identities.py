@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import comb, lcm
+from operator import add, mul, sub
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from mpmath import mp
 
@@ -24,6 +25,15 @@ from .families import SignPattern, sign
 from .precision import PrecisionContext, UsageError, complex_elementary, elementary_real
 
 Failure = Tuple[dict, object, object]
+
+# Largest sweep bounds accepted.  The integers of a sweep grow with its
+# bound and its time grows about as the cube, so an unbounded request would
+# run for hours or exhaust memory; each check at its limit takes 2-4 s
+# (Python 3.11, one Xeon core) and is refused at once above it.
+CONVOLUTION_N_LIMIT = 2000
+TRANSFORM_N_LIMIT = 1000
+SIGN_SPLIT_N_LIMIT = 2000
+HARMONIC_V_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,19 @@ def _central_prefix(n_max: int) -> List[int]:
     return out
 
 
+def _check_range(name: str, value: int, low: int, high: int) -> None:
+    """Refuse a sweep bound outside [low, high] before any work is done."""
+    if not low <= value <= high:
+        raise UsageError(f"{name} must be in [{low}, {high}], got {value}")
+
+
+def _pair_products(c: Sequence[int], n: int) -> List[int]:
+    """[c_k c_(n-k) for 0 <= k <= n]: each product is formed once, for
+    k <= n/2, and the list is mirrored, since p_k = p_(n-k)."""
+    half = list(map(mul, c[: n // 2 + 1], reversed(c[(n + 1) // 2 : n + 1])))
+    return half + half[: (n + 1) // 2][::-1]
+
+
 def check_convolution(n_max: int) -> IdentityReport:
     """Check the plain and alternating central-binomial self-convolutions.
 
@@ -72,18 +95,20 @@ def check_convolution(n_max: int) -> IdentityReport:
     * sum_k (-1)^k C(2k,k) C(2(n-k),n-k) = (1+(-1)^n)/2 * C(n, n/2) * 2^n
 
     The alternating right side vanishes for odd n and equals the middle
-    binomial coefficient times 2^n for even n.
+    binomial coefficient times 2^n for even n.  With E and O the sums over
+    even and odd k, the left sides are E + O and E - O.
     """
-    if n_max < 0:
-        raise UsageError(f"n_max must be >= 0, got {n_max}")
+    _check_range("n_max", n_max, 0, CONVOLUTION_N_LIMIT)
     c = _central_prefix(n_max)
     failures: List[Failure] = []
     for n in range(n_max + 1):
-        plain = sum(c[k] * c[n - k] for k in range(n + 1))
-        if plain != 4**n:
-            failures.append(({"identity": "plain", "n": n}, plain, 4**n))
-        alt = sum((-1) ** k * c[k] * c[n - k] for k in range(n + 1))
-        want = 0 if n % 2 else comb(n, n // 2) * 2**n
+        p = _pair_products(c, n)
+        even, odd = sum(p[0::2]), sum(p[1::2])
+        plain = even + odd
+        if plain != 1 << 2 * n:
+            failures.append(({"identity": "plain", "n": n}, plain, 1 << 2 * n))
+        alt = even - odd
+        want = 0 if n % 2 else comb(n, n // 2) << n
         if alt != want:
             failures.append(({"identity": "alternating", "n": n}, alt, want))
     return IdentityReport("central-convolution", f"0 <= n <= {n_max}", failures)
@@ -102,31 +127,51 @@ def check_weighted_convolution(n_max: int) -> IdentityReport:
     All sums run over the full range 0 <= k <= n.  For the k^2-weighted sum
     this full range is the convention that actually holds; stopping at
     k = n - 1 drops the nonzero term n^2 C(2n,n) and fails for every n >= 1
-    (the unit tests pin that down).
+    (the unit tests pin that down).  The k- and k^2-weighted sums S1, S2
+    are taken over even and odd k apart; k(n-k) weights give n S1 - S2.
     """
-    if n_max < 1:
-        raise UsageError(f"n_max must be >= 1, got {n_max}")
+    _check_range("n_max", n_max, 1, CONVOLUTION_N_LIMIT)
     c = _central_prefix(n_max)
+    squares = [k * k for k in range(n_max + 1)]
     failures: List[Failure] = []
     for n in range(1, n_max + 1):
-        prods = [c[k] * c[n - k] for k in range(n + 1)]
-        kn = sum(k * (n - k) * prods[k] for k in range(n + 1))
+        p = _pair_products(c, n)
+        k1_even = sum(map(mul, range(0, n + 1, 2), p[0::2]))
+        k1_odd = sum(map(mul, range(1, n + 1, 2), p[1::2]))
+        k2_even = sum(map(mul, squares[0 : n + 1 : 2], p[0::2]))
+        k2_odd = sum(map(mul, squares[1 : n + 1 : 2], p[1::2]))
+        k1, k2 = k1_even + k1_odd, k2_even + k2_odd
+        kn = n * k1 - k2
         want_kn = n * (n - 1) * 4**n // 8
         if kn != want_kn:
             failures.append(({"identity": "k(n-k)", "n": n}, kn, want_kn))
         if n % 2:
-            alt = sum((-1) ** k * k * (n - k) * prods[k] for k in range(n + 1))
+            alt = n * (k1_even - k1_odd) - (k2_even - k2_odd)
             if alt != 0:
                 failures.append(({"identity": "alternating k(n-k)", "n": n}, alt, 0))
-        k1 = sum(k * prods[k] for k in range(n + 1))
         want_k1 = n * 4**n // 2
         if k1 != want_k1:
             failures.append(({"identity": "k", "n": n}, k1, want_k1))
-        k2 = sum(k * k * prods[k] for k in range(n + 1))
         want_k2 = n * (3 * n + 1) * 4**n // 8
         if k2 != want_k2:
             failures.append(({"identity": "k^2", "n": n}, k2, want_k2))
     return IdentityReport("weighted-convolution", f"1 <= n <= {n_max}", failures)
+
+
+def _pascal_rows() -> Iterator[List[int]]:
+    """Rows [C(n, k) for 0 <= k <= n] of Pascal's triangle, n = 0, 1, 2, ..."""
+    row = [1]
+    while True:
+        yield row
+        row = [1] + list(map(add, row[:-1], row[1:])) + [1]
+
+
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    """sum_k coeffs[k] x^k."""
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
 
 
 def check_binomial_transform(
@@ -139,18 +184,21 @@ def check_binomial_transform(
         sum_k 4^(n-k) C(n,k) C(2k,k) t^k
             = sum_k C(2k,k) C(2(n-k),n-k) (1+t)^k
 
-    checked as exact integers.  At t = 0 both sides collapse to 4^n.
+    checked as exact integers.  At t = 0 both sides collapse to 4^n.  The
+    coefficients of both sides are formed once per n (C(n,k) by stepping
+    the Pascal row) and evaluated by Horner's rule in t and in 1 + t.
     """
-    if n_max < 0:
-        raise UsageError(f"n_max must be >= 0, got {n_max}")
+    _check_range("n_max", n_max, 0, TRANSFORM_N_LIMIT)
     if not t_values:
         raise UsageError("t_values must be nonempty")
     c = _central_prefix(n_max)
     failures: List[Failure] = []
-    for n in range(n_max + 1):
+    for n, row in zip(range(n_max + 1), _pascal_rows()):
+        lhs_coeffs = [(b * ck) << 2 * (n - k) for k, (b, ck) in enumerate(zip(row, c))]
+        rhs_coeffs = _pair_products(c, n)
         for t in t_values:
-            lhs = sum(4 ** (n - k) * comb(n, k) * c[k] * t**k for k in range(n + 1))
-            rhs = sum(c[k] * c[n - k] * (1 + t) ** k for k in range(n + 1))
+            lhs = _horner(lhs_coeffs, t)
+            rhs = _horner(rhs_coeffs, 1 + t)
             if lhs != rhs:
                 failures.append(({"n": n, "t": t}, lhs, rhs))
     ts = ",".join(str(t) for t in t_values)
@@ -199,8 +247,7 @@ def check_sign_split(
     are used, plus three sequences of the form C(2n,n) x^n / 4^n at rational
     x, which is the shape the series engine actually sums.
     """
-    if n_max < 0:
-        raise UsageError(f"n_max must be >= 0, got {n_max}")
+    _check_range("n_max", n_max, 0, SIGN_SPLIT_N_LIMIT)
     if sample_sequences is None:
         seqs = _random_rational_sequences(count, n_max, seed)
         for x in (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)):
@@ -209,21 +256,22 @@ def check_sign_split(
     else:
         seqs = [list(s) for s in sample_sequences]
         origin = f"{len(seqs)} supplied sequences"
+    ceil_half = [sign(SignPattern.CEIL_HALF, n) for n in range(n_max + 1)]
+    floor_half = [sign(SignPattern.FLOOR_HALF, n) for n in range(n_max + 1)]
+    sum_weights = list(map(add, ceil_half, floor_half))
+    diff_weights = list(map(sub, ceil_half, floor_half))
     failures: List[Failure] = []
     for idx, f in enumerate(seqs):
         f = [Fraction(v) for v in f[: n_max + 1]]
-        lhs_sum = sum(
-            (sign(SignPattern.CEIL_HALF, n) + sign(SignPattern.FLOOR_HALF, n)) * f[n]
-            for n in range(len(f))
-        )
-        rhs_sum = 2 * sum((-1) ** j * f[2 * j] for j in range((len(f) + 1) // 2))
+        # every f_n as a_n / den over the sequence's least common denominator
+        den = lcm(*(v.denominator for v in f))
+        a = [v.numerator * (den // v.denominator) for v in f]
+        lhs_sum = Fraction(sum(map(mul, sum_weights, a)), den)
+        rhs_sum = Fraction(2 * (sum(a[0::4]) - sum(a[2::4])), den)
         if lhs_sum != rhs_sum:
             failures.append(({"sequence": idx, "form": "sum"}, lhs_sum, rhs_sum))
-        lhs_diff = sum(
-            (sign(SignPattern.CEIL_HALF, n) - sign(SignPattern.FLOOR_HALF, n)) * f[n]
-            for n in range(len(f))
-        )
-        rhs_diff = -2 * sum((-1) ** j * f[2 * j + 1] for j in range(len(f) // 2))
+        lhs_diff = Fraction(sum(map(mul, diff_weights, a)), den)
+        rhs_diff = Fraction(-2 * (sum(a[1::4]) - sum(a[3::4])), den)
         if lhs_diff != rhs_diff:
             failures.append(({"sequence": idx, "form": "difference"}, lhs_diff, rhs_diff))
     return IdentityReport(
@@ -351,16 +399,18 @@ def check_harmonic_integral(v_max: int) -> IdentityReport:
 
     as exact rationals, H_v the v-th harmonic number.
     """
-    if v_max < 1:
-        raise UsageError(f"v_max must be >= 1, got {v_max}")
+    _check_range("v_max", v_max, 1, HARMONIC_V_LIMIT)
     failures: List[Failure] = []
     harmonics = harmonic_stream()
     next(harmonics)  # H_0 = 0
-    for v in range(1, v_max + 1):
+    lcm_v = 1  # lcm(1, ..., v), so lcm(2, 4, ..., 2v)^2 = 4 lcm_v^2
+    # row holds C(v-1, k) for 0 <= k <= v-1
+    for v, row in zip(range(1, v_max + 1), _pascal_rows()):
         h_v = next(harmonics)
-        lhs = sum(
-            Fraction((-1) ** k * comb(v - 1, k), (2 * k + 2) ** 2) for k in range(v)
-        )
+        lcm_v = lcm(lcm_v, v)
+        # (-1)^k C(v-1,k) / (2k+2)^2 = (-1)^k C(v-1,k) (lcm_v/(k+1))^2 / (4 lcm_v^2)
+        scaled = [b * (lcm_v // (k + 1)) ** 2 for k, b in enumerate(row)]
+        lhs = Fraction(sum(scaled[0::2]) - sum(scaled[1::2]), 4 * lcm_v * lcm_v)
         rhs = h_v / (4 * v)
         if lhs != rhs:
             failures.append(({"v": v}, lhs, rhs))

@@ -123,6 +123,17 @@ def test_identity_n_max_rejected_for_sample_checks(capsys):
     assert "error:" in err
 
 
+def test_identity_huge_n_max_fails_fast(capsys):
+    for ident in ("convolution", "weighted-convolution", "binomial-transform",
+                  "sign-split", "harmonic-integral"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "identity", "--id", ident, "--n-max", "10000000")
+        assert code == 2
+        assert out == ""
+        assert "must be in [" in err and "got 10000000" in err
+        assert time.perf_counter() - start < 1.0
+
+
 def test_identity_unknown_id_rejected(capsys):
     code, out, err = run(capsys, "identity", "--id", "frobnicate")
     assert code == 2

@@ -337,6 +337,41 @@ def test_sum_adaptive_refuses_at_the_rounding_floor():
         assert info.value.partial.error_bound() > mpf(10) ** -42
 
 
+def test_g_refusal_at_a_huge_shift_forms_alpha_to_the_shift_once(monkeypatch):
+    """G1 at s = 10^6 refuses at the rounding floor without rebuilding
+    alpha^|s| (an F/L pair of ~700,000 bits) at each stop-index probe."""
+    s = 10**6
+    calls = []
+    real_fib_lucas = engine.fib_lucas
+
+    def counted(k):
+        calls.append(k)
+        return real_fib_lucas(k)
+
+    monkeypatch.setattr(engine, "fib_lucas", counted)
+    engine._alpha_pow_at.cache_clear()
+    with pytest.raises(ConvergenceError) as info:
+        sum_adaptive(FamilySpec("G1", m=1, s=s, p=Fraction(8)), Fraction(1, 10**42), CTX40)
+    assert "rounding bound" in str(info.value)
+    assert calls.count(s) <= 2
+
+
+def test_g_tail_bound_does_not_depend_on_the_alpha_power_cache():
+    specs = [FamilySpec("G1", m=1, s=202, p=Fraction(8)),
+             FamilySpec("G10", m=2, s=-7, p=Fraction(11)),
+             FamilySpec("G6", m=3, s=5, p=Fraction(20))]
+    for ctx in (CTX, CTX40):
+        for spec in specs:
+            engine._alpha_pow_at.cache_clear()
+            cold = [tail_bound(spec, N, ctx) for N in (0, 9, 400)]
+            warm = [tail_bound(spec, N, ctx) for N in (0, 9, 400)]
+            assert cold == warm
+            with ctx.workprec():
+                f, ell = engine.fib_lucas(abs(spec.s))
+                direct = (ctx.real(ell) + mp.sqrt(mpf(5)) * ctx.real(f)) / 2
+                assert engine._alpha_pow(abs(spec.s), ctx) == direct
+
+
 def test_c_families_keep_the_sign_of_negative_x_past_50000_terms():
     N = 60_000
     for family in ("C1", "C2"):
