@@ -204,6 +204,12 @@ def _cmd_eval(args: argparse.Namespace):
     ctx = make_context(args.digits)
     spec = _spec_from_args(args)
     if args.force_terms is not None:
+        count = args.force_terms + 1 - spec.first_index()
+        if count > args.max_terms:
+            raise UsageError(
+                f"--force-terms {args.force_terms} sums {count} terms, past the cap "
+                f"--max-terms {args.max_terms}"
+            )
         result = sum_fixed(spec, args.force_terms, ctx)
     else:
         result = sum_adaptive(spec, _adaptive_target(ctx), ctx, max_terms=args.max_terms)
@@ -397,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     _add_output_flags(p)
     p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
-                   help="adaptive term cap (default 10^7)")
+                   help="term cap (default 10^7)")
     p.add_argument("--force-terms", type=int, metavar="N",
                    help="sum exactly terms 0..N without requiring a certified bound")
 
@@ -410,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.add_argument("--tol", help="comparison tolerance (default 10^(5-digits))")
     p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
-                   help="adaptive term cap (default 10^7)")
+                   help="term cap (default 10^7)")
 
     p = sub.add_parser("identity", help="brute-force identity sweeps")
     p.add_argument("--id", choices=IDENTITY_IDS, default="all",

@@ -17,8 +17,9 @@ Each result carries two proven error components:
   working-precision number.
 
 :func:`sum_adaptive` picks the stop index N once, before summing: the least
-N whose ``tail_bound`` fits the target, found by doubling and then bisection
-(O(log N) calls).  When N lies past ``max_terms`` it raises
+N whose ``tail_bound`` fits the target, found in a handful of calls by a
+secant search on log2 ``tail_bound`` (see :func:`_stop_index`) that ends on
+the two calls certifying N.  When N lies past ``max_terms`` it raises
 :class:`ConvergenceError` without summing, and likewise when the rounding
 bound at N keeps the total above the target (its counted part is known
 before summing, the rounding of the value after the N + 1 terms).  ``term``
@@ -56,6 +57,9 @@ DEFAULT_MAX_TERMS = 10_000_000
 _BOUND_PAD = "1.00000001"
 # the stop-index search reports "more than 2^64" past this index
 _SEARCH_LIMIT = 2**64
+# model-guided stop-index probes before the search falls back to galloping and
+# bisection
+_MODEL_PROBES = 16
 
 
 class UncertifiedError(Exception):
@@ -71,8 +75,9 @@ class ConvergenceError(Exception):
     """Adaptive summation cannot certify the target within its limits.
 
     Raised when the predicted stop index lies past the term cap (before
-    summing), or when the rounding bound at that index keeps the total above
-    the target.
+    summing; also where the ratio majorant rounds to 1 at the working
+    precision), or when the rounding bound at that index keeps the total
+    above the target.
     ``partial`` is the uncertified sum up to index ``last`` (the cap, or the
     predicted index); it is computed when first read.
     """
@@ -285,7 +290,17 @@ def term_fraction(spec: FamilySpec, n: int) -> Fraction:
 
 
 def _geometric_ratio(spec: FamilySpec, ctx: PrecisionContext) -> Real:
-    """The per-family geometric ratio majorant q (valid for every index)."""
+    """The per-family geometric ratio majorant q (valid for every index).
+
+    Memoised per (spec, ctx, precision), like :func:`_alpha_pow`: the stop-index
+    search evaluates ``tail_bound`` several times at one parameter point, and q
+    can need tan(phi) or alpha^r.
+    """
+    return _geometric_ratio_at(spec, ctx, mp.prec)
+
+
+@lru_cache(maxsize=32)
+def _geometric_ratio_at(spec: FamilySpec, ctx: PrecisionContext, prec: int) -> Real:
     fam = spec.family
     if fam in ("F1", "F2"):
         x = spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)
@@ -655,29 +670,93 @@ def sum_fixed(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
     return EvalResult(spec, value, N + 1, trunc, rounding, False, ctx.digits)
 
 
+def _log2(x: Real) -> float:
+    """log2 of a positive mpf of any size, to about 1e-16 near x = 1."""
+    man, exp = x.man_exp
+    man = int(man)
+    bits = man.bit_length()
+    return math.log2(man / (1 << bits)) + (exp + bits)
+
+
+def _model_guess(points, low: int, high: int) -> int:
+    """The least n in [low, high] where the model through ``points`` fits, else high.
+
+    ``points`` are (M, log2(tail_bound(M - 1)/budget)), oldest first.  The
+    model is a + b M + c log2 M: through three points it fits b and c; through
+    two, c = 0 (a secant); through one, b = -1 (q = 1/2).
+    """
+    m2, f2 = points[-1]
+    b, c = -1.0, 0.0
+    if len(points) > 1:
+        m1, f1 = points[-2]
+        b = (f1 - f2) / (m1 - m2)
+    if len(points) == 3:
+        (m0, f0), (m1, f1) = points[:2]
+        l0, l1 = math.log2(m0 / m2), math.log2(m1 / m2)
+        det = (m0 - m2) * l1 - (m1 - m2) * l0
+        if det:
+            b = ((f0 - f2) * l1 - (f1 - f2) * l0) / det
+            c = ((m0 - m2) * (f1 - f2) - (m1 - m2) * (f0 - f2)) / det
+
+    def fits(n: int) -> bool:
+        return f2 + b * (n + 1 - m2) + c * math.log2((n + 1) / m2) <= 0
+
+    if fits(low):
+        return low
+    # gallop up from low, which does not fit, to an index that does; then bisect
+    step, top = 1, min(low + 1, high)
+    while not fits(top):
+        if top == high:
+            return high
+        low, step = top, 2 * step
+        top = min(low + step, high)
+    while top - low > 1:
+        mid = (low + top) // 2
+        if fits(mid):
+            top = mid
+        else:
+            low = mid
+    return top
+
+
 def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
     """(N, tail_bound(N)) for the least N >= first index with tail_bound(N) <= budget.
 
-    Doubles N, then bisects, so it calls ``tail_bound`` O(log N) times (the
-    bound falls as N grows).  Returns (None, None) past ``_SEARCH_LIMIT``.
+    Every tail model makes log2 tail_bound(N) close to a + b M + c log2 M in
+    M = N + 1: b = log2 q for the geometric models, c from their sqrt(M),
+    (2M + 1) or M factors, and b = 0 for J1 and for C at |x| = 1/2.  So each
+    probe goes where that model, fitted through the last three probes (a
+    secant through the last two at first), puts the least index that fits.
+    Probes keep a bracket lo < N <= hi and always land strictly inside it;
+    after ``_MODEL_PROBES`` probes the search gallops up from lo and bisects
+    instead, so it terminates.  It ends on the certificate tail_bound(N) <=
+    budget < tail_bound(N - 1), or N = first index, which makes N the least
+    such index because the bound falls as N grows: typically 4-6
+    ``tail_bound`` calls, where doubling and bisection took 10-30.  Returns
+    (None, None) when tail_bound(_SEARCH_LIMIT) > budget; it probes there
+    only when the model or the gallop points past it.
     """
-    lo = spec.first_index() - 1
-    hi = lo + 1
+    lo, hi, bound = spec.first_index() - 1, None, None
+    points = []
+    n, probes, step = lo + 1, 0, 1
     while True:
-        bound = tail_bound(spec, hi, ctx)
-        if bound <= budget:
-            break
-        if hi >= _SEARCH_LIMIT:
-            return None, None
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        b = tail_bound(spec, mid, ctx)
+        b = tail_bound(spec, n, ctx)
+        probes += 1
         if b <= budget:
-            hi, bound = mid, b
+            hi, bound = n, b
+        elif n >= _SEARCH_LIMIT:
+            return None, None
         else:
-            lo = mid
-    return hi, bound
+            lo = n
+        if hi == lo + 1:
+            return hi, bound
+        if b > 0:
+            points = (points + [(n + 1, _log2(b / budget))])[-3:]
+        if probes < _MODEL_PROBES:
+            n = _model_guess(points, lo + 1, _SEARCH_LIMIT if hi is None else hi - 1)
+        else:  # gallop up from lo, bisecting once the steps pass mid-bracket
+            n = min(lo + step, _SEARCH_LIMIT if hi is None else (lo + hi) // 2)
+            step *= 2
 
 
 def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
@@ -699,10 +778,13 @@ def sum_adaptive(
     The stop index N is the least index whose ``tail_bound`` is within
     (1 - 2^-16) of the target (the rest is left for rounding), computed once
     before summing.  Raises :class:`UncertifiedError` at parameter points
-    with no tail model, and :class:`ConvergenceError` when N lies past
+    with no tail model, :class:`ConvergenceError` when N lies past
     ``max_terms`` terms (counted from the family's first index) or when the
-    rounding bound keeps the total above the target.
+    rounding bound keeps the total above the target, and
+    :class:`UsageError` when ``max_terms`` is below 1.
     """
+    if max_terms < 1:
+        raise UsageError(f"sum_adaptive: max_terms must be >= 1, got {max_terms}")
     if spec.at_certification_boundary():
         raise UncertifiedError(
             spec, "parameter on the domain boundary; use sum_fixed for an "
@@ -712,15 +794,23 @@ def sum_adaptive(
         target = ctx.real(target_abs_error)
         if not target > 0:
             raise UsageError("sum_adaptive: target_abs_error must be > 0")
-        last = spec.first_index() + max(max_terms, 1) - 1
-        N, trunc = _stop_index(spec, target * (1 - mpf(2) ** -16), ctx)
+        last = spec.first_index() + max_terms - 1
+        try:
+            N, trunc = _stop_index(spec, target * (1 - mpf(2) ** -16), ctx)
+            at_cap = None
+        except UncertifiedError:
+            # off the boundary the ratio majorant is below 1, so here it lies
+            # within a few ulps of 1: far more than 2^64 terms
+            N = trunc = None
+            at_cap = "the ratio majorant rounds to 1 at the working precision"
         if N is None or N > last:
             predicted = "more than 2^64" if N is None else str(N)
+            if at_cap is None:
+                at_cap = f"tail_bound at N = {last} is {mp.nstr(tail_bound(spec, last, ctx), 8)}"
             raise ConvergenceError(
                 spec, target,
                 f"{_tail_model(spec, ctx)} predicts N = {predicted}, past the cap of "
-                f"{max_terms} terms (tail_bound at N = {last} is "
-                f"{mp.nstr(tail_bound(spec, last, ctx), 8)})",
+                f"{max_terms} terms ({at_cap})",
                 ctx, last,
             )
         value, rounding = _scaled_sum(spec, N, ctx, room=target - trunc)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -215,6 +216,53 @@ def test_compare_past_the_cap_fails_fast(capsys):
     assert code == 3
     assert "geometric tail model (q = 0.999999) predicts N = 100392810" in err
     assert "past the cap of 10000000 terms (tail_bound at N = 9999999 is 0.0057274734)" in err
+
+
+def test_ratio_rounding_to_one_exits_3_naming_the_model(capsys):
+    """Inside the domain, a ratio majorant that rounds to 1 is a term-cap refusal."""
+    near_four_alpha = f"{2 * 10**60 + math.isqrt(20 * 10**120) + 1}/{10**60}"
+    for argv in (("eval", "--family", "I1", "--r", "1000"),
+                 ("eval", "--family", "H2", "--x", "0." + "9" * 60),
+                 ("compare", "--family", "G1", "--m", "1", "--s", "0", "--p", near_four_alpha)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3, argv
+        assert out == ""
+        assert "the geometric tail model (q = 1.0) predicts N = more than 2^64" in err
+        assert "rounds to 1 at the working precision" in err
+        assert "reaches 1" not in err
+
+
+def test_max_terms_below_one_exits_2(capsys):
+    for command in ("eval", "compare"):
+        for cap in ("0", "-5"):
+            code, out, err = run(
+                capsys, command, "--family", "F3", "--x", "1/2", f"--max-terms={cap}"
+            )
+            assert code == 2
+            assert out == ""
+            assert f"max_terms must be >= 1, got {cap}" in err
+
+
+def test_force_terms_past_the_cap_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "eval", "--family", "F3", "--x", "1/2", "--force-terms", "1000000000000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "--force-terms 1000000000000" in err and "--max-terms 10000000" in err
+    # F5 starts at n = 1: terms 1..10 are 10 terms
+    code, out, err = run(
+        capsys, "eval", "--family", "F5", "--x", "1/2", "--force-terms", "10", "--max-terms", "10"
+    )
+    assert code == 0
+    code, out, err = run(
+        capsys, "eval", "--family", "F5", "--x", "1/2", "--force-terms", "11", "--max-terms", "10"
+    )
+    assert code == 2
 
 
 def test_json_output_is_reproducible(capsys):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from cbcseries.families import (
     SurdValue,
 )
 from cbcseries.precision import UsageError, make_context
+from cbcseries.registry import list_examples
 
 CTX = make_context(30)
 CTX40 = make_context(40)
@@ -302,7 +304,7 @@ def test_negative_n_rejected():
 
 
 def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
-    """N comes from O(log N) tail_bound calls and is the least index that fits."""
+    """N comes from a handful of tail_bound calls and is the least index that fits."""
     calls = []
     real_tail_bound = engine.tail_bound
 
@@ -318,7 +320,7 @@ def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
         calls.clear()
         res = sum_adaptive(spec, target, ctx)
         assert res.converged
-        assert len(calls) <= 64
+        assert len(calls) <= 8
         N = res.terms_used - 1
         with ctx.workprec():
             assert res.truncation_bound == real_tail_bound(spec, N, ctx)
@@ -436,3 +438,156 @@ def test_counted_rounding_bound_holds_for_irrational_tan(family, k, N):
     with deep.workprec():
         exact = sum(term(spec, n, deep) for n in range(N + 1))
         assert abs(res.value - exact) <= res.rounding_bound + mpf(10) ** -(CTX.working_digits + 30)
+
+
+def reference_stop_index(spec, budget, ctx):
+    """The doubling-and-bisection stop-index search that the model-guided one replaced."""
+    lo = spec.first_index() - 1
+    hi = lo + 1
+    while True:
+        bound = engine.tail_bound(spec, hi, ctx)
+        if bound <= budget:
+            break
+        if hi >= engine._SEARCH_LIMIT:
+            return None, None
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        b = engine.tail_bound(spec, mid, ctx)
+        if b <= budget:
+            hi, bound = mid, b
+        else:
+            lo = mid
+    return hi, bound
+
+
+def reference_capped_at_the_search_limit(spec, budget, ctx):
+    """The reference, except that a least N past _SEARCH_LIMIT (which its doubling
+    reports up to 2^65 - 1) reads "more than 2^64" like the model-guided search."""
+    N, bound = reference_stop_index(spec, budget, ctx)
+    if N is not None and N > engine._SEARCH_LIMIT:
+        return None, None
+    return N, bound
+
+
+def counting_tail_bound(monkeypatch):
+    calls = []
+    real_tail_bound = engine.tail_bound
+
+    def counted(spec, N, ctx):
+        calls.append(N)
+        return real_tail_bound(spec, N, ctx)
+
+    monkeypatch.setattr(engine, "tail_bound", counted)
+    return calls
+
+
+@pytest.mark.parametrize("digits", [30, 40])
+def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, digits):
+    """Every adaptive registry row gets the reference's (N, bound) from at most 8 calls."""
+    ctx = make_context(digits)
+    rows = [row for row in list_examples() if row.mode == "adaptive"]
+    assert len(rows) >= 40
+    for row in rows:
+        with ctx.workprec():
+            budget = mpf(10) ** -(digits + 2) * (1 - mpf(2) ** -16)
+            want = reference_stop_index(row.spec, budget, ctx)
+            calls = counting_tail_bound(monkeypatch)
+            got = engine._stop_index(row.spec, budget, ctx)
+            monkeypatch.undo()
+        assert got == want, row.id
+        assert len(calls) <= 8, (row.id, calls)
+        N = got[0]
+        assert N in calls and (N == row.spec.first_index() or N - 1 in calls), row.id
+
+
+def test_j1_refusal_takes_a_handful_of_tail_calls(monkeypatch):
+    """J1 needs ~10^84 terms at 40 digits: the refusal probes the search limit once
+    the model points past it (66 calls by doubling), plus one call at the cap."""
+    calls = counting_tail_bound(monkeypatch)
+    with pytest.raises(ConvergenceError) as info:
+        sum_adaptive(J1, Fraction(1, 10**42), CTX40, max_terms=2000)
+    assert "predicts N = more than 2^64, past the cap of 2000 terms" in str(info.value)
+    assert len(calls) <= 12
+    assert calls.count(engine._SEARCH_LIMIT) == 1
+    assert calls[-1] == 1999
+
+
+def outcome(spec, target, ctx, cap):
+    try:
+        res = sum_adaptive(spec, target, ctx, max_terms=cap)
+    except (ConvergenceError, UncertifiedError) as exc:
+        return type(exc).__name__, str(exc)
+    return res.terms_used, res.value, res.truncation_bound, res.rounding_bound
+
+
+@st.composite
+def t_specs(draw):
+    family = draw(st.sampled_from(T_FAMILIES))
+    k = draw(st.integers(1, 24)) * draw(st.sampled_from([-1, 1]))
+    return FamilySpec(family, phi=PhiValue(Fraction(k, 97), times_pi=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(rational_specs(), t_specs()), st.integers(20, 200), st.integers(-10, 10),
+       st.integers(1, 99), st.sampled_from([1, 50, 2000]))
+def test_stop_index_matches_the_reference_on_a_sample(spec, digits, shift, mantissa, cap):
+    """Same (N, bound), and so the same sum, bounds or refusal message, as the reference."""
+    ctx = make_context(digits)
+    target = Fraction(mantissa, 10 ** (digits + shift))
+    got = outcome(spec, target, ctx, cap)
+    with mock.patch.object(engine, "_stop_index", reference_capped_at_the_search_limit):
+        want = outcome(spec, target, ctx, cap)
+    assert got == want
+
+
+def test_ratio_is_formed_once_per_search():
+    spec = FamilySpec("T3", phi=PhiValue(Fraction(1, 5), True))
+    engine._geometric_ratio_at.cache_clear()
+    res = sum_adaptive(spec, Fraction(1, 10**42), CTX40)
+    info = engine._geometric_ratio_at.cache_info()
+    assert res.converged
+    assert info.misses == 1 and info.hits >= 2
+
+
+def test_tail_bound_does_not_depend_on_the_ratio_cache():
+    specs = [FamilySpec("T3", phi=PhiValue(Fraction(1, 5), True)),
+             FamilySpec("T6", phi=PhiValue(Fraction(3, 10), False)),
+             FamilySpec("I1", r=6), FamilySpec("G8", m=-1, s=2, p=Fraction(7)),
+             FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(2)))]
+    for ctx in (CTX, CTX40):
+        for spec in specs:
+            engine._geometric_ratio_at.cache_clear()
+            cold = [tail_bound(spec, N, ctx) for N in (0, 9, 400)]
+            warm = [tail_bound(spec, N, ctx) for N in (0, 9, 400)]
+            assert cold == warm
+
+
+_FOUR_ALPHA_PLUS = Fraction(2 * 10**60 + math.isqrt(20 * 10**120) + 1, 10**60)
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("I1", r=1000),
+    FamilySpec("H2", x=1 - Fraction(1, 10**60)),
+    FamilySpec("G1", m=1, s=0, p=_FOUR_ALPHA_PLUS),
+], ids=["I1-r1000", "H2-near-1", "G1-p-near-4alpha"])
+def test_ratio_rounding_to_one_is_a_convergence_error(monkeypatch, spec):
+    """Inside the domain, a ratio majorant that rounds to 1 predicts more than
+    2^64 terms; the refusal does not evaluate the tail bound at the cap."""
+    assert not spec.at_certification_boundary()
+    calls = counting_tail_bound(monkeypatch)
+    with pytest.raises(ConvergenceError) as info:
+        sum_adaptive(spec, Fraction(1, 10**32), CTX, max_terms=1000)
+    message = str(info.value)
+    assert "the geometric tail model (q = 1.0) predicts N = more than 2^64" in message
+    assert "past the cap of 1000 terms" in message
+    assert "rounds to 1 at the working precision" in message
+    assert calls == [spec.first_index()]
+    assert sum_fixed(spec, 20, CTX).truncation_bound == mpf("inf")
+
+
+def test_sum_adaptive_rejects_a_cap_below_one():
+    for cap in (0, -5):
+        with pytest.raises(UsageError, match=f"max_terms must be >= 1, got {cap}"):
+            sum_adaptive(F3_HALF, Fraction(1, 10**32), CTX, max_terms=cap)
+    assert sum_adaptive(F3_HALF, Fraction(1), CTX, max_terms=1).terms_used == 1
