@@ -795,9 +795,9 @@ def sum_adaptive(
         if not target > 0:
             raise UsageError("sum_adaptive: target_abs_error must be > 0")
         last = spec.first_index() + max_terms - 1
+        at_cap = None
         try:
             N, trunc = _stop_index(spec, target * (1 - mpf(2) ** -16), ctx)
-            at_cap = None
         except UncertifiedError:
             # off the boundary the ratio majorant is below 1, so here it lies
             # within a few ulps of 1: far more than 2^64 terms

@@ -303,8 +303,7 @@ def test_negative_n_rejected():
         sum_fixed(F3_HALF, -1, CTX)
 
 
-def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
-    """N comes from a handful of tail_bound calls and is the least index that fits."""
+def counting_tail_bound(monkeypatch):
     calls = []
     real_tail_bound = engine.tail_bound
 
@@ -313,6 +312,13 @@ def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
         return real_tail_bound(spec, N, ctx)
 
     monkeypatch.setattr(engine, "tail_bound", counted)
+    return calls
+
+
+def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
+    """N comes from a handful of tail_bound calls and is the least index that fits."""
+    real_tail_bound = engine.tail_bound
+    calls = counting_tail_bound(monkeypatch)
     for spec, ctx, target in ((F3_HALF, CTX40, Fraction(1, 10**42)),
                               (FamilySpec("I1", r=4), CTX, Fraction(1, 10**32)),
                               (FamilySpec("G10", m=2, s=3, p=Fraction(11)), CTX, Fraction(1, 10**32)),
@@ -470,24 +476,14 @@ def reference_capped_at_the_search_limit(spec, budget, ctx):
     return N, bound
 
 
-def counting_tail_bound(monkeypatch):
-    calls = []
-    real_tail_bound = engine.tail_bound
-
-    def counted(spec, N, ctx):
-        calls.append(N)
-        return real_tail_bound(spec, N, ctx)
-
-    monkeypatch.setattr(engine, "tail_bound", counted)
-    return calls
-
-
 @pytest.mark.parametrize("digits", [30, 40])
 def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, digits):
-    """Every adaptive registry row gets the reference's (N, bound) from at most 8 calls."""
+    """Every adaptive registry row gets the reference's (N, bound) from at most 8
+    calls, and from under 5 on average (the reference took 15)."""
     ctx = make_context(digits)
     rows = [row for row in list_examples() if row.mode == "adaptive"]
     assert len(rows) >= 40
+    total = 0
     for row in rows:
         with ctx.workprec():
             budget = mpf(10) ** -(digits + 2) * (1 - mpf(2) ** -16)
@@ -497,8 +493,10 @@ def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, dig
             monkeypatch.undo()
         assert got == want, row.id
         assert len(calls) <= 8, (row.id, calls)
+        total += len(calls)
         N = got[0]
         assert N in calls and (N == row.spec.first_index() or N - 1 in calls), row.id
+    assert total < 5 * len(rows)
 
 
 def test_j1_refusal_takes_a_handful_of_tail_calls(monkeypatch):
