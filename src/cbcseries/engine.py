@@ -1,30 +1,23 @@
 """Term generation and certified summation for every series family.
 
-Evaluation contract
--------------------
+Every family is one row of :data:`cbcseries.families.FAMILIES` (sign
+pattern, weight, central-binomial index) plus the parameter part of its
+terms at a point, :func:`_ratio`.  The tail bound, its ratio q and the
+summation kernel read those two descriptions; only :func:`term_fraction`,
+the exact oracle, spells each family out.
+
 Each result carries two proven error components:
 
-* ``truncation_bound``: upper bound on |true sum - partial sum|, from a
-  per-family term-majorant model (see :func:`tail_bound`).  It is always
-  ``tail_bound`` evaluated at the last summed index.
-* ``rounding_bound``: a counted bound on the arithmetic error.  Every family
-  is summed by one driver on integers scaled by 2^B (see :class:`_Kernel`):
-  each term follows from the previous one by a rational ratio R(n), and each
-  step truncates at most one unit of 2^-B.  No step multiplies an earlier
-  error by more than 1 (the n-weighted shapes by at most n/k over the steps
-  k..n), so the bound is (units per step) x (steps) x (that propagation
-  factor) x 2^-B, plus the final rounding of the scaled total to a
-  working-precision number.
+* ``truncation_bound``: the one tail formula of :func:`tail_bound` (an
+  integral comparison for J1) evaluated at the last summed index.
+* ``rounding_bound``: a counted bound on the arithmetic error of the one
+  summation driver, which runs every family on integers scaled by 2^B
+  (see :class:`_Kernel`), plus the final rounding to working precision.
 
-:func:`sum_adaptive` picks the stop index N once, before summing: the least
-N whose ``tail_bound`` fits the target, found in a handful of calls by a
-secant search on log2 ``tail_bound`` (see :func:`_stop_index`) that ends on
-the two calls certifying N.  When N lies past ``max_terms`` it raises
-:class:`ConvergenceError` without summing, and likewise when the rounding
-bound at N keeps the total above the target (its counted part is known
-before summing, the rounding of the value after the N + 1 terms).  ``term``
-and ``term_fraction`` compute single summands directly and are the
-independent checks of the driver.
+:func:`sum_adaptive` sums up to the least N whose ``tail_bound`` fits the
+target, found before summing by a secant search on log2 ``tail_bound`` (see
+:func:`_stop_index`).  ``term`` and ``term_fraction`` compute single summands
+directly and are the independent checks of the driver.
 """
 
 from __future__ import annotations
@@ -39,15 +32,7 @@ from mpmath import mp, mpf
 
 from cbcseries.exact import binomial, fib_lucas, harmonic
 from cbcseries.families import (
-    C_FAMILIES,
-    F_FAMILIES,
-    G_FAMILIES,
-    H_FAMILIES,
-    FamilySpec,
-    PhiValue,
-    SurdValue,
-    T_FAMILIES,
-    sign,
+    FAMILIES, G_FAMILIES, T_FAMILIES, FamilySpec, PhiValue, SurdValue, sign,
 )
 from cbcseries.precision import PrecisionContext, Real, UsageError
 
@@ -76,10 +61,9 @@ class ConvergenceError(Exception):
 
     Raised when the predicted stop index lies past the term cap (before
     summing; also where the ratio majorant rounds to 1 at the working
-    precision), or when the rounding bound at that index keeps the total
-    above the target.
-    ``partial`` is the uncertified sum up to index ``last`` (the cap, or the
-    predicted index); it is computed when first read.
+    precision), or when the rounding bound there keeps the total above the
+    target.  ``partial``, the uncertified sum up to index ``last`` (the cap
+    or the predicted index), is computed when first read.
     """
 
     def __init__(self, spec: FamilySpec, target, reason: str, ctx: PrecisionContext,
@@ -123,10 +107,7 @@ class EvalResult:
 def x_real(x, ctx: PrecisionContext) -> Real:
     """The x parameter as a Real at working precision (handles surds)."""
     if isinstance(x, SurdValue):
-        v = ctx.real(x.coeff)
-        if x.radicand != 1:
-            v = v * mp.sqrt(ctx.real(x.radicand))
-        return v
+        return ctx.real(x.coeff) * mp.sqrt(ctx.real(x.radicand))
     return ctx.real(x)
 
 
@@ -152,12 +133,7 @@ def _rational_x(spec: FamilySpec) -> Fraction:
 
 
 def _alpha_pow(k: int, ctx: PrecisionContext) -> Real:
-    """alpha^k at working precision via alpha^k = (L_k + sqrt5 * F_k)/2.
-
-    Memoised per (k, ctx, precision): a G family's ``tail_bound`` needs
-    alpha^|s| at every stop-index probe, and the exact F/L pair behind it
-    has about 0.7 |s| bits.
-    """
+    """alpha^k = (L_k + sqrt5 F_k)/2 at working precision, memoised per (k, ctx, prec)."""
     return _alpha_pow_at(k, ctx, mp.prec)
 
 
@@ -172,63 +148,26 @@ def _alpha_pow_at(k: int, ctx: PrecisionContext, prec: int) -> Real:
 
 
 def term(spec: FamilySpec, n: int, ctx: PrecisionContext) -> Real:
-    """The exact n-th summand of the family, evaluated in ctx.
+    """The n-th summand of the family, evaluated in ctx, with no recurrence.
 
-    Integer parts (binomials, F/L numbers, harmonic numbers) are computed
-    exactly and converted once; no recurrences are involved, which makes
-    this the independent cross-check for the incremental streams.
+    Rational terms are :func:`term_fraction` rounded once; T and F1/F2 at an
+    irrational surd x take C(2n,n)/4^n y^n and the weight at working
+    precision, with y = tan(phi), or y = x^2 and one more factor x.
     """
     if n < 0:
         raise UsageError(f"term: n must be >= 0, got {n}")
-    fam = spec.family
+    row, x = FAMILIES[spec.family], spec.x
+    surd = isinstance(x, SurdValue) and x.as_rational() is None and row.weight == "recip"
+    if spec.phi is None and not surd:
+        return ctx.real(term_fraction(spec, n))
     with ctx.workprec():
-        s = sign(spec.sign_pattern(), n)
-        if fam in ("F1", "F2"):
-            x = x_real(spec.x, ctx)
-            return s * binomial(2 * n, n) * x ** (2 * n + 1) / ((2 * n + 1) * mpf(4) ** n)
-        if fam in ("F3", "F4", "F5", "F6"):
-            w = n if fam in ("F5", "F6") else 1
-            x = x_real(spec.x, ctx)
-            return s * w * binomial(2 * n, n) * x**n / mpf(4) ** n
-        if fam in T_FAMILIES:
-            t = mp.tan(phi_real(spec.phi, ctx))
-            c = binomial(2 * n, n)
-            if fam in ("T1", "T2"):
-                return s * c * t**n / ((2 * n + 1) * mpf(4) ** n)
-            w = n if fam in ("T5", "T6") else 1
-            return s * w * c * t**n / mpf(4) ** n
-        if fam == "C1":
-            x = ctx.real(spec.x)
-            return s * binomial(4 * n, 2 * n) * x ** (4 * n + 1) / (4 * n + 1)
-        if fam == "C2":
-            x = ctx.real(spec.x)
-            return s * binomial(4 * n + 2, 2 * n + 1) * x ** (4 * n + 3) / (4 * n + 3)
-        if fam in G_FAMILIES:
-            _, weight, seqname = spec.g_shape()
-            f, ell = fib_lucas(spec.m * n + spec.s)
-            sv = f if seqname == "F" else ell
-            w = n if weight == "linear" else 1
-            den = (2 * n + 1) if weight == "recip" else 1
-            return s * w * binomial(2 * n, n) * sv / (ctx.real(spec.p) ** n * den)
-        if fam in ("H1", "H2"):
-            x = ctx.real(spec.x)
-            return s * binomial(4 * n, 2 * n) * x**n / mpf(16) ** n
-        if fam in ("H3", "H4"):
-            if n == 0:
-                return mpf(0)  # C(-2,-1) taken as 0 by convention
-            x = ctx.real(spec.x)
-            return s * binomial(4 * n - 2, 2 * n - 1) * x**n / mpf(2) ** (4 * n - 2)
-        if fam == "I1":
-            _, lrn = fib_lucas(spec.r * n)
-            _, lr = fib_lucas(spec.r)
-            return binomial(4 * n, 2 * n) * lrn / (mpf(16) ** n * ctx.real(lr) ** n)
-        if fam == "I2":
-            _, lr = fib_lucas(spec.r)
-            return binomial(4 * n, 2 * n) / (mpf(4) ** n * ctx.real(lr) ** (2 * n))
-        if fam == "I3":
-            return binomial(4 * n, 2 * n) / mpf(20) ** n
-        # J1
-        return binomial(4 * n, 2 * n) * ctx.real(harmonic(n + 1)) / (mpf(16) ** n * (n + 1))
+        if surd:
+            y, kappa = ctx.real(x.squared()), x_real(x, ctx)
+        else:
+            y, kappa = mp.tan(phi_real(spec.phi, ctx)), 1
+        w = n if row.weight == "linear" else 1
+        d = 2 * n + 1 if row.weight == "recip" else 1
+        return sign(row.sign, n) * w * binomial(2 * n, n) * kappa * y**n / (d * mpf(4) ** n)
 
 
 def term_fraction(spec: FamilySpec, n: int) -> Fraction:
@@ -244,22 +183,17 @@ def term_fraction(spec: FamilySpec, n: int) -> Fraction:
         raise UsageError("term_fraction: T-family terms are not rational")
     s = sign(spec.sign_pattern(), n)
     if fam in ("F1", "F2"):
-        x = spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)
-        rat = x.as_rational()
+        rat = (spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)).as_rational()
         if rat is None:
             raise UsageError("term_fraction: surd x gives irrational terms")
-        return (
-            s * binomial(2 * n, n) * rat ** (2 * n + 1) / Fraction((2 * n + 1) * 4**n)
-        )
+        return s * binomial(2 * n, n) * rat ** (2 * n + 1) / Fraction((2 * n + 1) * 4**n)
     if fam in ("F3", "F4", "F5", "F6"):
         w = n if fam in ("F5", "F6") else 1
         return s * w * binomial(2 * n, n) * _rational_x(spec) ** n / Fraction(4**n)
     if fam == "C1":
         return s * binomial(4 * n, 2 * n) * spec.x ** (4 * n + 1) / Fraction(4 * n + 1)
     if fam == "C2":
-        return (
-            s * binomial(4 * n + 2, 2 * n + 1) * spec.x ** (4 * n + 3) / Fraction(4 * n + 3)
-        )
+        return s * binomial(4 * n + 2, 2 * n + 1) * spec.x ** (4 * n + 3) / Fraction(4 * n + 3)
     if fam in G_FAMILIES:
         _, weight, seqname = spec.g_shape()
         f, ell = fib_lucas(spec.m * n + spec.s)
@@ -286,126 +220,118 @@ def term_fraction(spec: FamilySpec, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# certified tail bounds
+# the term ratio and certified tail bounds
+
+
+class _Ratio(NamedTuple):
+    """The parameter part of a family's terms at one point.
+
+    With k = a n + b and w the weight of the catalog row, |t_n| =
+    kappa sqrt(radicand) w(n) C(k, k/2)/2^k |z|^n, of sign sign(n) sgn(z)^n
+    ``flip``; G and I1 carry one more factor, ``out`` . (F, L)(stride n)
+    (for G, 2 V(stride n + shift)).  ``z`` is None for T at an irrational
+    tan(phi).
+    """
+
+    z: Optional[Fraction]
+    kappa: Fraction = Fraction(1)
+    flip: int = 1
+    radicand: Fraction = Fraction(1)
+    stride: Optional[int] = None
+    shift: int = 0
+    out: Tuple[int, int] = (0, 1)
+
+
+@lru_cache(maxsize=32)
+def _ratio(spec: FamilySpec) -> _Ratio:
+    """The ``_Ratio`` of ``spec``, memoised because G's F_s, L_s can be large."""
+    row, x = FAMILIES[spec.family], spec.x
+    if row.group == "F" and row.weight == "recip":
+        # x^(2n+1) = sign(c) |c| sqrt(d) (c^2 d)^n for x = c sqrt(d)
+        x = x if isinstance(x, SurdValue) else SurdValue(x)
+        return _Ratio(x.squared(), abs(x.coeff), -1 if x.coeff < 0 else 1, x.radicand)
+    if row.group in ("F", "H"):
+        return _Ratio(_rational_x(spec))
+    if row.group == "C":  # 2^k x^(k+1) = (16 x^4)^n 2^b x^(b+1), with b even
+        b = row.index[1]
+        return _Ratio(16 * x**4, 2**b * abs(x) ** (b + 1), -1 if x < 0 else 1)
+    if row.group == "T":
+        c = spec.phi.coeff
+        if c == 0 or spec.at_certification_boundary():  # tan is exactly 0 or +-1
+            return _Ratio(Fraction((c > 0) - (c < 0)))
+        return _Ratio(None)
+    if row.group == "G":
+        # the state holds (F, L)(mn)/2: 2 V(mn + s) = F(mn) L_s + L(mn) F_s for
+        # V = F, and L(mn) L_s + 5 F(mn) F_s for V = L
+        fs, ls = fib_lucas(spec.s)
+        return _Ratio(4 / spec.p, Fraction(1, 2), stride=spec.m, shift=spec.s,
+                      out=(ls, fs) if row.seq == "F" else (5 * fs, ls))
+    if spec.r is None:  # I3, J1
+        return _Ratio(Fraction(4, 5) if row.group == "I" else Fraction(1))
+    lr = fib_lucas(spec.r)[1]
+    if row.seq == "L":  # I1: L(rn)/L_r^n
+        return _Ratio(Fraction(1, lr), stride=spec.r)
+    return _Ratio(Fraction(4, lr * lr))
 
 
 def _geometric_ratio(spec: FamilySpec, ctx: PrecisionContext) -> Real:
-    """The per-family geometric ratio majorant q (valid for every index).
-
-    Memoised per (spec, ctx, precision), like :func:`_alpha_pow`: the stop-index
-    search evaluates ``tail_bound`` several times at one parameter point, and q
-    can need tan(phi) or alpha^r.
-    """
+    """The ratio majorant q of ``spec``'s terms, valid for every index; memoised
+    per (spec, ctx, precision), as the stop-index search reads it at each probe."""
     return _geometric_ratio_at(spec, ctx, mp.prec)
 
 
 @lru_cache(maxsize=32)
 def _geometric_ratio_at(spec: FamilySpec, ctx: PrecisionContext, prec: int) -> Real:
-    fam = spec.family
-    if fam in ("F1", "F2"):
-        x = spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)
-        return ctx.real(x.squared())
-    if fam in ("F3", "F4", "F5", "F6"):
-        return abs(x_real(spec.x, ctx))
-    if fam in T_FAMILIES:
+    r = _ratio(spec)
+    if r.z is None:
         return abs(mp.tan(phi_real(spec.phi, ctx)))
-    if fam in C_FAMILIES:
-        return 16 * ctx.real(spec.x) ** 4
-    if fam in G_FAMILIES:
-        return 4 * _alpha_pow(abs(spec.m), ctx) / ctx.real(spec.p)
-    if fam in H_FAMILIES:
-        return abs(ctx.real(spec.x))
-    if fam == "I1":
-        _, lr = fib_lucas(spec.r)
-        return _alpha_pow(spec.r, ctx) / lr
-    if fam == "I2":
-        _, lr = fib_lucas(spec.r)
-        return ctx.real(Fraction(4, lr * lr))
-    if fam == "I3":
-        return ctx.real(Fraction(4, 5))
-    raise UsageError(f"no geometric ratio model for {fam}")
+    # the factors a n + b of the term ratio (see _kernel) pair up with equal leading
+    # coefficients, so q = |z|, times the F/L step's larger eigenvalue alpha^|stride|
+    if r.stride is None:
+        return ctx.real(abs(r.z))
+    return _alpha_pow(abs(r.stride), ctx) / ctx.real(1 / abs(r.z))
 
 
 def tail_bound(spec: FamilySpec, N: int, ctx: PrecisionContext) -> Real:
     """Proven upper bound on |sum over n > N| of the family's terms.
 
-    Models: a geometric-ratio majorant for the F/T/C/G/H/I families (with
-    the standard central-binomial estimate C(2m,m)/4^m <= 1/sqrt(pi*m)
-    sharpening the first omitted term, and an exact arithmetico-geometric
-    sum for the n-weighted shapes), and an integral-comparison bound for
-    J1.  Raises :class:`UncertifiedError` where the model ratio reaches 1
-    (|x| = 1, |phi| = pi/4, p = 4*alpha^|m|).
+    With M = N + 1 and k = a M + b, every family but J1 (an integral
+    comparison) gets pad kappa q^M cb(k)/d(M) shape(q, M): q from
+    :func:`_geometric_ratio`; kappa the terms' constant factor, or for G and
+    I1 the F/L bound 2 alpha^|s| (over sqrt5 for F); cb(k) = 1/sqrt(pi k/2)
+    >= C(k, k/2)/2^k, omitted for G; d(M) = k + 1 for the 1/(k+1) weight,
+    else 1; shape = 1/(1 - q), (M(1 - q) + q)/(1 - q)^2 for the n weight, or
+    1 for C: its terms alternate and strictly decrease on the whole domain,
+    even at |x| = 1/2, where q = 1.  Raises :class:`UncertifiedError` where
+    q otherwise reaches 1 (|x| = 1, |phi| = pi/4, p = 4*alpha^|m|).
     """
     if N < 0:
         raise UsageError(f"tail_bound: N must be >= 0, got {N}")
-    fam = spec.family
+    row = FAMILIES[spec.family]
     with ctx.workprec():
         pad = mpf(_BOUND_PAD)
-        if fam == "J1":
-            if N == 0:
-                # |t_1| = 9/32 exactly, then the integral bound from 1
-                return (mpf(9) / 32 + _j1_integral_bound(1)) * pad
-            return _j1_integral_bound(N) * pad
-        if fam in C_FAMILIES:
-            # Alternating with strictly decreasing magnitudes on the whole
-            # domain (the index factors keep the step ratio below 1 even at
-            # |x| = 1/2, where the plain geometric ratio reaches 1), so the
-            # first omitted term bounds the tail with no 1/(1-q) factor.
-            xa = abs(ctx.real(spec.x))
-            q = 16 * xa**4
-            M = N + 1
-            if fam == "C1":
-                return q**M * xa / (mp.sqrt(2 * mp.pi * M) * (4 * M + 1)) * pad
-            return q**M * 4 * xa**3 / (mp.sqrt(mp.pi * (2 * M + 1)) * (4 * M + 3)) * pad
+        if row.weight == "harmonic":  # at N = 0: |t_1| = 9/32, then the bound from 1
+            return pad * (_j1_integral_bound(N) if N else mpf(9) / 32 + _j1_integral_bound(1))
         q = _geometric_ratio(spec, ctx)
-        if not q < 1:
-            raise UncertifiedError(
-                spec, "term-ratio majorant reaches 1; no certified tail bound"
-            )
-        M = N + 1  # first omitted index
-        if fam in ("F1", "F2"):
-            xa = abs(x_real(spec.x, ctx))
-            t_hat = xa ** (2 * M + 1) / ((2 * M + 1) * mp.sqrt(mp.pi * M))
-            return t_hat / (1 - q) * pad
-        if fam in ("F3", "F4"):
-            t_hat = q**M / mp.sqrt(mp.pi * M)
-            return t_hat / (1 - q) * pad
-        if fam in ("F5", "F6"):
-            # sum_{n>=M} n q^n = q^M (M(1-q) + q)/(1-q)^2, with the
-            # C(2n,n)/4^n factor bounded by its value majorant at M
-            return q**M * (M * (1 - q) + q) / ((1 - q) ** 2 * mp.sqrt(mp.pi * M)) * pad
-        if fam in ("T1", "T2"):
-            t_hat = q**M / ((2 * M + 1) * mp.sqrt(mp.pi * M))
-            return t_hat / (1 - q) * pad
-        if fam in ("T3", "T4"):
-            t_hat = q**M / mp.sqrt(mp.pi * M)
-            return t_hat / (1 - q) * pad
-        if fam in ("T5", "T6"):
-            return q**M * (M * (1 - q) + q) / ((1 - q) ** 2 * mp.sqrt(mp.pi * M)) * pad
-        if fam in G_FAMILIES:
-            kappa = _alpha_pow(abs(spec.s), ctx)
-            if spec.g_shape()[2] == "F":
-                kappa = kappa * 2 / mp.sqrt(mpf(5))
-            else:
-                kappa = kappa * 2
-            weight = spec.weight()
-            if weight == "recip":
-                return kappa * q**M / ((2 * M + 1) * (1 - q)) * pad
-            if weight == "plain":
-                return kappa * q**M / (1 - q) * pad
-            return kappa * q**M * (M * (1 - q) + q) / (1 - q) ** 2 * pad
-        if fam in ("H1", "H2"):
-            t_hat = q**M / mp.sqrt(2 * mp.pi * M)
-            return t_hat / (1 - q) * pad
-        if fam in ("H3", "H4"):
-            t_hat = q**M / mp.sqrt(mp.pi * (2 * M - 1))
-            return t_hat / (1 - q) * pad
-        if fam == "I1":
-            t_hat = 2 * q**M / mp.sqrt(2 * mp.pi * M)
-            return t_hat / (1 - q) * pad
-        # I2, I3
-        t_hat = q**M / mp.sqrt(2 * mp.pi * M)
-        return t_hat / (1 - q) * pad
+        alternating = row.group == "C"
+        if not (alternating or q < 1):
+            raise UncertifiedError(spec, "term-ratio majorant reaches 1; no certified tail bound")
+        r, M = _ratio(spec), N + 1
+        k = row.index[0] * M + row.index[1]
+        bound = pad * q**M
+        if r.stride is not None:
+            bound *= 2 * _alpha_pow(abs(r.shift), ctx) / (mp.sqrt(mpf(5)) if row.seq == "F" else 1)
+        elif (r.kappa, r.radicand) != (1, 1):
+            bound *= ctx.real(r.kappa) * mp.sqrt(ctx.real(r.radicand))
+        if row.group != "G":
+            bound /= mp.sqrt(mp.pi * (k // 2))
+        if row.weight == "recip":
+            bound /= k + 1
+        if alternating:
+            return bound
+        if row.weight == "linear":
+            bound *= (M * (1 - q) + q) / (1 - q)
+        return bound / (1 - q)
 
 
 def _j1_integral_bound(N: int) -> Real:
@@ -432,30 +358,29 @@ class _Kernel(NamedTuple):
     * ``step = (F_m, L_m)``: the state is a pair (f, l), scaled F and L
       numbers, and each step also applies (F_k, L_k) -> (F_{k+m}, L_{k+m})
       with the divisor 2 inside den.  The scaled total is out . (S_F, S_L).
-    * ``harmonic`` (J1, terms a_n H_{n+1}): by Abel summation the total is
-      H_{N+1} A_N - sum_{n<N} A_n/(n+2) over the partial sums A_n of a_n,
-      so a step adds two divisions by the small n+2.
+    * the "harmonic" weight (J1, terms a_n H_{n+1}): by Abel summation the
+      total is H_{N+1} A_N - sum_{n<N} A_n/(n+2) over the partial sums A_n
+      of a_n, so a step adds two divisions by the small n+2.
 
     Every step truncates below one unit and multiplies earlier errors by at
     most 1 in modulus (for ``step``, on the eigenvectors (1, +-sqrt5) of the
-    F/L map, where a unit becomes at most 1 + sqrt5), except that a
-    ``weighted`` ratio folds in (n+1)/n.  So the scaled total errs by at
-    most ``units`` x steps x spread, where spread is the number of steps, or
-    N (1 + log2 N) >= n H_n for a weighted ratio.  The value is the scaled
-    total times sqrt(``radicand``) times 2^-B.
+    F/L map, where a unit becomes at most 1 + sqrt5), except that the
+    "linear" weight folds (n+1)/n into the ratio.  So the scaled total errs
+    by at most ``units`` x steps x spread, where spread is the number of
+    steps, or N (1 + log2 N) >= n H_n for the linear weight.  The value is
+    the scaled total times sqrt(``radicand``) times 2^-B.
     """
 
     first: int
     head: Tuple[int, ...]
     num: Tuple[int, int, int, int]
     den: Tuple[int, int, int, int]
-    neg: Tuple[bool, bool, bool, bool] = (False,) * 4
-    step: Optional[Tuple[int, int]] = None
-    out: Tuple[int, int] = (0, 1)
-    harmonic: bool = False
-    weighted: bool = False
-    units: int = 1
-    radicand: Fraction = Fraction(1)
+    neg: Tuple[bool, bool, bool, bool]
+    step: Optional[Tuple[int, int]]
+    out: Tuple[int, int]
+    weight: str
+    units: int
+    radicand: Fraction
 
 
 def _poly(c: int, *factors: Tuple[int, int]) -> Tuple[int, int, int, int]:
@@ -466,115 +391,59 @@ def _poly(c: int, *factors: Tuple[int, int]) -> Tuple[int, int, int, int]:
     return tuple(p + [0] * (4 - len(p)))
 
 
-def _tan_scaled(phi: PhiValue, bits: int) -> int:
-    """floor(|tan phi| * 2^bits), within 2 units: computed with 32 guard bits."""
+def _tan_fixed(phi: PhiValue, bits: int) -> Fraction:
+    """tan(phi) rounded toward 0 to a multiple of 2^-bits, within 2 units (32 guard bits)."""
     with mp.workprec(bits + 32):
         v = mpf(phi.coeff.numerator) / phi.coeff.denominator
         if phi.times_pi:
             v *= mp.pi
-        return int(mp.floor(mp.ldexp(abs(mp.tan(v)), bits)))
+        t = int(mp.floor(mp.ldexp(abs(mp.tan(v)), bits)))
+    return Fraction(-t if phi.coeff < 0 else t, 1 << bits)
 
 
 def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
     """The summation descriptor of ``spec`` for indices up to N at scale 2^B."""
-    fam = spec.family
-    pat = spec.sign_pattern()
-    one = 1 << B
-
-    def signs(z_sign: int = 1, flip: int = 1) -> Tuple[bool, ...]:
-        return tuple(sign(pat, n) * z_sign**n * flip < 0 for n in range(4))
-
-    if fam in F_FAMILIES or fam in T_FAMILIES:
-        # C(2n,n)/4^n z^n with weight 1/(2n+1), 1 or n; z = x^2 (times one
-        # factor x) for F1/F2, x for F3-F6, tan(phi) for T
-        head, flip, radicand, units = one, 1, Fraction(1), 1
-        if fam in ("F1", "F2"):  # x^(2n+1) = sign(c) |c| sqrt(d) (c^2 d)^n for x = c sqrt(d)
-            x = spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)
-            c = x.coeff
-            z, z_sign, flip, radicand = x.squared(), 1, (-1 if c < 0 else 1), x.radicand
-            head = (abs(c.numerator) << B) // c.denominator
-        elif fam in F_FAMILIES:
-            z = _rational_x(spec)
-            z_sign = -1 if z < 0 else 1
-        else:
-            phi = spec.phi
-            z_sign = -1 if phi.coeff < 0 else 1
-            if phi.coeff == 0 or (phi.times_pi and abs(phi.coeff) == Fraction(1, 4)):
-                z = Fraction(z_sign if phi.coeff else 0)  # tan is exactly 0 or +-1
-            else:
-                # tan(phi) carries N.bit_length() + 2 bits more than the state, so
-                # its error adds at most 1 unit per step over N weighted steps
-                extra = B + N.bit_length() + 2
-                z, units = Fraction(_tan_scaled(phi, extra), 1 << extra), 2
-        zn, zd = abs(z.numerator), z.denominator
-        weight = spec.weight()
-        if weight == "recip":
-            num, den = _poly(zn, (2, 1), (2, 1)), _poly(zd, (2, 2), (2, 3))
-        elif weight == "plain":
-            num, den = _poly(zn, (2, 1)), _poly(zd, (2, 2))
-        else:  # linear: n C(2n,n) z^n/4^n from n = 1, where it is z/2
-            return _Kernel(1, ((zn << B) // (2 * zd),), _poly(zn, (2, 1)), _poly(zd, (2, 0)),
-                           signs(z_sign), weighted=True, units=units)
-        return _Kernel(0, (head,), num, den, signs(z_sign, flip), units=units,
-                       radicand=radicand)
-    if fam in C_FAMILIES:
-        x = spec.x
-        xn4, xd4 = x.numerator**4, x.denominator**4
-        flip = -1 if x < 0 else 1
-        if fam == "C1":  # C(4n,2n) |x|^(4n+1)/(4n+1)
-            return _Kernel(0, ((abs(x.numerator) << B) // x.denominator,),
-                           _poly(4 * xn4, (4, 1), (4, 1), (4, 3)),
-                           _poly(xd4, (2, 1), (2, 2), (4, 5)), signs(flip=flip))
-        head = Fraction(2 * abs(x) ** 3, 3)  # C(4n+2,2n+1) |x|^(4n+3)/(4n+3)
-        return _Kernel(0, ((head.numerator << B) // head.denominator,),
-                       _poly(4 * xn4, (4, 3), (4, 3), (4, 5)),
-                       _poly(xd4, (2, 2), (2, 3), (4, 7)), signs(flip=flip))
-    if fam in G_FAMILIES:
-        # C(2n,n)/p^n F-or-L(mn) with the weight, halved; the index shift s
-        # enters once at the end: 2 V(mn+s) = F(mn) L_s + L(mn) F_s for V = F,
-        # and L(mn) L_s + 5 F(mn) F_s for V = L
-        fm, lm = fib_lucas(spec.m)
-        fs, ls = fib_lucas(spec.s)
-        out = (ls, fs) if spec.seq == "F" else (5 * fs, ls)
-        pn, pd = spec.p.numerator, spec.p.denominator
-        units = 2 * abs(out[0]) + 4 * abs(out[1])
-        weight = spec.weight()
-        if weight == "linear":  # from n = 1: (pd/pn) (F_m, L_m)
-            head = ((pd * fm << B) // pn, (pd * lm << B) // pn)
-            return _Kernel(1, head, _poly(2 * pd, (2, 1)), _poly(pn, (2, 0)), signs(),
-                           (fm, lm), out, weighted=True, units=units)
-        if weight == "recip":
-            num, den = _poly(2 * pd, (2, 1), (2, 1)), _poly(pn, (2, 2), (2, 3))
-        else:
-            num, den = _poly(2 * pd, (2, 1)), _poly(pn, (2, 2))
-        return _Kernel(0, (0, one), num, den, signs(), (fm, lm), out, units=units)
-    # C(4n+4,2n+2)/(16 C(4n,2n)) = (4n+1)(4n+3)/(4 (2n+1)(2n+2)); the dens below
-    # carry the 4 (2n+1)(2n+2) with each family's other factors
-    quarter = _poly(1, (4, 1), (4, 3))
-    if fam in H_FAMILIES:
-        x = spec.x
-        xn, xd = abs(x.numerator), x.denominator
-        z_sign = -1 if x < 0 else 1
-        if fam in ("H1", "H2"):  # C(4n,2n) |x|^n/16^n
-            return _Kernel(0, (one,), _poly(xn, (4, 1), (4, 3)),
-                           _poly(4 * xd, (2, 1), (2, 2)), signs(z_sign))
-        # C(4n-2,2n-1) |x|^n/2^(4n-2) from n = 1, where it is |x|/2
-        return _Kernel(1, ((xn << B) // (2 * xd),), _poly(xn, (4, -1), (4, 1)),
-                       _poly(8 * xd, (1, 0), (2, 1)), signs(z_sign))
-    if fam == "I1":  # C(4n,2n)/16^n (F, L)(rn)/L_r^n
-        fr, lr = fib_lucas(spec.r)
-        return _Kernel(0, (0, 2 * one), quarter, _poly(8 * lr, (2, 1), (2, 2)),
-                       step=(fr, lr), units=4)
-    if fam == "I2":
-        _, lr = fib_lucas(spec.r)
-        return _Kernel(0, (one,), quarter, _poly(lr * lr, (2, 1), (2, 2)))
-    if fam == "I3":
-        return _Kernel(0, (one,), quarter, _poly(5, (2, 1), (2, 2)))
-    # J1: a_n = C(4n,2n)/(16^n (n+1)) steps by (4n+1)(4n+3)/(8 (2n+1)(n+2)).  A_n
-    # errs by at most n(n+1)/2 units and A_N, H_{N+1} <= 1 + log2(N+1), so the
-    # Abel total errs by less than (2 + log2(N+1)) (N+1)^2 units
-    return _Kernel(0, (one,), quarter, _poly(8, (2, 1), (1, 2)), harmonic=True,
-                   units=2 + (N + 1).bit_length())
+    row, r = FAMILIES[spec.family], _ratio(spec)
+    a, b = row.index
+    z, units = r.z, 1
+    if z is None:
+        # tan(phi) carries N.bit_length() + 2 bits more than the state, so its
+        # error adds at most 1 unit per step over N weighted steps
+        extra = B + N.bit_length() + 2
+        z, units = _tan_fixed(spec.phi, extra), 2
+    # R(n) = t_(n+1)/t_n in small factors a n + b (few machine digits a step):
+    # C(k, k/2)/2^k steps by (k+1)/(k+2) per 2 in k; the weight adds (k+1)/(k+a+1),
+    # or turns the last k + 2 = a (n+1) (b = 0) into a n for the n weight and into
+    # a (n+2) for J1's 1/(n+1).  The F/L step below doubles.
+    num = [(a, b + j) for j in range(1, a, 2)]
+    den = [(a, b + j + 1) for j in range(1, a, 2)]
+    if row.weight == "recip":
+        num, den = num + [(a, b + 1)], den + [(a, b + a + 1)]
+    elif row.weight != "plain":
+        den[-1] = (a, b + (0 if row.weight == "linear" else 2 * a))
+    zk = z / 2 if r.stride is not None else z
+    num, den = _poly(abs(zk.numerator), *num), _poly(zk.denominator, *den)
+    g = math.gcd(*num, *den)
+    num, den = tuple(c // g for c in num), tuple(c // g for c in den)
+    # the first nonzero term: n = 1 for the n weight and for C(4n-2, 2n-1)
+    first = 1 if row.first or b < 0 else 0
+    k = a * first + b
+    wd = {"recip": k + 1, "harmonic": first + 1}.get(row.weight, 1)  # 1/w(first)
+    zf = abs(z) ** first  # the head kappa z^first C(k, k/2)/2^k w(first) is hn/hd
+    hn = r.kappa.numerator * zf.numerator * math.comb(k, k // 2)
+    hd = r.kappa.denominator * zf.denominator * wd << k
+    if r.stride is None:
+        step, head = None, ((hn << B) // hd,)
+    else:
+        step = fib_lucas(r.stride)
+        head = tuple((v * hn << B) // hd for v in fib_lucas(r.stride * first))
+        units = 2 * abs(r.out[0]) + 4 * abs(r.out[1])
+    if row.weight == "harmonic":
+        # J1: A_n errs by at most n(n+1)/2 units and A_N, H_{N+1} <= 1 + log2(N+1),
+        # so the Abel total errs by less than (2 + log2(N+1)) (N+1)^2 units
+        units = 2 + (N + 1).bit_length()
+    neg = tuple(sign(row.sign, n) * (-1 if z < 0 else 1) ** n * r.flip < 0 for n in range(4))
+    return _Kernel(first, head, num, den, neg, step, r.out, row.weight, units, r.radicand)
 
 
 def _run(k: _Kernel, N: int) -> int:
@@ -582,7 +451,7 @@ def _run(k: _Kernel, N: int) -> int:
     a0, a1, a2, a3 = k.num
     b0, b1, b2, b3 = k.den
     neg = k.neg
-    if k.harmonic:
+    if k.weight == "harmonic":
         one = a = k.head[0]
         partial = lower = 0
         h = one  # H_{n+1}
@@ -631,19 +500,15 @@ def _scaled_sum(spec: FamilySpec, N: int, ctx: PrecisionContext,
     k = _kernel(spec, N, B)
     steps = max(0, N - k.first + 1)
     # a truncation at step j reaches term n multiplied by at most 1, or by
-    # n/j for a weighted ratio: sum_j n/j <= N (1 + log2 N)
-    spread = N * (1 + N.bit_length()) if k.weighted else steps
+    # n/j for the linear weight: sum_j n/j <= N (1 + log2 N)
+    spread = N * (1 + N.bit_length()) if k.weight == "linear" else steps
     with ctx.workprec():
         pad = mpf(_BOUND_PAD)
-        err = mp.ldexp(mpf(k.units * steps * spread), -B)
-        root = mp.sqrt(ctx.real(k.radicand)) if k.radicand != 1 else None
-        if root is not None:
-            err *= root
+        root = mp.sqrt(ctx.real(k.radicand))
+        err = mp.ldexp(mpf(k.units * steps * spread), -B) * root
         if room is not None and err * pad > room:
             return None, err * pad
-        value = mp.ldexp(mpf(_run(k, N)), -B)
-        if root is not None:
-            value *= root
+        value = mp.ldexp(mpf(_run(k, N)), -B) * root
         # the total, sqrt(d) and their product round once each
         return value, (err + abs(value) * mp.ldexp(1, 4 - mp.prec)) * pad
 
@@ -732,9 +597,8 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
     instead, so it terminates.  It ends on the certificate tail_bound(N) <=
     budget < tail_bound(N - 1), or N = first index, which makes N the least
     such index because the bound falls as N grows: typically 4-6
-    ``tail_bound`` calls, where doubling and bisection took 10-30.  Returns
-    (None, None) when tail_bound(_SEARCH_LIMIT) > budget; it probes there
-    only when the model or the gallop points past it.
+    ``tail_bound`` calls.  Returns (None, None) when tail_bound(_SEARCH_LIMIT)
+    > budget; it probes there only when the model or the gallop points past it.
     """
     lo, hi, bound = spec.first_index() - 1, None, None
     points = []
@@ -760,11 +624,15 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
 
 
 def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
-    if spec.family == "J1":
+    row = FAMILIES[spec.family]
+    if row.weight == "harmonic":
         return "the J1 integral-comparison tail model"
-    if spec.family in C_FAMILIES:
-        return f"the alternating tail model (q = 16x^4 = {mp.nstr(16 * ctx.real(spec.x) ** 4, 8)})"
-    return f"the geometric tail model (q = {mp.nstr(_geometric_ratio(spec, ctx), 8)})"
+    q = _geometric_ratio(spec, ctx)
+    # a q below 1 that reads 1.0 at 8 digits shows its distance from 1
+    q = f"1 - {mp.nstr(1 - q, 2)}" if q < 1 and mp.nstr(q, 8) == "1.0" else mp.nstr(q, 8)
+    if row.group == "C":
+        return f"the alternating tail model (q = 16x^4 = {q})"
+    return f"the geometric tail model (q = {q})"
 
 
 def sum_adaptive(
@@ -781,10 +649,14 @@ def sum_adaptive(
     with no tail model, :class:`ConvergenceError` when N lies past
     ``max_terms`` terms (counted from the family's first index) or when the
     rounding bound keeps the total above the target, and
-    :class:`UsageError` when ``max_terms`` is below 1.
+    :class:`UsageError` when ``max_terms`` is below 1 or above 2^64, past
+    which no stop index is searched.
     """
     if max_terms < 1:
         raise UsageError(f"sum_adaptive: max_terms must be >= 1, got {max_terms}")
+    if max_terms > _SEARCH_LIMIT:
+        raise UsageError(
+            f"sum_adaptive: max_terms must be <= 2^64, the search limit, got {max_terms}")
     if spec.at_certification_boundary():
         raise UncertifiedError(
             spec, "parameter on the domain boundary; use sum_fixed for an "

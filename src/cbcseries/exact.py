@@ -109,15 +109,6 @@ def fib_lucas(k: int) -> tuple[int, int]:
     return f, 2 * f1 - f
 
 
-def fib_lucas_step(fk: int, lk: int, fm: int, lm: int) -> tuple[int, int]:
-    """Advance (F_k, L_k) by a fixed stride m given (F_m, L_m).
-
-    Uses F_{k+m} = (F_k L_m + L_k F_m)/2 and L_{k+m} = (L_k L_m + 5 F_k F_m)/2;
-    both numerators are provably even.
-    """
-    return (fk * lm + lk * fm) // 2, (lk * lm + 5 * fk * fm) // 2
-
-
 def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n as an exact Fraction (H_0 = 0)."""
     if n < 0:

@@ -5,6 +5,12 @@ parameters.  Construction validates the parameter domain exactly (rational
 arithmetic only); everything numeric happens later in the engine and the
 closed-form evaluator.
 
+:data:`FAMILIES` holds each family's structural facts in one row: group,
+parameters, domain text, sign pattern, weight, central-binomial index and
+F/L sequence (the first index follows from the weight).  The
+:class:`FamilySpec` accessors, :func:`list_families` and the engine's tail
+bound and summation kernel all read it.
+
 Catalog overview (n runs from 0, or from 1 for the n-weighted shapes):
 
 ========  =======================================================  ==========
@@ -41,7 +47,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from cbcseries.exact import fib_lucas
 from cbcseries.precision import UsageError
@@ -132,39 +138,79 @@ class PhiValue:
 
 XValue = Union[Fraction, SurdValue]
 
-F_FAMILIES = ("F1", "F2", "F3", "F4", "F5", "F6")
-T_FAMILIES = ("T1", "T2", "T3", "T4", "T5", "T6")
-C_FAMILIES = ("C1", "C2")
-G_FAMILIES = tuple(f"G{i}" for i in range(1, 13))
-H_FAMILIES = ("H1", "H2", "H3", "H4")
-I_FAMILIES = ("I1", "I2", "I3")
-ALL_FAMILIES = F_FAMILIES + T_FAMILIES + C_FAMILIES + G_FAMILIES + H_FAMILIES + I_FAMILIES + ("J1",)
 
-# (sign pattern, weight, sequence) per G id.  Weight: "recip" = 1/(2n+1),
-# "plain" = 1, "linear" = n.
-_G_SHAPE = {
-    "G1": (SignPattern.CEIL_HALF, "recip", "F"),
-    "G2": (SignPattern.CEIL_HALF, "recip", "L"),
-    "G3": (SignPattern.FLOOR_HALF, "recip", "F"),
-    "G4": (SignPattern.FLOOR_HALF, "recip", "L"),
-    "G5": (SignPattern.CEIL_HALF, "plain", "F"),
-    "G6": (SignPattern.CEIL_HALF, "plain", "L"),
-    "G7": (SignPattern.FLOOR_HALF, "plain", "F"),
-    "G8": (SignPattern.FLOOR_HALF, "plain", "L"),
-    "G9": (SignPattern.FLOOR_HALF, "linear", "F"),
-    "G10": (SignPattern.FLOOR_HALF, "linear", "L"),
-    "G11": (SignPattern.CEIL_HALF, "linear", "F"),
-    "G12": (SignPattern.CEIL_HALF, "linear", "L"),
+class Family(NamedTuple):
+    """One catalog row: the structural facts of a family.
+
+    Every summand is sign(n) * w(n) * C(k, k/2)/2^k * (parameter part) at
+    k = a n + b, ``index`` = (a, b), with ``weight`` w(n) one of "recip"
+    (1/(k+1)), "plain" (1), "linear" (n) or "harmonic" (H(n+1)/(n+1)).
+    """
+
+    group: str  # "F", "T", "C", "G", "H", "I" or "J"
+    params: str  # as list-families prints them
+    domain: str
+    sign: SignPattern
+    weight: str
+    index: Tuple[int, int]
+    seq: Optional[str] = None  # the F/L sequence the terms carry (G, I1)
+
+    @property
+    def first(self) -> int:
+        """1 for the n-weighted shapes, whose n = 0 summand is identically 0."""
+        return 1 if self.weight == "linear" else 0
+
+
+_CEIL, _FLOOR = SignPattern.CEIL_HALF, SignPattern.FLOOR_HALF
+_ALT, _PLUS = SignPattern.ALTERNATING, SignPattern.PLUS
+_F = ("F", "x", "|x| <= 1 (certified evaluation needs |x| < 1)")
+_T = ("T", "phi", "|phi| <= pi/4 (certified needs |phi| < pi/4)")
+_T12 = ("T", "phi", _T[2] + ", phi != 0")
+_C = ("C", "x", "|x| <= 1/2 (certified on the whole domain)")
+_G = ("G", "m, s, p", "integers m, s; rational p >= 4*alpha^|m| (certified needs >)")
+_H = ("H", "x", "|x| < 1")
+
+FAMILIES = {
+    "F1": Family(*_F, _CEIL, "recip", (2, 0)),
+    "F2": Family(*_F, _FLOOR, "recip", (2, 0)),
+    "F3": Family(*_F, _CEIL, "plain", (2, 0)),
+    "F4": Family(*_F, _FLOOR, "plain", (2, 0)),
+    "F5": Family(*_F, _CEIL, "linear", (2, 0)),
+    "F6": Family(*_F, _FLOOR, "linear", (2, 0)),
+    "T1": Family(*_T12, _CEIL, "recip", (2, 0)),
+    "T2": Family(*_T12, _FLOOR, "recip", (2, 0)),
+    "T3": Family(*_T, _CEIL, "plain", (2, 0)),
+    "T4": Family(*_T, _FLOOR, "plain", (2, 0)),
+    "T5": Family(*_T, _CEIL, "linear", (2, 0)),
+    "T6": Family(*_T, _FLOOR, "linear", (2, 0)),
+    "C1": Family(*_C, _ALT, "recip", (4, 0)),
+    "C2": Family(*_C, _ALT, "recip", (4, 2)),
+    "G1": Family(*_G, _CEIL, "recip", (2, 0), "F"),
+    "G2": Family(*_G, _CEIL, "recip", (2, 0), "L"),
+    "G3": Family(*_G, _FLOOR, "recip", (2, 0), "F"),
+    "G4": Family(*_G, _FLOOR, "recip", (2, 0), "L"),
+    "G5": Family(*_G, _CEIL, "plain", (2, 0), "F"),
+    "G6": Family(*_G, _CEIL, "plain", (2, 0), "L"),
+    "G7": Family(*_G, _FLOOR, "plain", (2, 0), "F"),
+    "G8": Family(*_G, _FLOOR, "plain", (2, 0), "L"),
+    "G9": Family(*_G, _FLOOR, "linear", (2, 0), "F"),
+    "G10": Family(*_G, _FLOOR, "linear", (2, 0), "L"),
+    "G11": Family(*_G, _CEIL, "linear", (2, 0), "F"),
+    "G12": Family(*_G, _CEIL, "linear", (2, 0), "L"),
+    "H1": Family(*_H, _ALT, "plain", (4, 0)),
+    "H2": Family(*_H, _PLUS, "plain", (4, 0)),
+    "H3": Family(*_H, _ALT, "plain", (4, -2)),
+    "H4": Family(*_H, _PLUS, "plain", (4, -2)),
+    "I1": Family("I", "r", "even r >= 0", _PLUS, "plain", (4, 0), "L"),
+    "I2": Family("I", "r", "even r >= 2", _PLUS, "plain", (4, 0)),
+    "I3": Family("I", "", "no parameters", _PLUS, "plain", (4, 0)),
+    "J1": Family("J", "", "no parameters", _PLUS, "harmonic", (4, 0)),
 }
 
-_FT_SIGN = {
-    "F1": SignPattern.CEIL_HALF, "F2": SignPattern.FLOOR_HALF,
-    "F3": SignPattern.CEIL_HALF, "F4": SignPattern.FLOOR_HALF,
-    "F5": SignPattern.CEIL_HALF, "F6": SignPattern.FLOOR_HALF,
-    "T1": SignPattern.CEIL_HALF, "T2": SignPattern.FLOOR_HALF,
-    "T3": SignPattern.CEIL_HALF, "T4": SignPattern.FLOOR_HALF,
-    "T5": SignPattern.CEIL_HALF, "T6": SignPattern.FLOOR_HALF,
-}
+ALL_FAMILIES = tuple(FAMILIES)
+F_FAMILIES, T_FAMILIES, C_FAMILIES, G_FAMILIES, H_FAMILIES, I_FAMILIES = (
+    tuple(fam for fam, row in FAMILIES.items() if row.group == g) for g in "FTCGHI"
+)
 
 
 def _abs_le(x: XValue, bound: Fraction) -> bool:
@@ -198,21 +244,6 @@ def four_alpha_pow_cmp(p: Fraction, m: int) -> int:
     return -1 if lhs < rhs else (1 if lhs > rhs else 0)
 
 
-def _sign_pattern_of(fam: str) -> SignPattern:
-    if fam in _FT_SIGN:
-        return _FT_SIGN[fam]
-    if fam in G_FAMILIES:
-        return _G_SHAPE[fam][0]
-    if fam in ("C1", "C2", "H1", "H3"):
-        return SignPattern.ALTERNATING
-    return SignPattern.PLUS
-
-
-def _first_index_of(fam: str) -> int:
-    """1 for the n-weighted shapes, whose n = 0 summand is identically 0."""
-    return 1 if fam in ("F5", "F6", "T5", "T6", "G9", "G10", "G11", "G12") else 0
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """One series from the catalog plus its parameters.
@@ -234,55 +265,45 @@ class FamilySpec:
 
     def __post_init__(self):
         fam = self.family
-        if fam not in ALL_FAMILIES:
+        if fam not in FAMILIES:
             raise UsageError(f"unknown family {fam!r}")
+        row = FAMILIES[fam]
+        needed = set(filter(None, row.params.split(", ")))
+        if row.group == "G":
+            needed.add("seq")
+            if self.seq is None:
+                # seq is derivable from the id; fill it in for convenience
+                object.__setattr__(self, "seq", row.seq)
         given = {name for name in ("x", "phi", "m", "s", "p", "r", "seq")
                  if getattr(self, name) is not None}
-        needed = self._needed_params()
-        if fam in G_FAMILIES and self.seq is None:
-            # seq is derivable from the id; fill it in for convenience
-            object.__setattr__(self, "seq", _G_SHAPE[fam][2])
-            given.add("seq")
         extra = given - needed
         missing = needed - given
         if extra:
             raise UsageError(f"{fam} does not take parameter(s) {sorted(extra)}")
         if missing:
             raise UsageError(f"{fam} requires parameter(s) {sorted(missing)}")
-        self._validate()
+        self._validate(row)
 
-    def _needed_params(self) -> set:
-        fam = self.family
-        if fam in F_FAMILIES or fam in C_FAMILIES or fam in H_FAMILIES:
-            return {"x"}
-        if fam in T_FAMILIES:
-            return {"phi"}
-        if fam in G_FAMILIES:
-            return {"m", "s", "p", "seq"}
-        if fam in ("I1", "I2"):
-            return {"r"}
-        return set()
-
-    def _validate(self):
-        fam = self.family
-        if fam in F_FAMILIES:
+    def _validate(self, row: Family):
+        fam, group = self.family, row.group
+        if group == "F":
             if not isinstance(self.x, (Fraction, SurdValue)):
                 raise UsageError(f"{fam}: x must be an exact rational or surd")
             if not _abs_le(self.x, Fraction(1)):
                 raise UsageError(f"{fam}: requires |x| <= 1, got x = {self.x}")
-        elif fam in T_FAMILIES:
+        elif group == "T":
             if not isinstance(self.phi, PhiValue):
                 raise UsageError(f"{fam}: phi must be a PhiValue")
             if not self.phi.bounded_by_quarter_pi():
                 raise UsageError(f"{fam}: requires |phi| <= pi/4, got phi = {self.phi}")
-            if fam in ("T1", "T2") and self.phi.is_zero():
+            if row.weight == "recip" and self.phi.is_zero():
                 raise UsageError(f"{fam}: phi = 0 is excluded (cot(phi) singular)")
-        elif fam in C_FAMILIES:
+        elif group == "C":
             if not isinstance(self.x, Fraction):
                 raise UsageError(f"{fam}: x must be an exact rational")
             if not abs(self.x) <= Fraction(1, 2):
                 raise UsageError(f"{fam}: requires |x| <= 1/2, got x = {self.x}")
-        elif fam in G_FAMILIES:
+        elif group == "G":
             for name in ("m", "s"):
                 if not isinstance(getattr(self, name), int):
                     raise UsageError(f"{fam}: {name} must be an integer")
@@ -290,54 +311,40 @@ class FamilySpec:
                 raise UsageError(f"{fam}: p must be an exact rational")
             if self.seq not in ("F", "L"):
                 raise UsageError(f"{fam}: seq must be 'F' or 'L'")
-            if self.seq != _G_SHAPE[fam][2]:
-                raise UsageError(
-                    f"{fam} is a {_G_SHAPE[fam][2]}-sequence family; got seq={self.seq!r}"
-                )
+            if self.seq != row.seq:
+                raise UsageError(f"{fam} is a {row.seq}-sequence family; got seq={self.seq!r}")
             if four_alpha_pow_cmp(self.p, self.m) < 0:
                 raise UsageError(
                     f"{fam}: requires p >= 4*alpha^|m| "
                     f"(~{float(4 * 1.618033988749895 ** abs(self.m)):.6g}), got p = {self.p}"
                 )
-        elif fam in H_FAMILIES:
+        elif group == "H":
             if not isinstance(self.x, Fraction):
                 raise UsageError(f"{fam}: x must be an exact rational")
             if not abs(self.x) < 1:
                 raise UsageError(f"{fam}: requires |x| < 1, got x = {self.x}")
-        elif fam == "I1":
-            if not isinstance(self.r, int) or self.r % 2 or self.r < 0:
-                raise UsageError(f"I1: r must be an even integer >= 0, got {self.r}")
-        elif fam == "I2":
-            if not isinstance(self.r, int) or self.r % 2 or self.r < 2:
-                raise UsageError(f"I2: r must be an even integer >= 2, got {self.r}")
+        elif row.params == "r":
+            low = 0 if fam == "I1" else 2
+            if not isinstance(self.r, int) or self.r % 2 or self.r < low:
+                raise UsageError(f"{fam}: r must be an even integer >= {low}, got {self.r}")
 
     # -- structural helpers used by the engine and closed forms --------------
 
     def sign_pattern(self) -> SignPattern:
-        return _sign_pattern_of(self.family)
+        return FAMILIES[self.family].sign
 
     def weight(self) -> str:
-        """Per-term weight: "recip" (1/(2n+1)-like), "plain", or "linear"."""
-        fam = self.family
-        if fam in ("F1", "F2", "T1", "T2"):
-            return "recip"
-        if fam in ("F5", "F6", "T5", "T6"):
-            return "linear"
-        if fam in G_FAMILIES:
-            return _G_SHAPE[fam][1]
-        if fam in ("C1", "C2"):
-            return "recip"
-        if fam == "J1":
-            return "harmonic"
-        return "plain"
+        """Per-term weight: "recip" (1/(2n+1)-like), "plain", "linear" or "harmonic"."""
+        return FAMILIES[self.family].weight
 
     def g_shape(self):
-        if self.family not in G_FAMILIES:
+        row = FAMILIES[self.family]
+        if row.group != "G":
             raise UsageError(f"{self.family} is not a G family")
-        return _G_SHAPE[self.family]
+        return row.sign, row.weight, row.seq
 
     def first_index(self) -> int:
-        return _first_index_of(self.family)
+        return FAMILIES[self.family].first
 
     def at_certification_boundary(self) -> bool:
         """True when the parameter sits where no proven tail bound exists.
@@ -348,12 +355,12 @@ class FamilySpec:
         whole domain via the alternating-term bound, J1 via its integral
         bound, H families are strict-interior by validation.
         """
-        fam = self.family
-        if fam in F_FAMILIES:
+        group = FAMILIES[self.family].group
+        if group == "F":
             return _abs_eq(self.x, Fraction(1))
-        if fam in T_FAMILIES:
+        if group == "T":
             return self.phi.times_pi and abs(self.phi.coeff) == Fraction(1, 4)
-        if fam in G_FAMILIES:
+        if group == "G":
             return four_alpha_pow_cmp(self.p, self.m) == 0
         return False
 
@@ -375,33 +382,6 @@ class FamilySpec:
 
 def list_families() -> list[dict]:
     """Machine-readable catalog: id, parameters, domain, series shape."""
-    rows = []
-    for fam in ALL_FAMILIES:
-        if fam in F_FAMILIES:
-            params, domain = "x", "|x| <= 1 (certified evaluation needs |x| < 1)"
-        elif fam in T_FAMILIES:
-            domain = "|phi| <= pi/4 (certified needs |phi| < pi/4)"
-            if fam in ("T1", "T2"):
-                domain += ", phi != 0"
-            params = "phi"
-        elif fam in C_FAMILIES:
-            params, domain = "x", "|x| <= 1/2 (certified on the whole domain)"
-        elif fam in G_FAMILIES:
-            params = "m, s, p"
-            domain = "integers m, s; rational p >= 4*alpha^|m| (certified needs >)"
-        elif fam in H_FAMILIES:
-            params, domain = "x", "|x| < 1"
-        elif fam == "I1":
-            params, domain = "r", "even r >= 0"
-        elif fam == "I2":
-            params, domain = "r", "even r >= 2"
-        else:
-            params, domain = "", "no parameters"
-        rows.append({
-            "id": fam,
-            "parameters": params,
-            "domain": domain,
-            "sign": _sign_pattern_of(fam).value,
-            "starts_at": _first_index_of(fam),
-        })
-    return rows
+    return [{"id": fam, "parameters": row.params, "domain": row.domain,
+             "sign": row.sign.value, "starts_at": row.first}
+            for fam, row in FAMILIES.items()]

@@ -234,6 +234,31 @@ def test_ratio_rounding_to_one_exits_3_naming_the_model(capsys):
         assert "reaches 1" not in err
 
 
+_H2_NEAR_ONE = ("eval", "--family", "H2", "--x", "0.999999999999999999", "--digits", "20")
+
+
+def test_a_ratio_just_below_one_shows_its_distance_from_one(capsys):
+    """q = 1 - 10^-18 is certifiable in principle; it must not read as the boundary q = 1.0."""
+    code, out, err = run(capsys, *_H2_NEAR_ONE)
+    assert code == 3
+    assert "the geometric tail model (q = 1 - 1.0e-18) predicts N = more than 2^64" in err
+    assert "q = 1.0)" not in err
+
+
+def test_max_terms_past_the_search_limit_exits_2(capsys):
+    """No stop index past 2^64 is searched, so a larger cap cannot be honoured."""
+    code, out, err = run(capsys, *_H2_NEAR_ONE, "--max-terms", str(10**21))
+    assert code == 2
+    assert out == ""
+    assert f"max_terms must be <= 2^64, the search limit, got {10**21}" in err
+    code, out, err = run(capsys, *_H2_NEAR_ONE, "--max-terms", str(2**64))
+    assert code == 3
+    assert f"past the cap of {2**64} terms" in err
+    code, out, err = run(capsys, "compare", "--family", "F3", "--x", "1/2",
+                         "--max-terms", str(2**64 + 1))
+    assert code == 2
+
+
 def test_max_terms_below_one_exits_2(capsys):
     for command in ("eval", "compare"):
         for cap in ("0", "-5"):

@@ -18,6 +18,7 @@ from cbcseries.engine import (
     term_fraction,
 )
 from cbcseries.closedforms import closed_value
+from cbcseries.exact import fib_lucas
 from cbcseries.families import (
     ALL_FAMILIES,
     C_FAMILIES,
@@ -146,7 +147,7 @@ def test_streams_match_terms_past_window():
 
 
 def test_i1_large_r_continuation():
-    # r = 8 switches to the float recurrence at n > 2500
+    # r = 8: 2,601 steps of the F/L recurrence agree with the directly computed terms
     spec = FamilySpec("I1", r=8)
     res = sum_fixed(spec, 2600, CTX)
     with CTX.workprec():
@@ -589,3 +590,162 @@ def test_sum_adaptive_rejects_a_cap_below_one():
         with pytest.raises(UsageError, match=f"max_terms must be >= 1, got {cap}"):
             sum_adaptive(F3_HALF, Fraction(1, 10**32), CTX, max_terms=cap)
     assert sum_adaptive(F3_HALF, Fraction(1), CTX, max_terms=1).terms_used == 1
+
+
+def test_sum_adaptive_rejects_a_cap_past_the_search_limit():
+    """No stop index past 2^64 is searched, so a cap above it cannot be honoured."""
+    message = rf"max_terms must be <= 2\^64, the search limit, got {2**64 + 1}"
+    with pytest.raises(UsageError, match=message):
+        sum_adaptive(F3_HALF, Fraction(1, 10**32), CTX, max_terms=2**64 + 1)
+    assert sum_adaptive(F3_HALF, Fraction(1, 10**32), CTX, max_terms=2**64).converged
+    with pytest.raises(ConvergenceError, match="predicts N = more than 2\\^64, past the cap"):
+        sum_adaptive(FamilySpec("H2", x=1 - Fraction(1, 10**18)), Fraction(1, 10**22),
+                     make_context(20), max_terms=2**64)
+
+
+def reference_geometric_ratio(spec, ctx):
+    """The per-family ratio majorant q that the table-driven one replaced."""
+    fam = spec.family
+    if fam in ("F1", "F2"):
+        x = spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)
+        return ctx.real(x.squared())
+    if fam in ("F3", "F4", "F5", "F6"):
+        return abs(engine.x_real(spec.x, ctx))
+    if fam in T_FAMILIES:
+        return abs(mp.tan(engine.phi_real(spec.phi, ctx)))
+    if fam in C_FAMILIES:
+        return 16 * ctx.real(spec.x) ** 4
+    if fam in G_FAMILIES:
+        return 4 * engine._alpha_pow(abs(spec.m), ctx) / ctx.real(spec.p)
+    if fam in H_FAMILIES:
+        return abs(ctx.real(spec.x))
+    if fam == "I1":
+        _, lr = fib_lucas(spec.r)
+        return engine._alpha_pow(spec.r, ctx) / lr
+    if fam == "I2":
+        _, lr = fib_lucas(spec.r)
+        return ctx.real(Fraction(4, lr * lr))
+    return ctx.real(Fraction(4, 5))
+
+
+def reference_tail_bound(spec, N, ctx):
+    """The per-family tail bound that the one table-driven formula replaced."""
+    if N < 0:
+        raise UsageError(f"tail_bound: N must be >= 0, got {N}")
+    fam = spec.family
+    with ctx.workprec():
+        pad = mpf(engine._BOUND_PAD)
+        if fam == "J1":
+            if N == 0:
+                return (mpf(9) / 32 + engine._j1_integral_bound(1)) * pad
+            return engine._j1_integral_bound(N) * pad
+        if fam in C_FAMILIES:
+            xa = abs(ctx.real(spec.x))
+            q = 16 * xa**4
+            M = N + 1
+            if fam == "C1":
+                return q**M * xa / (mp.sqrt(2 * mp.pi * M) * (4 * M + 1)) * pad
+            return q**M * 4 * xa**3 / (mp.sqrt(mp.pi * (2 * M + 1)) * (4 * M + 3)) * pad
+        q = reference_geometric_ratio(spec, ctx)
+        if not q < 1:
+            raise UncertifiedError(spec, "term-ratio majorant reaches 1; no certified tail bound")
+        M = N + 1
+        if fam in ("F1", "F2"):
+            xa = abs(engine.x_real(spec.x, ctx))
+            return xa ** (2 * M + 1) / ((2 * M + 1) * mp.sqrt(mp.pi * M)) / (1 - q) * pad
+        if fam in ("F3", "F4", "T3", "T4"):
+            return q**M / mp.sqrt(mp.pi * M) / (1 - q) * pad
+        if fam in ("F5", "F6", "T5", "T6"):
+            return q**M * (M * (1 - q) + q) / ((1 - q) ** 2 * mp.sqrt(mp.pi * M)) * pad
+        if fam in ("T1", "T2"):
+            return q**M / ((2 * M + 1) * mp.sqrt(mp.pi * M)) / (1 - q) * pad
+        if fam in G_FAMILIES:
+            kappa = engine._alpha_pow(abs(spec.s), ctx)
+            kappa = kappa * 2 / mp.sqrt(mpf(5)) if spec.g_shape()[2] == "F" else kappa * 2
+            weight = spec.weight()
+            if weight == "recip":
+                return kappa * q**M / ((2 * M + 1) * (1 - q)) * pad
+            if weight == "plain":
+                return kappa * q**M / (1 - q) * pad
+            return kappa * q**M * (M * (1 - q) + q) / (1 - q) ** 2 * pad
+        if fam in ("H1", "H2"):
+            return q**M / mp.sqrt(2 * mp.pi * M) / (1 - q) * pad
+        if fam in ("H3", "H4"):
+            return q**M / mp.sqrt(mp.pi * (2 * M - 1)) / (1 - q) * pad
+        if fam == "I1":
+            return 2 * q**M / mp.sqrt(2 * mp.pi * M) / (1 - q) * pad
+        return q**M / mp.sqrt(2 * mp.pi * M) / (1 - q) * pad
+
+
+def assert_same_tail_bound(spec, N, ctx):
+    """tail_bound equals the reference to a relative 1e-20, or both refuse.
+
+    On the boundary tail_bound always refuses.  At |phi| = pi/4 the reference's
+    q is tan(pi/4) rounded, which can land an ulp below 1 and give a finite
+    bound, so only the refusal is checked there.
+    """
+    if spec.at_certification_boundary():
+        with pytest.raises(UncertifiedError):
+            tail_bound(spec, N, ctx)
+        if spec.phi is not None:
+            return
+    try:
+        want = reference_tail_bound(spec, N, ctx)
+    except UncertifiedError:
+        with pytest.raises(UncertifiedError):
+            tail_bound(spec, N, ctx)
+        return
+    got = tail_bound(spec, N, ctx)
+    with ctx.workprec():
+        assert abs(got - want) <= mpf(10) ** -20 * want, (spec.describe(), N)
+
+
+def stop_index_or_refusal(spec, budget, ctx):
+    try:
+        return engine._stop_index(spec, budget, ctx)
+    except UncertifiedError:
+        return "refused", None
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+def test_tail_bound_matches_the_reference_on_every_registry_row(monkeypatch, digits):
+    """Every registry row, boundary rows included, gets the reference's bounds and
+    the same stop index."""
+    ctx = make_context(digits)
+    rows = list_examples()
+    assert len(rows) >= 50
+    for row in rows:
+        for N in (0, 1, 9, 100, 12_345, 10**6):
+            assert_same_tail_bound(row.spec, N, ctx)
+        with ctx.workprec():
+            budget = mpf(10) ** -(digits + 2) * (1 - mpf(2) ** -16)
+            got = stop_index_or_refusal(row.spec, budget, ctx)
+            monkeypatch.setattr(engine, "tail_bound", reference_tail_bound)
+            want = stop_index_or_refusal(row.spec, budget, ctx)
+            monkeypatch.undo()
+            assert got[0] == want[0], row.id
+            if got[1] is not None:
+                assert abs(got[1] - want[1]) <= mpf(10) ** -20 * want[1], row.id
+
+
+@st.composite
+def surd_specs(draw):
+    """F1/F2 at x = c sqrt(d), |x| < 1, mostly irrational."""
+    d = draw(st.sampled_from([2, 3, 5, Fraction(1, 2), Fraction(4, 9)]))
+    c = Fraction(draw(st.integers(-4, 4)), 10)
+    return FamilySpec(draw(st.sampled_from(["F1", "F2"])), x=SurdValue(c, Fraction(d)))
+
+
+def t_at_quarter_pi(family, t):
+    return FamilySpec(family, phi=PhiValue(Fraction(t, 4), True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(spec_zoo()), rational_specs(), t_specs(), surd_specs(),
+                 st.builds(t_at_quarter_pi, st.sampled_from(T_FAMILIES), st.sampled_from([-1, 1]))),
+       st.one_of(st.integers(0, 100), st.integers(0, 10**6)),
+       st.sampled_from([20, 30, 60, 100]))
+def test_tail_bound_matches_the_reference_on_a_sample(spec, N, digits):
+    """Every family shape, boundary points (|x| = 1, |x| = 1/2 for C, |phi| = pi/4)
+    included."""
+    assert_same_tail_bound(spec, N, make_context(digits))

@@ -1,15 +1,11 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from cbcseries.exact import (
     binomial,
     central_binomial,
     central_binomials,
     fib_lucas,
-    fib_lucas_step,
     harmonic,
     harmonic_stream,
 )
@@ -127,14 +123,6 @@ def test_binet_60_digits():
             f, ell = fib_lucas(n)
             assert abs((alpha**n - beta**n) / sqrt5 - f) < mp.mpf(10) ** -40
             assert abs(alpha**n + beta**n - ell) < mp.mpf(10) ** -40
-
-
-@settings(max_examples=60)
-@given(st.integers(-80, 80), st.integers(-80, 80))
-def test_fib_lucas_step_is_index_addition(k, m):
-    fk, lk = fib_lucas(k)
-    fm, lm = fib_lucas(m)
-    assert fib_lucas_step(fk, lk, fm, lm) == fib_lucas(k + m)
 
 
 def test_harmonic_values():
