@@ -19,10 +19,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from mpmath import mp
 
 from cbcseries.closedforms import closed_value
-from cbcseries.engine import sum_adaptive, sum_fixed
+from cbcseries.engine import sum_adaptive, sum_fixed, x_real
 from cbcseries.expressions import evaluate
 from cbcseries.precision import make_context
-from cbcseries.registry import SCHEMA_VERSION, _row_from_record, _scale_real
+from cbcseries.registry import SCHEMA_VERSION, _row_from_record
 
 OUT = ROOT / "src" / "cbcseries" / "data" / "examples.json"
 
@@ -357,7 +357,7 @@ def validate(records):
         r = _row_from_record(rec)
         with ctx40.workprec():
             expected = evaluate(r.expected, ctx40)
-            scale = _scale_real(r.scale, ctx40)
+            scale = x_real(r.scale, ctx40)
             if r.mode == "closed":
                 got = scale * closed_value(r.spec, ctx40)
                 ok = abs(got - expected) < mp.mpf(10) ** -30

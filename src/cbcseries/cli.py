@@ -41,7 +41,15 @@ from cbcseries.identities import (
     check_weighted_convolution,
 )
 from cbcseries.precision import DomainError, PrecisionContext, UsageError, constants, make_context
-from cbcseries.registry import EXAMPLE_SETS, get_example, list_examples, run_example
+from cbcseries.registry import (
+    EXAMPLE_SETS,
+    adaptive_target,
+    comparison_passes,
+    comparison_tolerance,
+    get_example,
+    list_examples,
+    run_example,
+)
 
 SCHEMA_VERSION = 1
 
@@ -107,18 +115,6 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
     if args.seq is not None:
         kwargs["seq"] = args.seq
     return FamilySpec(family=args.family, **kwargs)
-
-
-def _resolved_tol(args: argparse.Namespace, ctx: PrecisionContext):
-    with ctx.workprec():
-        if args.tol is None:
-            return mp.mpf(10) ** (5 - ctx.digits)
-        return ctx.real(_parse_fraction(args.tol, "--tol"))
-
-
-def _adaptive_target(ctx: PrecisionContext):
-    with ctx.workprec():
-        return mp.mpf(10) ** (-(ctx.digits + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +208,7 @@ def _cmd_eval(args: argparse.Namespace):
             )
         result = sum_fixed(spec, args.force_terms, ctx)
     else:
-        result = sum_adaptive(spec, _adaptive_target(ctx), ctx, max_terms=args.max_terms)
+        result = sum_adaptive(spec, adaptive_target(ctx), ctx, max_terms=args.max_terms)
     with ctx.workprec():
         row = {
             "spec": spec.describe(),
@@ -241,13 +237,14 @@ def _cmd_closed(args: argparse.Namespace):
 def _cmd_compare(args: argparse.Namespace):
     ctx = make_context(args.digits)
     spec = _spec_from_args(args)
-    tol = _resolved_tol(args, ctx)
-    result = sum_adaptive(spec, _adaptive_target(ctx), ctx, max_terms=args.max_terms)
+    tol = _parse_fraction(args.tol, "--tol") if args.tol is not None else None
+    tol = comparison_tolerance(ctx, tol)
+    result = sum_adaptive(spec, adaptive_target(ctx), ctx, max_terms=args.max_terms)
     closed = closed_value(spec, ctx)
     with ctx.workprec():
         diff = abs(result.value - closed)
         bound = result.error_bound()
-        ok = bool(diff <= bound + tol)
+        ok = comparison_passes(diff, bound, tol)
         row = {
             "spec": spec.describe(),
             "series_value": _num(ctx, result.value),

@@ -1,9 +1,9 @@
 """Exact integer and rational building blocks.
 
-Everything here is exact arithmetic: binomial coefficients, incremental
-streams of the central binomial coefficients the series engine consumes,
-Fibonacci/Lucas numbers at arbitrary (signed) index, and harmonic numbers
-as Fractions.  No floating point enters this module.
+Everything here is exact arithmetic: binomial coefficients, the incremental
+stream of central binomial coefficients C(2n, n) that the identity sweeps
+consume, Fibonacci/Lucas numbers at arbitrary (signed) index, and harmonic
+numbers as Fractions.  No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -28,60 +28,17 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def central_binomial(n: int) -> int:
-    """C(2n, n), advanced incrementally from C(0, 0) = 1.
+def central_binomials() -> Iterator[int]:
+    """Yield the exact stream C(2n, n) = 1, 2, 6, 20, 70, ... from n = 0.
 
-    The loop applies C(2(k+1), k+1) = C(2k, k) * 2(2k+1)/(k+1), which is the
-    same exact ratio the series streams use.
+    Each step applies C(2n+2, n+1) = C(2n, n) * 2(2n+1)/(n+1), so term n costs
+    O(1) bigint work; C(4n, 2n) is every second element.
     """
-    if n < 0:
-        raise UsageError(f"central_binomial: n must be >= 0, got {n}")
-    c = 1
-    for k in range(n):
-        c = c * (2 * (2 * k + 1)) // (k + 1)
-    return c
-
-
-def central_binomials(kind: str = "2n,n") -> Iterator[int]:
-    """Yield an exact stream of central binomial coefficients from n = 0.
-
-    Kinds:
-      "2n,n"       C(2n, n)                 1, 2, 6, 20, 70, ...
-      "4n,2n"      C(4n, 2n)                1, 6, 70, 924, ...
-      "4n+2,2n+1"  C(4n+2, 2n+1)            2, 20, 252, ...
-      "4n-2,2n-1"  C(4n-2, 2n-1), 0 at n=0  0, 2, 20, 252, ...
-
-    Each kind advances by an integer recurrence (ratios of consecutive terms
-    are rational with small factors), so term n costs O(1) bigint work.
-    """
-    if kind == "2n,n":
-        c, n = 1, 0
-        while True:
-            yield c
-            c = c * (2 * (2 * n + 1)) // (n + 1)
-            n += 1
-    elif kind == "4n,2n":
-        c, n = 1, 0
-        while True:
-            yield c
-            c = c * (4 * (4 * n + 1) * (4 * n + 3)) // ((2 * n + 1) * (2 * n + 2))
-            n += 1
-    elif kind == "4n+2,2n+1":
-        c, n = 2, 0
-        while True:
-            yield c
-            c = c * (4 * (4 * n + 3) * (4 * n + 5)) // ((2 * n + 2) * (2 * n + 3))
-            n += 1
-    elif kind == "4n-2,2n-1":
-        # n = 0 term is out of range, hence 0; start the recurrence at n = 1.
-        yield 0
-        c, n = 2, 1
-        while True:
-            yield c
-            c = c * (2 * (4 * n - 1) * (4 * n + 1)) // (n * (2 * n + 1))
-            n += 1
-    else:
-        raise UsageError(f"central_binomials: unknown kind {kind!r}")
+    c, n = 1, 0
+    while True:
+        yield c
+        c = c * (2 * (2 * n + 1)) // (n + 1)
+        n += 1
 
 
 def fib_lucas(k: int) -> tuple[int, int]:

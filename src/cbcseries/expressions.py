@@ -5,27 +5,65 @@ A tree is either a leaf or a list ``[op, arg, ...]``:
 * leaves: Python ``int``, a rational string ``"p/q"`` (or ``"p"``), or one of
   the symbols ``"alpha"`` (golden ratio), ``"beta"`` (its conjugate),
   ``"delta"`` (silver ratio);
-* unary ops: ``sqrt ln arctan artanh arccot arccoth neg``;
-* binary ops: ``add sub mul div``.
+* ops: the names of :data:`OPS`, the one table of what a tree may use.  Each
+  entry gives the arity, the mpmath function and the domain test:
+  ``neg sqrt ln arctan artanh arccot arccoth`` take one argument,
+  ``add sub mul div`` two.
 
 Trees round-trip through JSON unchanged, which is how the registry stores its
 expected constants.  Evaluation happens under a
 :class:`~cbcseries.precision.PrecisionContext`, one rounding per operation,
-so the same tree yields more digits in a bigger context.
+so the same tree yields more digits in a bigger context.  An argument outside
+an op's domain raises :class:`~cbcseries.precision.DomainError`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Callable, NamedTuple, Optional, Union
 
-from .precision import PrecisionContext, UsageError, constants, elementary_real
+from mpmath import mp
+
+from .precision import DomainError, PrecisionContext, UsageError, constants
 
 Expr = Union[int, str, list, tuple]
 
-_UNARY = ("sqrt", "ln", "arctan", "artanh", "arccot", "arccoth", "neg")
-_BINARY = ("add", "sub", "mul", "div")
+
+def _arccot(a):
+    # arctan(1/a) for a > 0; continued to the (0, pi) branch for a <= 0 so the
+    # function is continuous on the whole line.
+    if a == 0:
+        return mp.pi / 2
+    if a > 0:
+        return mp.atan(1 / a)
+    return mp.atan(1 / a) + mp.pi
+
+
+class Op(NamedTuple):
+    """One tree operation; ``outside`` is true where its last argument leaves
+    the domain, and ``detail`` then explains the :class:`DomainError`."""
+
+    arity: int
+    fn: Callable
+    outside: Optional[Callable] = None
+    detail: str = ""
+
+
+OPS = {
+    "neg": Op(1, operator.neg),
+    "add": Op(2, operator.add),
+    "sub": Op(2, operator.sub),
+    "mul": Op(2, operator.mul),
+    "div": Op(2, operator.truediv, lambda b: b == 0, "division by zero"),
+    "sqrt": Op(1, mp.sqrt, lambda a: a < 0, "negative argument on the real surface"),
+    "ln": Op(1, mp.log, lambda a: a <= 0),
+    "arctan": Op(1, mp.atan),
+    "artanh": Op(1, mp.atanh, lambda a: abs(a) >= 1, "|x| must be < 1"),
+    "arccot": Op(1, _arccot),
+    "arccoth": Op(1, lambda a: mp.atanh(1 / a), lambda a: abs(a) <= 1, "|x| must be > 1"),
+}
 _SYMBOLS = ("alpha", "beta", "delta")
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -47,13 +85,10 @@ def validate_expression(expr: Expr) -> None:
             return
         raise UsageError(f"unknown expression leaf {expr!r}")
     if isinstance(expr, (list, tuple)) and expr:
-        op = expr[0]
-        if op in _UNARY and len(expr) == 2:
-            validate_expression(expr[1])
-            return
-        if op in _BINARY and len(expr) == 3:
-            validate_expression(expr[1])
-            validate_expression(expr[2])
+        op = OPS.get(expr[0]) if isinstance(expr[0], str) else None
+        if op is not None and len(expr) == op.arity + 1:
+            for arg in expr[1:]:
+                validate_expression(arg)
             return
         raise UsageError(f"malformed expression node {expr!r}")
     raise UsageError(f"cannot interpret {expr!r} as an expression")
@@ -70,41 +105,11 @@ def _eval(expr, ctx, cs):
     if isinstance(expr, int):
         return ctx.real(expr)
     if isinstance(expr, str):
-        if expr == "alpha":
-            return cs.alpha
-        if expr == "beta":
-            return cs.beta
-        if expr == "delta":
-            return cs.delta
+        if expr in _SYMBOLS:
+            return getattr(cs, expr)
         return ctx.real(Fraction(expr))
-    op = expr[0]
-    if op == "neg":
-        return -_eval(expr[1], ctx, cs)
+    op = OPS[expr[0]]
     args = [_eval(a, ctx, cs) for a in expr[1:]]
-    return elementary_real(op, args, ctx)
-
-
-def to_text(expr: Expr) -> str:
-    """Compact infix rendering, for human-facing listings."""
-    if isinstance(expr, int):
-        return str(expr)
-    if isinstance(expr, str):
-        return expr
-    op = expr[0]
-    if op == "neg":
-        return f"-{_atom(expr[1])}"
-    if op in _UNARY:
-        return f"{op}({to_text(expr[1])})"
-    a, b = expr[1], expr[2]
-    symbol = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[op]
-    if op in ("add", "sub"):
-        return f"{to_text(a)}{symbol}{to_text(b)}"
-    return f"{_atom(a)}{symbol}{_atom(b)}"
-
-
-def _atom(expr: Expr) -> str:
-    """Render, parenthesizing sums so products read unambiguously."""
-    text = to_text(expr)
-    if isinstance(expr, (list, tuple)) and expr[0] in ("add", "sub", "div", "mul", "neg"):
-        return f"({text})"
-    return text
+    if op.outside is not None and op.outside(args[-1]):
+        raise DomainError(expr[0], args[-1], op.detail)
+    return op.fn(*args)

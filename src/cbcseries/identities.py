@@ -22,7 +22,7 @@ from mpmath import mp
 
 from .exact import central_binomials, harmonic_stream
 from .families import SignPattern, sign
-from .precision import PrecisionContext, UsageError, complex_elementary, elementary_real
+from .precision import PrecisionContext, UsageError
 
 Failure = Tuple[dict, object, object]
 
@@ -67,7 +67,7 @@ class IdentityReport:
 def _central_prefix(n_max: int) -> List[int]:
     """First ``n_max + 1`` central binomial coefficients C(2k, k)."""
     out: List[int] = []
-    stream = central_binomials("2n,n")
+    stream = central_binomials()
     for _ in range(n_max + 1):
         out.append(next(stream))
     return out
@@ -219,7 +219,7 @@ def _random_rational_sequences(count: int, n_max: int, seed: int) -> List[List[F
 def _ratio_weighted_sequence(x: Fraction, length: int) -> List[Fraction]:
     """f_n = C(2n,n) x^n / 4^n, the archetypal sequence fed to the split."""
     seq: List[Fraction] = []
-    stream = central_binomials("2n,n")
+    stream = central_binomials()
     xn = Fraction(1)
     for n in range(length):
         seq.append(next(stream) * xn / 4**n)
@@ -305,10 +305,9 @@ def check_lemma1(x_samples: Sequence, ctx: PrecisionContext) -> IdentityReport:
             xr = ctx.real(x)
             if abs(xr) > mp.mpf(7) / 10:
                 raise UsageError(f"sample {x!r} outside |x| <= 0.7")
-            w = complex_elementary("arcsin", [mp.mpc(xr, xr)], ctx)
+            w = mp.asin(mp.mpc(xr, xr))
             g = _lemma1_argument(x, ctx)
-            re_rhs = elementary_real("arctan", [g], ctx)
-            im_rhs = elementary_real("artanh", [g], ctx)
+            re_rhs, im_rhs = mp.atan(g), mp.atanh(g)
             if abs(w.real - re_rhs) > tol:
                 failures.append(({"x": str(x), "part": "Re"}, w.real, re_rhs))
             if abs(w.imag - im_rhs) > tol:

@@ -1,4 +1,4 @@
-"""Precision contexts and guarded elementary functions.
+"""Precision contexts, the package's error types and named constants.
 
 All numeric work in this package runs inside a :class:`PrecisionContext`,
 which fixes a requested digit count plus guard digits.  The context wraps
@@ -7,9 +7,10 @@ working precision for every operation in the block, and results are
 deterministic -- the same inputs under the same context give bit-identical
 output.
 
-The module also provides a string-dispatched surface (:func:`elementary_real`,
-:func:`complex_elementary`) with explicit domain checks, and the handful of
-named constants the series closed forms need (golden ratio and friends).
+The module also provides the handful of named constants the series closed
+forms need (golden ratio and friends).  The elementary operations of the
+registry's expression trees, with their domain checks, are the one table
+``expressions.OPS``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import mpmath
 from mpmath import mp
 
 Real = mpmath.mpf
-Complex = mpmath.mpc
 
 RealLike = Union[int, float, str, Fraction, Real]
 
@@ -91,10 +91,6 @@ class PrecisionContext:
                 return +mp.mpf(value)
         raise UsageError(f"cannot interpret {value!r} as a real number")
 
-    def complex(self, re: RealLike = 0, im: RealLike = 0) -> Complex:
-        with self.workprec():
-            return mp.mpc(self.real(re), self.real(im))
-
     def eps(self) -> Real:
         """10^-(working_digits - 1), the per-operation rounding scale."""
         with self.workprec():
@@ -126,122 +122,3 @@ def constants(ctx: PrecisionContext) -> Constants:
         beta = (1 - sqrt5) / 2
         delta = 1 + mp.sqrt(2)
         return Constants(alpha=alpha, beta=beta, delta=delta, sqrt5=sqrt5, pi=+mp.pi)
-
-
-def _sgn(a: Real) -> Real:
-    if a > 0:
-        return mp.mpf(1)
-    if a < 0:
-        return mp.mpf(-1)
-    return mp.mpf(0)
-
-
-def _arccot(a: Real) -> Real:
-    # arctan(1/a) for a > 0; continued to the (0, pi) branch for a <= 0 so the
-    # function is continuous on the whole line.
-    if a == 0:
-        return mp.pi / 2
-    if a > 0:
-        return mp.atan(1 / a)
-    return mp.atan(1 / a) + mp.pi
-
-
-def _real_pow(a: Real, b) -> Real:
-    exponent = Fraction(b) if not isinstance(b, Fraction) else b
-    if a == 0:
-        if exponent < 0:
-            raise DomainError("pow", a, "zero base with negative exponent")
-        return mp.mpf(0) if exponent > 0 else mp.mpf(1)
-    if a < 0 and exponent.denominator != 1:
-        raise DomainError("pow", a, "negative base with non-integer exponent")
-    if exponent.denominator == 1:
-        return mp.power(a, int(exponent))
-    return mp.power(a, mp.mpf(exponent.numerator) / exponent.denominator)
-
-
-def elementary_real(name: str, args, ctx: PrecisionContext) -> Real:
-    """Evaluate a named real elementary operation under ``ctx``.
-
-    Supported names: add sub mul div sqrt pow ln exp arctan artanh arccot
-    arccoth sin cos tan sgn floor ceil.  Domain violations raise
-    :class:`DomainError` naming the function and offending argument.
-    """
-    with ctx.workprec():
-        vals = [ctx.real(a) if not isinstance(a, (Real, Fraction, int, float, str)) else a
-                for a in args]
-        vals = [a if isinstance(a, Real) else ctx.real(a) for a in vals]
-        if name == "add":
-            return vals[0] + vals[1]
-        if name == "sub":
-            return vals[0] - vals[1]
-        if name == "mul":
-            return vals[0] * vals[1]
-        if name == "div":
-            if vals[1] == 0:
-                raise DomainError("div", vals[1], "division by zero")
-            return vals[0] / vals[1]
-        if name == "sqrt":
-            if vals[0] < 0:
-                raise DomainError("sqrt", vals[0], "negative argument on the real surface")
-            return mp.sqrt(vals[0])
-        if name == "pow":
-            return _real_pow(vals[0], args[1])
-        if name == "ln":
-            if vals[0] <= 0:
-                raise DomainError("ln", vals[0])
-            return mp.log(vals[0])
-        if name == "exp":
-            return mp.exp(vals[0])
-        if name == "arctan":
-            return mp.atan(vals[0])
-        if name == "artanh":
-            if abs(vals[0]) >= 1:
-                raise DomainError("artanh", vals[0], "|x| must be < 1")
-            return mp.atanh(vals[0])
-        if name == "arccot":
-            return _arccot(vals[0])
-        if name == "arccoth":
-            if abs(vals[0]) <= 1:
-                raise DomainError("arccoth", vals[0], "|x| must be > 1")
-            return mp.atanh(1 / vals[0])
-        if name == "sin":
-            return mp.sin(vals[0])
-        if name == "cos":
-            return mp.cos(vals[0])
-        if name == "tan":
-            return mp.tan(vals[0])
-        if name == "sgn":
-            return _sgn(vals[0])
-        if name == "floor":
-            return mp.floor(vals[0])
-        if name == "ceil":
-            return mp.ceil(vals[0])
-    raise UsageError(f"unknown real operation {name!r}")
-
-
-def complex_elementary(name: str, args, ctx: PrecisionContext) -> Complex:
-    """Evaluate a named complex elementary operation on principal branches.
-
-    Supported names: add mul div sqrt ln arcsin, with
-    arcsin(z) = -i ln(iz + sqrt(1 - z^2)); arcsin(+-1) is the limit +-pi/2.
-    """
-    with ctx.workprec():
-        vals = [a if isinstance(a, Complex) else mp.mpc(ctx.real(a)) if not isinstance(a, complex)
-                else mp.mpc(a) for a in args]
-        if name == "add":
-            return vals[0] + vals[1]
-        if name == "mul":
-            return vals[0] * vals[1]
-        if name == "div":
-            if vals[1] == 0:
-                raise DomainError("div", vals[1], "division by zero")
-            return vals[0] / vals[1]
-        if name == "sqrt":
-            return mp.mpc(mp.sqrt(vals[0]))
-        if name == "ln":
-            if vals[0] == 0:
-                raise DomainError("ln", vals[0])
-            return mp.mpc(mp.log(vals[0]))
-        if name == "arcsin":
-            return mp.mpc(mp.asin(vals[0]))
-    raise UsageError(f"unknown complex operation {name!r}")

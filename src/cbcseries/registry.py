@@ -30,7 +30,7 @@ from typing import List, Optional
 from mpmath import mp
 
 from .closedforms import closed_value
-from .engine import sum_adaptive, sum_fixed
+from .engine import sum_adaptive, sum_fixed, x_real
 from .expressions import Expr, evaluate, validate_expression
 from .families import FamilySpec, PhiValue, SurdValue, XValue
 from .precision import PrecisionContext, UsageError
@@ -147,23 +147,35 @@ def get_example(row_id: str) -> ExampleRow:
     raise UsageError(f"unknown example id {row_id!r}")
 
 
-def _scale_real(scale: XValue, ctx: PrecisionContext):
-    if isinstance(scale, SurdValue):
-        return ctx.real(scale.coeff) * mp.sqrt(ctx.real(scale.radicand))
-    return ctx.real(scale)
+def adaptive_target(ctx: PrecisionContext):
+    """10^-(digits + 2), the error target of the adaptive runs behind a comparison."""
+    with ctx.workprec():
+        return mp.mpf(10) ** (-(ctx.digits + 2))
+
+
+def comparison_tolerance(ctx: PrecisionContext, tolerance=None):
+    """``tolerance`` at working precision, by default 10^(5 - digits): the
+    slack granted to closed-form evaluation on top of the certified bound."""
+    with ctx.workprec():
+        return mp.mpf(10) ** (5 - ctx.digits) if tolerance is None else ctx.real(tolerance)
+
+
+def comparison_passes(diff, bound, tol) -> bool:
+    """The verdict of a comparison, at the caller's working precision:
+    |series - closed| <= certified bound + tol."""
+    return bool(diff <= bound + tol)
 
 
 def run_example(row_id: str, ctx: PrecisionContext,
                 tolerance=None) -> ComparisonReport:
     """Reproduce one row: evaluate the series and the expected expression.
 
-    ``tolerance`` defaults to 10^(5 - digits), the slack granted to closed-form
-    evaluation on top of the series' certified bound.
+    ``tolerance`` defaults to 10^(5 - digits) (:func:`comparison_tolerance`).
     """
     row = get_example(row_id)
+    tol = comparison_tolerance(ctx, tolerance)
     with ctx.workprec():
-        tol = mp.mpf(10) ** (5 - ctx.digits) if tolerance is None else ctx.real(tolerance)
-        scale = _scale_real(row.scale, ctx)
+        scale = x_real(row.scale, ctx)
         if row.mode == "closed":
             series = scale * closed_value(row.spec, ctx)
             bound = mp.mpf(0)
@@ -174,8 +186,7 @@ def run_example(row_id: str, ctx: PrecisionContext,
             bound = abs(scale) * res.error_bound()
             terms = res.terms_used
         else:
-            target = mp.mpf(10) ** (-(ctx.digits + 2))
-            res = sum_adaptive(row.spec, target, ctx)
+            res = sum_adaptive(row.spec, adaptive_target(ctx), ctx)
             series = scale * res.value
             bound = abs(scale) * res.error_bound()
             terms = res.terms_used
@@ -188,5 +199,5 @@ def run_example(row_id: str, ctx: PrecisionContext,
             abs_diff=diff,
             certified_bound=bound,
             terms_used=terms,
-            passed=bool(diff <= bound + tol),
+            passed=comparison_passes(diff, bound, tol),
         )

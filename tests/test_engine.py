@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -18,7 +19,7 @@ from cbcseries.engine import (
     term_fraction,
 )
 from cbcseries.closedforms import closed_value
-from cbcseries.exact import fib_lucas
+from cbcseries.exact import central_binomials, fib_lucas
 from cbcseries.families import (
     ALL_FAMILIES,
     C_FAMILIES,
@@ -147,14 +148,17 @@ def test_streams_match_terms_past_window():
 
 
 def test_i1_large_r_continuation():
-    # r = 8: 2,601 steps of the F/L recurrence agree with the directly computed terms
-    spec = FamilySpec("I1", r=8)
-    res = sum_fixed(spec, 2600, CTX)
-    with CTX.workprec():
-        total = mpf(0)
-        for n in range(2601):
-            total += term(spec, n, CTX)
-        assert abs(res.value - total) < mpf(10) ** -30 * abs(total)
+    # r = 8: 2,601 steps of the F/L recurrence against the exact partial sum of
+    # C(4n, 2n) L(8n)/(16 L_8)^n over the common denominator (16 L_8)^2600
+    N = 2600
+    res = sum_fixed(FamilySpec("I1", r=8), N, CTX)
+    base = 16 * fib_lucas(8)[1]
+    numer = 0
+    for n, c in zip(range(N + 1), itertools.islice(central_binomials(), 0, None, 2)):
+        numer = numer * base + c * fib_lucas(8 * n)[1]
+    with mp.workdps(CTX.working_digits + 40):
+        exact = mpf(numer) / mpf(base) ** N
+        assert abs(res.value - exact) <= res.rounding_bound
 
 
 def test_i3_partial_sum_n6_exact():

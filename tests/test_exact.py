@@ -3,7 +3,6 @@ from fractions import Fraction
 
 from cbcseries.exact import (
     binomial,
-    central_binomial,
     central_binomials,
     fib_lucas,
     harmonic,
@@ -34,51 +33,13 @@ def test_binomial_out_of_range_is_zero():
             pass
 
 
-def test_central_binomial_matches_binomial_to_1000():
-    for n in range(0, 1001, 7):
-        assert central_binomial(n) == binomial(2 * n, n)
-
-
-def test_central_binomial():
-    assert [central_binomial(n) for n in range(6)] == [1, 2, 6, 20, 70, 252]
-    assert central_binomial(50) == math.comb(100, 50)
-
-
 def _take(it, count):
     return [next(it) for _ in range(count)]
 
 
 def test_stream_2n_n():
-    got = _take(central_binomials("2n,n"), 300)
+    got = _take(central_binomials(), 300)
     assert got == [math.comb(2 * n, n) for n in range(300)]
-
-
-def test_stream_4n_2n():
-    got = _take(central_binomials("4n,2n"), 300)
-    assert got == [math.comb(4 * n, 2 * n) for n in range(300)]
-    assert got[:4] == [1, 6, 70, 924]
-
-
-def test_stream_4n2_2n1():
-    got = _take(central_binomials("4n+2,2n+1"), 300)
-    assert got == [math.comb(4 * n + 2, 2 * n + 1) for n in range(300)]
-    assert got[:3] == [2, 20, 252]
-
-
-def test_stream_4nm2_2nm1():
-    # n = 0 gives C(-2,-1), which the package treats as 0
-    got = _take(central_binomials("4n-2,2n-1"), 300)
-    assert got[0] == 0
-    assert got[1:] == [math.comb(4 * n - 2, 2 * n - 1) for n in range(1, 300)]
-    assert got[:4] == [0, 2, 20, 252]
-
-
-def test_stream_unknown_kind():
-    try:
-        next(central_binomials("3n,n"))
-        assert False, "expected UsageError"
-    except UsageError:
-        pass
 
 
 def test_fib_lucas_small():

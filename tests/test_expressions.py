@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from cbcseries.expressions import evaluate, to_text, validate_expression
+from cbcseries.expressions import evaluate, validate_expression
 from cbcseries.precision import DomainError, UsageError, make_context
 
 CTX = make_context(30)
@@ -33,6 +34,27 @@ def test_operator_evaluation():
         assert abs(v - w) < mpf(10) ** -43
         assert abs(evaluate(["artanh", "1/2"], CTX) - mp.atanh(mpf(1) / 2)) < mpf(10) ** -43
         assert abs(evaluate(["arccoth", 2], CTX) - mp.atanh(mpf(1) / 2)) < mpf(10) ** -43
+    ctx = make_context(40)
+    with ctx.workprec():
+        tol = mpf(10) ** -45
+        for x in ("1/4", 1, "35/2"):
+            s = evaluate(["add", ["arccot", x], ["arctan", x]], ctx)
+            assert abs(s - mp.pi / 2) < tol
+        # continuous (0, pi) branch: arccot(-x) = pi - arccot(x)
+        left = evaluate(["arccot", -2], ctx)
+        right = mp.pi - evaluate(["arccot", 2], ctx)
+        assert abs(left - right) < tol
+        assert evaluate(["arccot", 0], ctx) == mp.pi / 2
+    # 200 random points: artanh at 30 digits within 10 eps of a 3x context
+    hi = make_context(90)
+    rng = random.Random(91)
+    with hi.workprec():
+        cap = 10 * CTX.eps()
+        for _ in range(200):
+            x = str(Fraction(rng.randint(-9800, 9800), 10000))
+            coarse = evaluate(["artanh", x], CTX)
+            fine = evaluate(["artanh", x], hi)
+            assert abs(coarse - fine) <= cap * max(1, abs(fine))
 
 
 def test_evaluate_deterministic():
@@ -55,6 +77,7 @@ def test_validation_rejections():
         [],
         None,
         ["add", 1, "x"],
+        [["add", 1, 2], 3],
     ]
     for expr in bad:
         with pytest.raises(UsageError):
@@ -72,14 +95,11 @@ def test_evaluate_domain_errors():
         evaluate(["artanh", 1], CTX)
     with pytest.raises(DomainError):
         evaluate(["ln", 0], CTX)
-
-
-def test_to_text():
-    assert to_text(["mul", 2, ["sqrt", "1/2"]]) == "2*sqrt(1/2)"
-    assert to_text(["neg", "alpha"]) == "-alpha"
-    assert to_text(["neg", ["add", 1, 2]]) == "-(1 + 2)"
-    assert to_text(["mul", ["add", 1, 2], 3]) == "(1 + 2)*3"
-    assert to_text(["add", ["mul", 2, 3], 4]) == "2*3 + 4"
-    assert to_text(["div", ["sub", "alpha", "beta"], ["sqrt", 5]]) == (
-        "(alpha - beta)/sqrt(5)"
-    )
+    with pytest.raises(DomainError, match=r"arccoth: argument .* \(\|x\| must be > 1\)"):
+        evaluate(["arccoth", "1/2"], CTX)
+    with pytest.raises(DomainError):
+        evaluate(["artanh", -1], CTX)
+    with pytest.raises(DomainError):
+        evaluate(["ln", "-1/3"], CTX)
+    with pytest.raises(DomainError):
+        evaluate(["arccoth", ["neg", 1]], CTX)

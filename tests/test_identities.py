@@ -27,7 +27,7 @@ LEMMA_SAMPLES = [Fraction(7 * (2 * k - 19), 200) for k in range(20)]
 
 
 def c_prefix(n):
-    stream = central_binomials("2n,n")
+    stream = central_binomials()
     return [next(stream) for _ in range(n + 1)]
 
 

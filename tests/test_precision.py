@@ -1,17 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from cbcseries.precision import (
-    DomainError,
-    UsageError,
-    complex_elementary,
-    constants,
-    elementary_real,
-    make_context,
-)
+from cbcseries.precision import UsageError, constants, make_context
 
 CTX = make_context(30)
 
@@ -38,8 +30,9 @@ def test_real_conversion_is_exact():
 
 
 def test_to_str_deterministic():
-    a = CTX.to_str(elementary_real("sqrt", [2], CTX))
-    b = CTX.to_str(elementary_real("sqrt", [2], CTX))
+    with CTX.workprec():
+        a = CTX.to_str(mp.sqrt(2))
+        b = CTX.to_str(mp.sqrt(2))
     assert a == b
     assert a.startswith("1.4142135623730950488")
 
@@ -56,74 +49,6 @@ def test_known_constants():
         assert abs(cs.delta**2 - 2 * cs.delta - 1) < tol
         assert abs(cs.sqrt5**2 - 5) < tol
         assert abs(cs.alpha + cs.beta - 1) < tol
-
-
-def test_artanh_against_higher_precision():
-    """200 random points, low-precision result within 10 eps of a 3x context."""
-    lo = make_context(30)
-    hi = make_context(90)
-    rng = random.Random(91)
-    with hi.workprec():
-        cap = 10 * lo.eps()
-        for _ in range(200):
-            x = Fraction(rng.randint(-9800, 9800), 10000)
-            coarse = elementary_real("artanh", [lo.real(x)], lo)
-            fine = elementary_real("artanh", [hi.real(x)], hi)
-            assert abs(coarse - fine) <= cap * max(1, abs(fine))
-
-
-def test_arccot_complements_arctan():
-    ctx = make_context(40)
-    with ctx.workprec():
-        tol = mp.mpf(10) ** -45
-        for x in ("0.25", "1", "17.5"):
-            s = elementary_real("arccot", [x], ctx) + elementary_real(
-                "arctan", [ctx.real(x)], ctx
-            )
-            assert abs(s - mp.pi / 2) < tol
-        # continuous branch: arccot(-x) = pi - arccot(x)
-        left = elementary_real("arccot", [ctx.real("-2")], ctx)
-        right = mp.pi - elementary_real("arccot", [ctx.real("2")], ctx)
-        assert abs(left - right) < tol
-        assert elementary_real("arccot", [0], ctx) == mp.pi / 2
-
-
-def test_elementary_domains():
-    with pytest.raises(DomainError):
-        elementary_real("sqrt", [-1], CTX)
-    with pytest.raises(DomainError):
-        elementary_real("artanh", [1], CTX)
-    with pytest.raises(DomainError):
-        elementary_real("arccoth", [Fraction(1, 2)], CTX)
-    with pytest.raises(DomainError):
-        elementary_real("ln", [0], CTX)
-    with pytest.raises(DomainError):
-        elementary_real("div", [1, 0], CTX)
-    with pytest.raises(DomainError):
-        elementary_real("pow", [-2, Fraction(1, 2)], CTX)
-    with pytest.raises(UsageError):
-        elementary_real("cosh", [1], CTX)
-
-
-def test_real_pow_branches():
-    with CTX.workprec():
-        assert elementary_real("pow", [-2, 3], CTX) == -8
-        assert elementary_real("pow", [0, 0], CTX) == 1
-        v = elementary_real("pow", [2, Fraction(1, 2)], CTX)
-        assert abs(v - mp.sqrt(2)) < CTX.eps()
-
-
-def test_complex_arcsin_principal():
-    ctx = make_context(40)
-    with ctx.workprec():
-        w = complex_elementary("arcsin", [mp.mpc(0, 1)], ctx)
-        # arcsin(i) = i ln(1 + sqrt(2))
-        assert abs(w.real) < mp.mpf(10) ** -45
-        assert abs(w.imag - mp.log(1 + mp.sqrt(2))) < mp.mpf(10) ** -45
-        edge = complex_elementary("arcsin", [mp.mpc(1, 0)], ctx)
-        assert abs(edge.real - mp.pi / 2) < mp.mpf(10) ** -45
-    with pytest.raises(UsageError):
-        complex_elementary("arctan", [mp.mpc(1)], ctx)
 
 
 def test_eps_scale():
