@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from cbcseries.precision import UsageError, constants, make_context
+from cbcseries.expressions import evaluate
+from cbcseries.precision import DomainError, UsageError, constants, make_context
 
 CTX = make_context(30)
 
@@ -49,6 +51,49 @@ def test_known_constants():
         assert abs(cs.delta**2 - 2 * cs.delta - 1) < tol
         assert abs(cs.sqrt5**2 - 5) < tol
         assert abs(cs.alpha + cs.beta - 1) < tol
+
+
+def test_artanh_against_higher_precision():
+    """200 random points, low-precision result within 10 eps of a 3x context."""
+    lo = make_context(30)
+    hi = make_context(90)
+    rng = random.Random(91)
+    with hi.workprec():
+        cap = 10 * lo.eps()
+        for _ in range(200):
+            x = str(Fraction(rng.randint(-9800, 9800), 10000))
+            coarse = evaluate(["artanh", x], lo)
+            fine = evaluate(["artanh", x], hi)
+            assert abs(coarse - fine) <= cap * max(1, abs(fine))
+
+
+def test_arccot_complements_arctan():
+    ctx = make_context(40)
+    with ctx.workprec():
+        tol = mp.mpf(10) ** -45
+        for x in ("1/4", 1, "35/2"):
+            s = evaluate(["add", ["arccot", x], ["arctan", x]], ctx)
+            assert abs(s - mp.pi / 2) < tol
+        # continuous (0, pi) branch: arccot(-x) = pi - arccot(x)
+        left = evaluate(["arccot", -2], ctx)
+        right = mp.pi - evaluate(["arccot", 2], ctx)
+        assert abs(left - right) < tol
+        assert evaluate(["arccot", 0], ctx) == mp.pi / 2
+
+
+def test_elementary_domains():
+    with pytest.raises(DomainError):
+        evaluate(["sqrt", -1], CTX)
+    with pytest.raises(DomainError):
+        evaluate(["artanh", 1], CTX)
+    with pytest.raises(DomainError):
+        evaluate(["arccoth", "1/2"], CTX)
+    with pytest.raises(DomainError):
+        evaluate(["ln", 0], CTX)
+    with pytest.raises(DomainError):
+        evaluate(["div", 1, 0], CTX)
+    with pytest.raises(UsageError):
+        evaluate(["cosh", 1], CTX)
 
 
 def test_eps_scale():
