@@ -3,8 +3,7 @@
 Every subcommand writes one machine-readable record to stdout in the selected
 format (text table, CSV with header row, or a single JSON document) and keeps
 diagnostics on stderr.  Exit codes: 0 success/pass, 1 verification failure,
-2 usage error, 3 numeric failure (uncertifiable point, term-cap overrun, or
-imaginary residue in a closed form).
+2 usage error, 3 numeric failure (uncertifiable point or term-cap overrun).
 
 The same command line always produces byte-identical stdout: all numeric
 output is rendered through the deterministic precision context, and the one
@@ -43,6 +42,7 @@ from cbcseries.identities import (
 from cbcseries.precision import DomainError, PrecisionContext, UsageError, constants, make_context
 from cbcseries.registry import (
     EXAMPLE_SETS,
+    TOLERANCE_EXPONENT,
     adaptive_target,
     comparison_passes,
     comparison_tolerance,
@@ -53,6 +53,7 @@ from cbcseries.registry import (
 
 SCHEMA_VERSION = 1
 
+_TOL_HELP = f"comparison tolerance (default 10^({TOLERANCE_EXPONENT}-digits))"
 _PI_RE = re.compile(r"^([+-]?)pi(?:/(\d+))?$")
 
 IDENTITY_IDS = (
@@ -255,7 +256,7 @@ def _cmd_compare(args: argparse.Namespace):
             "pass": "pass" if ok else "fail",
         }
     params = _echo_spec(args)
-    params["tol"] = args.tol if args.tol is not None else f"1e{5 - args.digits}"
+    params["tol"] = args.tol if args.tol is not None else f"1e{TOLERANCE_EXPONENT - args.digits}"
     params["max_terms"] = args.max_terms
     return _record("compare", params, [row]), ok
 
@@ -411,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="series vs closed form, pass/fail verdict")
     _add_family_flags(p)
     _add_output_flags(p)
-    p.add_argument("--tol", help="comparison tolerance (default 10^(5-digits))")
+    p.add_argument("--tol", help=_TOL_HELP)
     p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
                    help="term cap (default 10^7)")
 
@@ -426,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--set", choices=EXAMPLE_SETS + ("all",), default="all",
                        help="example set to run (default all)")
     which.add_argument("--id", help="single row id")
-    p.add_argument("--tol", help="comparison tolerance (default 10^(5-digits))")
+    p.add_argument("--tol", help=_TOL_HELP)
     _add_output_flags(p)
 
     p = sub.add_parser("list-families", help="catalog of families and domains")

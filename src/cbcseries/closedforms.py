@@ -1,240 +1,119 @@
-"""Closed-form values for every series family, plus the h / r / t maps.
+"""Closed-form values for every series family, all from one real shape.
 
-Several closed forms pass through complex intermediates even though the
-final value is real: half-integer powers of the negative Fibonacci
-conjugate in the G families, square roots of negative quantities in the
-T1/T2 and H3/H4 shapes at negative arguments.  Those are evaluated on
-principal branches in Complex, and the real value is recovered by checking
-that the imaginary residue is below 10^(3 - digits); a larger residue
-raises :class:`NumericFailure` instead of silently truncating.
+With c_n = C(2n,n)/4^n, :func:`_shape` gives sum sign(n) w(n) c_n y^n for
+real |y| <= 1, for the sign patterns and weights of the catalog:
+
+* ceil-half or floor-half (e = -1 or +1), with u = 1 + y^2 at y >= 0:
+
+  - plain weight: sqrt((sqrt(u) + e y)/u);
+  - n-weighted: e (y/2) (sqrt(u) - 2 e y) sqrt((sqrt(u) + e y)/u^3);
+  - 1/(2n+1): sqrt(2) A(sqrt(y)/sqrt(1 + sqrt(u)))/sqrt(y), with A = atan
+    for ceil-half and artanh for floor-half, and the value 1 at y = 0;
+
+* alternating or plus, plain weight: 1/sqrt(1 + y) or 1/sqrt(1 - y).
+
+At y < 0 the shape is its sign twin at -y: a factor (-1)^n swaps ceil-half
+with floor-half and alternating with plus.  Every family is the shape at a
+derived real argument, or the even or odd part of a pair of shapes:
+
+* F at x (F1/F2 as x times the shape at x^2), T at tan(phi);
+* C1/C2 as x times the even or odd part of the 1/(2n+1) shapes at 4 x^2;
+* G by Binet: sum over z = alpha, beta of z^s times the shape at
+  4 z^m / p, combined as (a - b)/sqrt5 for F and a + b for L;
+* H as the even (H1/H2) or odd (H3/H4) part of a pair of plain shapes at
+  sqrt(x), after the twin when x < 0;
+* I as H2 at Lucas-number arguments (I1 as H2(t) + H2(1 - t), the second
+  written in t); J1 is a constant.
+
+Every intermediate is real; no closed form passes through complex values.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from cbcseries.engine import phi_real, x_real
-from cbcseries.families import FamilySpec, G_FAMILIES, SignPattern, T_FAMILIES
-from cbcseries.precision import DomainError, PrecisionContext, Real, constants
+from cbcseries.exact import fib_lucas
+from cbcseries.families import FAMILIES, FamilySpec, SignPattern
+from cbcseries.precision import PrecisionContext, Real, constants
+
+_CEIL, _FLOOR = SignPattern.CEIL_HALF, SignPattern.FLOOR_HALF
+_ALT, _PLUS = SignPattern.ALTERNATING, SignPattern.PLUS
+_TWIN = {_CEIL: _FLOOR, _FLOOR: _CEIL, _ALT: _PLUS, _PLUS: _ALT}
 
 
 class NumericFailure(Exception):
-    """A value that should be real came back with a large imaginary part."""
+    """A closed form that cannot be evaluated.
 
-    def __init__(self, where: str, value, limit):
-        self.where = where
-        self.value = value
-        self.limit = limit
-        super().__init__(
-            f"{where}: imaginary residue {mp.nstr(abs(value.imag), 6)} exceeds "
-            f"{mp.nstr(limit, 6)}"
-        )
+    No closed form raises it now (every route is real); it stays defined
+    because callers name it among the numeric failures they catch.
+    """
 
 
-# ---------------------------------------------------------------------------
-# auxiliary maps (the G-family building blocks)
-
-
-def h_map(z, m: int, p, ctx: PrecisionContext):
-    """2 sqrt(z^m) / sqrt(sqrt(p^2 + 16 z^(2m)) + p), principal branches."""
-    with ctx.workprec():
-        pv = ctx.real(p)
-        if not pv > 0:
-            raise DomainError("h_map", p, "requires p > 0")
-        zc = mpc(z)
-        zm = zc**m
-        root_a = mp.sqrt(mpc(pv * pv + 16 * zm * zm))
-        den = mp.sqrt(root_a + pv)
-        if den == 0:
-            raise DomainError("h_map", z, "zero denominator")
-        return 2 * mp.sqrt(zm) / den
-
-
-def r_map(z, m: int, p, sign: int, ctx: PrecisionContext):
-    """sqrt((sqrt(A) +- 4 z^m)/A) with A = p^2 + 16 z^(2m)."""
-    if sign not in (1, -1):
-        raise DomainError("r_map", sign, "sign must be +1 or -1")
-    with ctx.workprec():
-        pv = ctx.real(p)
-        if not pv > 0:
-            raise DomainError("r_map", p, "requires p > 0")
-        zc = mpc(z)
-        zm = zc**m
-        a = mpc(pv * pv + 16 * zm * zm)
-        if a == 0:
-            raise DomainError("r_map", z, "zero denominator")
-        return mp.sqrt((mp.sqrt(a) + sign * 4 * zm) / a)
-
-
-def t_map(z, m: int, p, sign: int, ctx: PrecisionContext):
-    """(8 z^m -+ sqrt(A)) sqrt((sqrt(A) +- 4 z^m)/A^3) with A = p^2 + 16 z^(2m)."""
-    if sign not in (1, -1):
-        raise DomainError("t_map", sign, "sign must be +1 or -1")
-    with ctx.workprec():
-        pv = ctx.real(p)
-        if not pv > 0:
-            raise DomainError("t_map", p, "requires p > 0")
-        zc = mpc(z)
-        zm = zc**m
-        a = mpc(pv * pv + 16 * zm * zm)
-        if a == 0:
-            raise DomainError("t_map", z, "zero denominator")
-        root_a = mp.sqrt(a)
-        return (8 * zm - sign * root_a) * mp.sqrt((root_a + sign * 4 * zm) / a**3)
-
-
-# ---------------------------------------------------------------------------
-# per-family closed forms
-
-
-def _closed_f(fam: str, x: Real) -> Real:
-    if fam == "F1":
-        return mp.sqrt(mpf(2)) * mp.atan(x / mp.sqrt(1 + mp.sqrt(1 + x**4)))
-    if fam == "F2":
-        return mp.sqrt(mpf(2)) * mp.atanh(x / mp.sqrt(1 + mp.sqrt(1 + x**4)))
-    u = 1 + x * x
+def _shape(sign: SignPattern, weight: str, y: Real) -> Real:
+    """sum sign(n) w(n) C(2n,n) y^n / 4^n for real |y| <= 1."""
+    if y < 0:
+        sign, y = _TWIN[sign], -y
+    if sign in (_ALT, _PLUS):
+        return 1 / mp.sqrt(1 + y if sign is _ALT else 1 - y)
+    e = -1 if sign is _CEIL else 1
+    u = 1 + y * y
     root = mp.sqrt(u)
-    if fam == "F3":
-        return mp.sqrt((root - x) / u)
-    if fam == "F4":
-        return mp.sqrt((root + x) / u)
-    if fam == "F5":
-        return -(x / 2) * (root + 2 * x) * mp.sqrt((root - x) / u**3)
-    return (x / 2) * (root - 2 * x) * mp.sqrt((root + x) / u**3)
-
-
-def _closed_t(fam: str, phi: Real):
-    if fam in ("T1", "T2"):
-        sgn = 1 if phi > 0 else -1
-        cot2 = mpc(2 * mp.cos(phi) / mp.sin(phi))
-        half = mp.sqrt(mpc(mp.tan(phi / 2)))
-        if fam == "T1":
-            return sgn * mp.sqrt(cot2) * mp.atan(half)
-        return sgn * mp.sqrt(cot2) * mp.atanh(half)
-    if fam == "T3":
-        return mp.sqrt(2 * mp.cos(phi)) * mp.cos(phi / 2 + mp.pi / 4)
-    if fam == "T4":
-        return mp.sqrt(2 * mp.cos(phi)) * mp.cos(phi / 2 - mp.pi / 4)
-    if fam == "T5":
-        return (
-            (1 + 2 * mp.sin(phi))
-            / (2 * mp.sqrt(2 * mp.cos(phi)))
-            * mp.sin(2 * phi)
-            * mp.sin(phi / 2 - mp.pi / 4)
-        )
-    # T6
-    return (
-        mp.cos(phi / 2)
-        * mp.sin(phi / 2 + mp.pi / 4) ** 2
-        / mp.sqrt(mp.cos(phi))
-        * (mp.cos(2 * phi) - mp.sin(2 * phi) + mp.cos(phi) + 3 * mp.sin(phi) - 2)
-    )
-
-
-def _closed_c(fam: str, x: Real) -> Real:
-    u = 2 * x / mp.sqrt(1 + mp.sqrt(1 + 16 * x**4))
-    if fam == "C1":
-        return mp.sqrt(mpf(2)) / 4 * (mp.atanh(u) + mp.atan(u))
-    return mp.sqrt(mpf(2)) / 4 * (mp.atanh(u) - mp.atan(u))
-
-
-def _closed_g(spec: FamilySpec, ctx: PrecisionContext):
-    pat, weight, seqname = spec.g_shape()
-    p = ctx.real(spec.p)
-    m, s = spec.m, spec.s
-    cs = constants(ctx)
-    parts = []
-    for z in (cs.alpha, cs.beta):
-        zc = mpc(z)
-        zs = zc**s
-        if weight == "recip":
-            hv = h_map(zc, m, p, ctx)
-            hp = zs / mp.sqrt(zc**m)
-            fn = mp.atan if pat is SignPattern.CEIL_HALF else mp.atanh
-            parts.append(hp * fn(hv))
-        elif weight == "plain":
-            rsign = -1 if pat is SignPattern.CEIL_HALF else 1
-            parts.append(zs * r_map(zc, m, p, rsign, ctx))
-        else:
-            tsign = 1 if pat is SignPattern.FLOOR_HALF else -1
-            parts.append(zc ** (m + s) * t_map(zc, m, p, tsign, ctx))
-    if seqname == "F":
-        comb = (parts[0] - parts[1]) / mp.sqrt(mpf(5))
-    else:
-        comb = parts[0] + parts[1]
-    if weight == "recip":
-        return mp.sqrt(p / 2) * comb
     if weight == "plain":
-        return mp.sqrt(p) * comb
-    return -2 * mp.sqrt(p) * comb
+        return mp.sqrt((root + e * y) / u)
+    if weight == "linear":
+        return e * y / 2 * (root - 2 * e * y) * mp.sqrt((root + e * y) / u**3)
+    if y == 0:
+        return mpf(1)
+    ry = mp.sqrt(y)
+    arc = mp.atan if sign is _CEIL else mp.atanh
+    return mp.sqrt(2) * arc(ry / mp.sqrt(1 + root)) / ry
 
 
-def _closed_h(fam: str, x: Real):
-    if fam == "H1":
-        u = 1 + x
-        return mp.sqrt(1 + mp.sqrt(u)) / (mp.sqrt(mpf(2)) * mp.sqrt(u))
-    if fam == "H2":
-        u = 1 - x
-        return mp.sqrt(1 + mp.sqrt(u)) / (mp.sqrt(mpf(2)) * mp.sqrt(u))
-    if fam == "H3":
-        u = mpc(1 + x)
-        return -mp.sqrt(mpc(x) / 2) * mp.sqrt(-1 + mp.sqrt(u)) / mp.sqrt(u)
-    # H4
-    u = mpc(1 - x)
-    return mp.sqrt(mpc(x) / 2) * mp.sqrt(1 - mp.sqrt(u)) / mp.sqrt(u)
-
-
-def _closed_i(spec: FamilySpec, ctx: PrecisionContext) -> Real:
-    from cbcseries.exact import fib_lucas
-
-    cs = constants(ctx)
-    if spec.family == "I1":
-        _, lr = fib_lucas(spec.r)
-        half = spec.r // 2
-        fh, lh = fib_lucas(half)
-        # alpha^(r/2) + |beta|^(r/2): equals L_{r/2} when r/2 is even, but
-        # sqrt5 * F_{r/2} when r/2 is odd (beta^(r/2) is negative there)
-        c = mpf(lh) if half % 2 == 0 else cs.sqrt5 * fh
-        lrv = mpf(lr)
-        inner = lrv ** mpf("1.5") + c + 2 * mp.sqrt(1 + lrv + mp.sqrt(lrv) * c)
-        return lrv ** mpf("0.25") / mp.sqrt(mpf(2)) * mp.sqrt(inner)
-    if spec.family == "I2":
-        fr, lr = fib_lucas(spec.r)
-        return mp.sqrt(5 * cs.alpha**spec.r * lr) / (5 * fr)
-    # I3
-    return mp.sqrt(cs.alpha * cs.sqrt5)
-
-
-def _closed_j(ctx: PrecisionContext) -> Real:
-    rt2 = mp.sqrt(mpf(2))
-    return mpf(80) / 9 - 32 * rt2 / 9 - 8 * rt2 / 3 * mp.log((1 + rt2) / 2)
+def _h(sign: SignPattern, odd: bool, x: Real) -> Real:
+    """H1..H4 at real |x| < 1: the even or odd part of a pair of shapes."""
+    if x < 0:
+        sign, x = _TWIN[sign], -x
+    y = mp.sqrt(x)
+    a, b = (_shape(s, "plain", y) for s in ((_CEIL, _FLOOR) if sign is _ALT else (_PLUS, _ALT)))
+    return y * (a - b) / 2 if odd else (a + b) / 2
 
 
 def closed_value(spec: FamilySpec, ctx: PrecisionContext) -> Real:
-    """The closed-form value of the family's sum at the spec's parameters.
-
-    Complex-routed families recover a real value; the imaginary residue
-    must stay below 10^(3 - digits) or :class:`NumericFailure` is raised.
-    """
-    fam = spec.family
+    """The closed-form value of the family's sum at the spec's parameters."""
+    fam, row = spec.family, FAMILIES[spec.family]
     with ctx.workprec():
-        if fam.startswith("F"):
-            v = _closed_f(fam, x_real(spec.x, ctx))
-        elif fam in T_FAMILIES:
-            v = _closed_t(fam, phi_real(spec.phi, ctx))
-        elif fam.startswith("C"):
-            v = _closed_c(fam, ctx.real(spec.x))
-        elif fam in G_FAMILIES:
-            v = _closed_g(spec, ctx)
-        elif fam.startswith("H"):
-            v = _closed_h(fam, ctx.real(spec.x))
-        elif fam.startswith("I"):
-            v = _closed_i(spec, ctx)
+        if row.group == "F":
+            x = x_real(spec.x, ctx)
+            if row.weight == "recip":  # F1/F2 run in odd powers of x
+                v = x * _shape(row.sign, row.weight, x * x)
+            else:
+                v = _shape(row.sign, row.weight, x)
+        elif row.group == "T":
+            v = _shape(row.sign, row.weight, mp.tan(phi_real(spec.phi, ctx)))
+        elif row.group == "C":
+            x = ctx.real(spec.x)
+            a, b = (_shape(s, "recip", 4 * x * x) for s in (_FLOOR, _CEIL))
+            v = x * (a + b if fam == "C1" else a - b) / 2
+        elif row.group == "G":
+            cs, p = constants(ctx), ctx.real(spec.p)
+            a, b = (z**spec.s * _shape(row.sign, row.weight, 4 * z**spec.m / p)
+                    for z in (cs.alpha, cs.beta))
+            v = (a - b) / cs.sqrt5 if row.seq == "F" else a + b
+        elif row.group == "H":
+            # H3/H4, at index 4n - 2, are the odd parts
+            v = _h(row.sign, row.index[1] != 0, ctx.real(spec.x))
+        elif fam == "I1":
+            # H2(beta^r/L_r) + H2(alpha^r/L_r) = H2(t) + H2(1 - t) with
+            # t = 1/(alpha^r L_r); H2(1 - t) is written in t, since forming
+            # 1 - sqrt(1 - t) would cancel about 0.42 r digits
+            t = 1 / (constants(ctx).alpha ** spec.r * fib_lucas(spec.r)[1])
+            v = _h(_PLUS, False, t) + mp.sqrt((1 + mp.sqrt(t)) / 2) / mp.sqrt(t)
+        elif fam == "I2":
+            v = _h(_PLUS, False, mpf(4) / fib_lucas(spec.r)[1] ** 2)
+        elif fam == "I3":
+            v = _h(_PLUS, False, mpf(4) / 5)
         else:
-            v = _closed_j(ctx)
-        if isinstance(v, mpc):
-            limit = mpf(10) ** (3 - ctx.digits)
-            if abs(v.imag) > limit:
-                raise NumericFailure(spec.describe(), v, limit)
-            v = v.real
+            rt2 = mp.sqrt(2)
+            v = mpf(80) / 9 - 32 * rt2 / 9 - 8 * rt2 / 3 * mp.log((1 + rt2) / 2)
         return +v

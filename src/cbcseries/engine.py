@@ -31,9 +31,7 @@ from typing import NamedTuple, Optional, Tuple
 from mpmath import mp, mpf
 
 from cbcseries.exact import binomial, fib_lucas, harmonic
-from cbcseries.families import (
-    FAMILIES, G_FAMILIES, T_FAMILIES, FamilySpec, PhiValue, SurdValue, sign,
-)
+from cbcseries.families import FAMILIES, FamilySpec, PhiValue, SurdValue, sign
 from cbcseries.precision import PrecisionContext, Real, UsageError
 
 DEFAULT_MAX_TERMS = 10_000_000
@@ -178,28 +176,26 @@ def term_fraction(spec: FamilySpec, n: int) -> Fraction:
     """
     if n < 0:
         raise UsageError(f"term_fraction: n must be >= 0, got {n}")
-    fam = spec.family
-    if fam in T_FAMILIES:
+    fam, row = spec.family, FAMILIES[spec.family]
+    if row.group == "T":
         raise UsageError("term_fraction: T-family terms are not rational")
-    s = sign(spec.sign_pattern(), n)
+    s = sign(row.sign, n)
+    w = n if row.weight == "linear" else 1
     if fam in ("F1", "F2"):
         rat = (spec.x if isinstance(spec.x, SurdValue) else SurdValue(spec.x)).as_rational()
         if rat is None:
             raise UsageError("term_fraction: surd x gives irrational terms")
         return s * binomial(2 * n, n) * rat ** (2 * n + 1) / Fraction((2 * n + 1) * 4**n)
-    if fam in ("F3", "F4", "F5", "F6"):
-        w = n if fam in ("F5", "F6") else 1
+    if row.group == "F":
         return s * w * binomial(2 * n, n) * _rational_x(spec) ** n / Fraction(4**n)
     if fam == "C1":
         return s * binomial(4 * n, 2 * n) * spec.x ** (4 * n + 1) / Fraction(4 * n + 1)
     if fam == "C2":
         return s * binomial(4 * n + 2, 2 * n + 1) * spec.x ** (4 * n + 3) / Fraction(4 * n + 3)
-    if fam in G_FAMILIES:
-        _, weight, seqname = spec.g_shape()
+    if row.group == "G":
         f, ell = fib_lucas(spec.m * n + spec.s)
-        sv = f if seqname == "F" else ell
-        w = n if weight == "linear" else 1
-        den = (2 * n + 1) if weight == "recip" else 1
+        sv = f if row.seq == "F" else ell
+        den = (2 * n + 1) if row.weight == "recip" else 1
         return Fraction(s * w * binomial(2 * n, n) * sv) / (spec.p**n * den)
     if fam in ("H1", "H2"):
         return s * binomial(4 * n, 2 * n) * spec.x**n / Fraction(16**n)

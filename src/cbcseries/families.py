@@ -8,8 +8,8 @@ closed-form evaluator.
 :data:`FAMILIES` holds each family's structural facts in one row: group,
 parameters, domain text, sign pattern, weight, central-binomial index and
 F/L sequence (the first index follows from the weight).  The
-:class:`FamilySpec` accessors, :func:`list_families` and the engine's tail
-bound and summation kernel all read it.
+:class:`FamilySpec` validation, :func:`list_families`, the engine's tail
+bound and summation kernel, and the closed forms all read it.
 
 Catalog overview (n runs from 0, or from 1 for the n-weighted shapes):
 
@@ -328,20 +328,7 @@ class FamilySpec:
             if not isinstance(self.r, int) or self.r % 2 or self.r < low:
                 raise UsageError(f"{fam}: r must be an even integer >= {low}, got {self.r}")
 
-    # -- structural helpers used by the engine and closed forms --------------
-
-    def sign_pattern(self) -> SignPattern:
-        return FAMILIES[self.family].sign
-
-    def weight(self) -> str:
-        """Per-term weight: "recip" (1/(2n+1)-like), "plain", "linear" or "harmonic"."""
-        return FAMILIES[self.family].weight
-
-    def g_shape(self):
-        row = FAMILIES[self.family]
-        if row.group != "G":
-            raise UsageError(f"{self.family} is not a G family")
-        return row.sign, row.weight, row.seq
+    # -- structural helpers used by the engine and the CLI -------------------
 
     def first_index(self) -> int:
         return FAMILIES[self.family].first

@@ -91,11 +91,6 @@ class PrecisionContext:
                 return +mp.mpf(value)
         raise UsageError(f"cannot interpret {value!r} as a real number")
 
-    def eps(self) -> Real:
-        """10^-(working_digits - 1), the per-operation rounding scale."""
-        with self.workprec():
-            return mp.mpf(10) ** (-(self.working_digits - 1))
-
     def to_str(self, value) -> str:
         """Render at the requested digit count (deterministic)."""
         with self.workprec():

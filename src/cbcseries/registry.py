@@ -39,6 +39,8 @@ SCHEMA_VERSION = 1
 _DATA = "data/examples.json"
 
 EXAMPLE_SETS = ("ex6", "trig", "ex9", "ex10", "ex11", "thm15", "thm16")
+# the default comparison tolerance is 10^(TOLERANCE_EXPONENT - digits)
+TOLERANCE_EXPONENT = 5
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,12 @@ def adaptive_target(ctx: PrecisionContext):
 
 
 def comparison_tolerance(ctx: PrecisionContext, tolerance=None):
-    """``tolerance`` at working precision, by default 10^(5 - digits): the
-    slack granted to closed-form evaluation on top of the certified bound."""
+    """``tolerance`` at working precision, by default 10^(TOLERANCE_EXPONENT -
+    digits): the slack granted to closed-form evaluation on top of the
+    certified bound."""
     with ctx.workprec():
-        return mp.mpf(10) ** (5 - ctx.digits) if tolerance is None else ctx.real(tolerance)
+        return (mp.mpf(10) ** (TOLERANCE_EXPONENT - ctx.digits) if tolerance is None
+                else ctx.real(tolerance))
 
 
 def comparison_passes(diff, bound, tol) -> bool:
@@ -170,7 +174,7 @@ def run_example(row_id: str, ctx: PrecisionContext,
                 tolerance=None) -> ComparisonReport:
     """Reproduce one row: evaluate the series and the expected expression.
 
-    ``tolerance`` defaults to 10^(5 - digits) (:func:`comparison_tolerance`).
+    ``tolerance`` defaults to that of :func:`comparison_tolerance`.
     """
     row = get_example(row_id)
     tol = comparison_tolerance(ctx, tolerance)

@@ -110,8 +110,8 @@ def test_criterion_05_fibonacci_lucas_grid():
         for i in range(1, 13):
             for m, s, p in grid:
                 spec = FamilySpec(f"G{i}", m=m, s=s, p=Fraction(p))
-                # closed_value enforces imaginary residue <= 1e-37 < 1e-35
-                # internally; returning at all certifies the residue check
+                # the beta branch at odd m is the sign twin of the shape:
+                # a real route, compared here with the series
                 _compare(spec, ctx, tol)
     for set_name in ("ex9", "ex10", "ex11"):
         for row in list_examples(set_name):

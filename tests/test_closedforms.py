@@ -1,62 +1,16 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
-from cbcseries.closedforms import closed_value, h_map, r_map, t_map
+from cbcseries.closedforms import closed_value
 from cbcseries.engine import sum_adaptive
 from cbcseries.families import FamilySpec, PhiValue, SurdValue
-from cbcseries.precision import DomainError, constants, make_context
+from cbcseries.precision import constants, make_context
 
 CTX = make_context(30)
 CTX40 = make_context(40)
-
-
-def test_h_map_at_alpha():
-    with CTX.workprec():
-        cs = constants(CTX)
-        v = h_map(cs.alpha, 1, Fraction(8), CTX)
-        assert abs(v - mpf("0.594859")) < mpf("1e-6")
-        # real argument, real result (up to the complex carrier type)
-        assert abs(mpc(v).imag) < CTX.eps()
-
-
-def test_h_map_at_beta_is_complex():
-    with CTX.workprec():
-        cs = constants(CTX)
-        v = mpc(h_map(cs.beta, 1, Fraction(8), CTX))
-        assert abs(v.imag) > mpf("0.1")
-
-
-def test_h_map_rejects_nonpositive_p():
-    with pytest.raises(DomainError):
-        h_map(1, 1, Fraction(0), CTX)
-
-
-def test_r_map_products():
-    with CTX.workprec():
-        a = mpf(80)  # A = p^2 + 16 z^(2m) at z = 1, m = 1, p = 8
-        rp = r_map(1, 1, Fraction(8), 1, CTX)
-        rm = r_map(1, 1, Fraction(8), -1, CTX)
-        tol = mpf(10) ** -40
-        assert abs(rp * rm - mpf(1) / 10) < tol
-        assert abs(rp**2 + rm**2 - 2 / mp.sqrt(a)) < tol
-        assert abs(rp**2 - rm**2 - mpf(8) / a) < tol
-
-
-def test_r_map_rejects_bad_sign():
-    with pytest.raises(DomainError):
-        r_map(1, 1, Fraction(8), 0, CTX)
-
-
-def test_t_map_at_zero():
-    with CTX.workprec():
-        want = mpf(8) ** mpf("-1.5")
-        tol = mpf(10) ** -40
-        assert abs(t_map(0, 1, Fraction(8), 1, CTX) + want) < tol
-        assert abs(t_map(0, 1, Fraction(8), -1, CTX) - want) < tol
 
 
 @settings(deadline=None, max_examples=40)
@@ -119,9 +73,19 @@ def test_h1_square_identity():
 
 
 def test_h3_negative_x_recovers_real():
-    spec = FamilySpec("H3", x=Fraction(-1, 2))
+    """Every route is real: closed_value returns an mpf at a negative
+    argument in every group, and H3 at x < 0 matches its series."""
+    negative = [
+        FamilySpec("F2", x=SurdValue(Fraction(-1, 2), Fraction(2))),
+        FamilySpec("T1", phi=PhiValue(Fraction(-1, 5), True)),
+        FamilySpec("C2", x=Fraction(-1, 2)),
+        FamilySpec("G7", m=-3, s=-2, p=Fraction(18)),
+        FamilySpec("H3", x=Fraction(-1, 2)),
+    ]
+    for spec in negative:
+        assert isinstance(closed_value(spec, CTX), mpf), spec.describe()
+    spec = negative[-1]
     v = closed_value(spec, CTX)
-    assert v.imag == 0 if isinstance(v, mpc) else True
     series = sum_adaptive(spec, mpf(10) ** -32, CTX)
     with CTX.workprec():
         assert abs(series.value - v) < mpf(10) ** -30
@@ -139,6 +103,16 @@ def test_closed_matches_series_spot_checks():
         FamilySpec("G12", m=2, s=0, p=Fraction(11)),
         FamilySpec("H4", x=Fraction(3, 4)),
         FamilySpec("I2", r=6),
+        # one point on each negative-argument branch
+        FamilySpec("G3", m=-1, s=-2, p=Fraction(8)),
+        FamilySpec("G6", m=-3, s=-1, p=Fraction(18)),
+        FamilySpec("G9", m=-1, s=-3, p=Fraction(7)),
+        FamilySpec("H1", x=Fraction(-2, 3)),
+        FamilySpec("H2", x=Fraction(-1, 2)),
+        FamilySpec("H4", x=Fraction(-3, 4)),
+        FamilySpec("F1", x=SurdValue(Fraction(-1, 2), Fraction(2))),
+        FamilySpec("F2", x=SurdValue(Fraction(-1, 3), Fraction(3))),
+        FamilySpec("I1", r=0),
     ]
     with CTX.workprec():
         for spec in cases:
@@ -148,10 +122,12 @@ def test_closed_matches_series_spot_checks():
 
 
 def test_g_closed_is_real_at_high_digits():
-    for fam, m, s, p in (("G1", 1, 0, 8), ("G6", 2, 1, 12), ("G11", 3, 0, 20)):
+    # the beta branch at odd m, and negative m and s, included
+    for fam, m, s, p in (("G1", 1, 0, 8), ("G6", 2, 1, 12), ("G11", 3, 0, 20),
+                         ("G4", -1, -1, 7), ("G8", -3, -2, 18)):
         spec = FamilySpec(fam, m=m, s=s, p=Fraction(p))
         v = closed_value(spec, CTX40)
-        assert not isinstance(v, mpc)
+        assert isinstance(v, mpf), spec.describe()
 
 
 def test_i1_values():
@@ -166,6 +142,9 @@ def test_i1_values():
         for r, ref in want.items():
             v = closed_value(FamilySpec("I1", r=r), CTX40)
             assert abs(v - ref) < tol, r
+        # at large r, 1 - alpha^r/L_r ~ alpha^(-2r) must not cancel
+        v = closed_value(FamilySpec("I1", r=200), CTX40)
+        assert abs(v / mpf("443621976220726274925518316232782699714557.4912") - 1) < tol
 
 
 def test_i2_i3_j1_values():

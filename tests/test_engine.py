@@ -23,6 +23,7 @@ from cbcseries.exact import central_binomials, fib_lucas
 from cbcseries.families import (
     ALL_FAMILIES,
     C_FAMILIES,
+    FAMILIES,
     F_FAMILIES,
     G_FAMILIES,
     H_FAMILIES,
@@ -665,8 +666,9 @@ def reference_tail_bound(spec, N, ctx):
             return q**M / ((2 * M + 1) * mp.sqrt(mp.pi * M)) / (1 - q) * pad
         if fam in G_FAMILIES:
             kappa = engine._alpha_pow(abs(spec.s), ctx)
-            kappa = kappa * 2 / mp.sqrt(mpf(5)) if spec.g_shape()[2] == "F" else kappa * 2
-            weight = spec.weight()
+            row = FAMILIES[fam]
+            kappa = kappa * 2 / mp.sqrt(mpf(5)) if row.seq == "F" else kappa * 2
+            weight = row.weight
             if weight == "recip":
                 return kappa * q**M / ((2 * M + 1) * (1 - q)) * pad
             if weight == "plain":

@@ -4,6 +4,7 @@ import pytest
 
 from cbcseries.families import (
     ALL_FAMILIES,
+    FAMILIES,
     FamilySpec,
     PhiValue,
     SignPattern,
@@ -117,15 +118,14 @@ def test_shape_helpers():
     assert FamilySpec("F5", x=Fraction(1, 2)).first_index() == 1
     assert FamilySpec("F3", x=Fraction(1, 2)).first_index() == 0
     assert FamilySpec("G9", m=1, s=0, p=Fraction(8)).first_index() == 1
-    assert FamilySpec("F1", x=Fraction(1, 2)).weight() == "recip"
-    assert FamilySpec("F5", x=Fraction(1, 2)).weight() == "linear"
-    assert FamilySpec("J1").weight() == "harmonic"
-    assert FamilySpec("H1", x=Fraction(1, 2)).sign_pattern() is SignPattern.ALTERNATING
-    assert FamilySpec("H2", x=Fraction(1, 2)).sign_pattern() is SignPattern.PLUS
-    g = FamilySpec("G10", m=2, s=1, p=Fraction(12))
-    assert g.g_shape() == (SignPattern.FLOOR_HALF, "linear", "L")
-    with pytest.raises(UsageError):
-        FamilySpec("F3", x=Fraction(1, 2)).g_shape()
+    assert FAMILIES["F1"].weight == "recip"
+    assert FAMILIES["F5"].weight == "linear"
+    assert FAMILIES["J1"].weight == "harmonic"
+    assert FAMILIES["H1"].sign is SignPattern.ALTERNATING
+    assert FAMILIES["H2"].sign is SignPattern.PLUS
+    g = FAMILIES["G10"]
+    assert (g.sign, g.weight, g.seq) == (SignPattern.FLOOR_HALF, "linear", "L")
+    assert FAMILIES["F3"].seq is None
 
 
 def test_certification_boundary():
