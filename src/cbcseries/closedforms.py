@@ -92,9 +92,13 @@ def closed_value(spec: FamilySpec, ctx: PrecisionContext) -> Real:
         elif row.group == "T":
             v = _shape(row.sign, row.weight, mp.tan(phi_real(spec.phi, ctx)))
         elif row.group == "C":
-            x = ctx.real(spec.x)
-            a, b = (_shape(s, "recip", 4 * x * x) for s in (_FLOOR, _CEIL))
-            v = x * (a + b if fam == "C1" else a - b) / 2
+            # a - b is about y/3 at y = 4x^2: the difference cancels
+            # log2(1/y) ~ 2 log2(1/|x|) bits, carried as extra working bits
+            x = spec.x
+            with mp.extraprec(2 * (x.denominator.bit_length() - x.numerator.bit_length() + 1)):
+                x = ctx.real(x)
+                a, b = (_shape(s, "recip", 4 * x * x) for s in (_FLOOR, _CEIL))
+                v = x * (a + b if fam == "C1" else a - b) / 2
         elif row.group == "G":
             cs, p = constants(ctx), ctx.real(spec.p)
             a, b = (z**spec.s * _shape(row.sign, row.weight, 4 * z**spec.m / p)

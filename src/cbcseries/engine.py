@@ -349,7 +349,8 @@ class _Kernel(NamedTuple):
     The state holds term magnitudes scaled by 2^B.  From index ``first`` on,
     term n is the state (negated when ``neg[n % 4]``), and the state steps by
     the rational ratio R(n) = num(n)/den(n), cubic polynomials given by their
-    coefficients, constant first.  Two shapes carry a second component:
+    coefficients, constant first, which :func:`_run` steps from n to n + 1 by
+    exact forward differences.  Two shapes carry a second component:
 
     * ``step = (F_m, L_m)``: the state is a pair (f, l), scaled F and L
       numbers, and each step also applies (F_k, L_k) -> (F_{k+m}, L_{k+m})
@@ -442,21 +443,35 @@ def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
     return _Kernel(first, head, num, den, neg, step, r.out, row.weight, units, r.radicand)
 
 
+def _differences(c: Tuple[int, int, int, int], n: int) -> Tuple[int, int, int, int]:
+    """p(n) and the forward differences of p at n, for the cubic p with
+    coefficients c (constant first): p(n+1) - p(n), 2 c2 + 6 c3 (n + 1), 6 c3."""
+    c0, c1, c2, c3 = c
+    return (((c3 * n + c2) * n + c1) * n + c0, c1 + c2 * (2 * n + 1) + c3 * (3 * n * (n + 1) + 1),
+            2 * c2 + 6 * c3 * (n + 1), 6 * c3)
+
+
 def _run(k: _Kernel, N: int) -> int:
-    """The scaled total of the terms first..N."""
-    a0, a1, a2, a3 = k.num
-    b0, b1, b2, b3 = k.den
+    """The scaled total of the terms first..N.
+
+    num(n) and den(n) step by exact forward differences (r, r1, r2 = r + r1,
+    r1 + r2, r2 + r3), so each step multiplies and divides by the same
+    integers as evaluating the two cubics at n would.
+    """
+    r, r1, r2, r3 = _differences(k.num, k.first)
+    s, s1, s2, s3 = _differences(k.den, k.first)
     neg = k.neg
-    if k.weight == "harmonic":
+    if k.weight == "harmonic":  # J1: first = 0, so m = n + 2
         one = a = k.head[0]
         partial = lower = 0
         h = one  # H_{n+1}
-        for n in range(N):
+        for m in range(2, N + 2):
             partial += a
-            m = n + 2
             lower += partial // m
             h += one // m
-            a = a * (((a3 * n + a2) * n + a1) * n + a0) // (((b3 * n + b2) * n + b1) * n + b0)
+            a = a * r // s
+            r, r1, r2 = r + r1, r1 + r2, r2 + r3
+            s, s1, s2 = s + s1, s1 + s2, s2 + s3
         return h * (partial + a) // one - lower
     if k.step is None:
         (u,) = k.head
@@ -466,7 +481,9 @@ def _run(k: _Kernel, N: int) -> int:
                 total -= u
             else:
                 total += u
-            u = u * (((a3 * n + a2) * n + a1) * n + a0) // (((b3 * n + b2) * n + b1) * n + b0)
+            u = u * r // s
+            r, r1, r2 = r + r1, r1 + r2, r2 + r3
+            s, s1, s2 = s + s1, s1 + s2, s2 + s3
         return total
     fm, lm = k.step
     f5 = 5 * fm
@@ -479,9 +496,9 @@ def _run(k: _Kernel, N: int) -> int:
         else:
             sf += f
             sl += l
-        r = ((a3 * n + a2) * n + a1) * n + a0
-        s = ((b3 * n + b2) * n + b1) * n + b0
         f, l = (f * lm + l * fm) * r // s, (l * lm + f * f5) * r // s
+        r, r1, r2 = r + r1, r1 + r2, r2 + r3
+        s, s1, s2 = s + s1, s1 + s2, s2 + s3
     return k.out[0] * sf + k.out[1] * sl
 
 

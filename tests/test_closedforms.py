@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cbcseries.closedforms import closed_value
-from cbcseries.engine import sum_adaptive
+from cbcseries.engine import sum_adaptive, term_fraction
 from cbcseries.families import FamilySpec, PhiValue, SurdValue
 from cbcseries.precision import constants, make_context
 
@@ -165,3 +165,19 @@ def test_i1_series_agreement_small_r():
     series = sum_adaptive(spec, mpf(10) ** -32, CTX)
     with CTX.workprec():
         assert abs(series.value - closed_value(spec, CTX)) < mpf(10) ** -30
+
+
+def test_c_closed_at_tiny_x_matches_the_exact_series():
+    """C2's two shapes at 4x^2 cancel about 2 log2(1/|x|) bits; the value keeps
+    every requested digit all the same."""
+    for digits in (30, 60):
+        ctx = make_context(digits)
+        for fam, x in ((f, sign * Fraction(1, 10**e)) for f in ("C1", "C2")
+                       for e in (20, 40) for sign in (1, -1)):
+            spec = FamilySpec(fam, x=x)
+            # the terms past n = 2 are below 10^-230 of the first
+            exact = sum(term_fraction(spec, n) for n in range(3))
+            v = closed_value(spec, ctx)
+            with mp.workdps(digits + 40):
+                want = mpf(exact.numerator) / exact.denominator
+                assert abs(v - want) <= mpf(10) ** (1 - digits) * abs(want), (fam, x, digits)

@@ -755,3 +755,91 @@ def test_tail_bound_matches_the_reference_on_a_sample(spec, N, digits):
     """Every family shape, boundary points (|x| = 1, |x| = 1/2 for C, |phi| = pi/4)
     included."""
     assert_same_tail_bound(spec, N, make_context(digits))
+
+
+def reference_run(k, N):
+    """The kernel loop that evaluated num(n) and den(n) by Horner's rule at each
+    step, before they were stepped by forward differences."""
+    a0, a1, a2, a3 = k.num
+    b0, b1, b2, b3 = k.den
+    neg = k.neg
+    if k.weight == "harmonic":
+        one = a = k.head[0]
+        partial = lower = 0
+        h = one  # H_{n+1}
+        for n in range(N):
+            partial += a
+            m = n + 2
+            lower += partial // m
+            h += one // m
+            a = a * (((a3 * n + a2) * n + a1) * n + a0) // (((b3 * n + b2) * n + b1) * n + b0)
+        return h * (partial + a) // one - lower
+    if k.step is None:
+        (u,) = k.head
+        total = 0
+        for n in range(k.first, N + 1):
+            if neg[n & 3]:
+                total -= u
+            else:
+                total += u
+            u = u * (((a3 * n + a2) * n + a1) * n + a0) // (((b3 * n + b2) * n + b1) * n + b0)
+        return total
+    fm, lm = k.step
+    f5 = 5 * fm
+    f, l = k.head
+    sf = sl = 0
+    for n in range(k.first, N + 1):
+        if neg[n & 3]:
+            sf -= f
+            sl -= l
+        else:
+            sf += f
+            sl += l
+        r = ((a3 * n + a2) * n + a1) * n + a0
+        s = ((b3 * n + b2) * n + b1) * n + b0
+        f, l = (f * lm + l * fm) * r // s, (l * lm + f * f5) * r // s
+    return k.out[0] * sf + k.out[1] * sl
+
+
+def kernel_zoo():
+    """Every family once or more: surd F1/F2, T at irrational tan(phi) and at
+    tan(phi) = -1, G at negative m and s, I1 at r = 0, J1."""
+    x_specs = [FamilySpec(f, x=Fraction(-2, 3) if f[0] == "F" else Fraction(3, 7))
+               for f in F_FAMILIES + C_FAMILIES + H_FAMILIES]
+    return x_specs + [
+        FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(2))),
+        FamilySpec("F2", x=SurdValue(Fraction(-3, 10), Fraction(3))),
+        FamilySpec("C1", x=Fraction(-1, 2)),
+        FamilySpec("C2", x=Fraction(1, 2)),
+        FamilySpec("H3", x=Fraction(-9, 10)),
+        *(FamilySpec(f, phi=PhiValue(Fraction(1, 7), True)) for f in T_FAMILIES),
+        FamilySpec("T4", phi=PhiValue(Fraction(-1, 4), True)),
+        *(FamilySpec(f, m=2, s=3, p=Fraction(23, 2)) for f in G_FAMILIES),
+        FamilySpec("G1", m=-2, s=-3, p=Fraction(13)),
+        FamilySpec("G12", m=-1, s=-5, p=Fraction(7)),
+        FamilySpec("I1", r=0),
+        FamilySpec("I1", r=4),
+        FamilySpec("I2", r=2),
+        FamilySpec("I3"),
+        J1,
+    ]
+
+
+def test_kernel_matches_the_horner_reference_on_every_family():
+    """Stepping num and den by forward differences gives the very integers of
+    evaluating them at each n."""
+    specs = kernel_zoo()
+    assert {spec.family for spec in specs} == set(ALL_FAMILIES)
+    for spec in specs:
+        first = spec.first_index()
+        for N, B in itertools.product(sorted({first, first + 1, first + 2, 7, 50, 777}),
+                                      (80, 239, 3400)):
+            k = engine._kernel(spec, N, B)
+            assert engine._run(k, N) == reference_run(k, N), (spec.describe(), N, B)
+
+
+def test_kernel_matches_the_horner_reference_past_50000_terms():
+    N = 60_000
+    B = math.ceil(CTX40.working_digits * 3.3219280948873626) + 2 * (N + 1).bit_length() + 16
+    k = engine._kernel(FamilySpec("C1", x=Fraction(-1, 2)), N, B)
+    assert engine._run(k, N) == reference_run(k, N)
