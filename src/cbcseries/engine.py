@@ -295,9 +295,10 @@ def tail_bound(spec: FamilySpec, N: int, ctx: PrecisionContext) -> Real:
     comparison) gets pad kappa q^M cb(k)/d(M) shape(q, M): q from
     :func:`_geometric_ratio`; kappa the terms' constant factor, or for G and
     I1 the F/L bound 2 alpha^|s| (over sqrt5 for F); cb(k) = 1/sqrt(pi k/2)
-    >= C(k, k/2)/2^k, omitted for G; d(M) = k + 1 for the 1/(k+1) weight,
-    else 1; shape = 1/(1 - q), (M(1 - q) + q)/(1 - q)^2 for the n weight, or
-    1 for C: its terms alternate and strictly decrease on the whole domain,
+    >= C(k, k/2)/2^k, which decreases in k, so cb(k) bounds that factor in
+    every tail term; d(M) = k + 1 for the 1/(k+1) weight, else 1; shape =
+    1/(1 - q), (M(1 - q) + q)/(1 - q)^2 for the n weight, or 1 for C: its
+    terms alternate and strictly decrease on the whole domain,
     even at |x| = 1/2, where q = 1.  Raises :class:`UncertifiedError` where
     q otherwise reaches 1 (|x| = 1, |phi| = pi/4, p = 4*alpha^|m|).
     """
@@ -319,8 +320,7 @@ def tail_bound(spec: FamilySpec, N: int, ctx: PrecisionContext) -> Real:
             bound *= 2 * _alpha_pow(abs(r.shift), ctx) / (mp.sqrt(mpf(5)) if row.seq == "F" else 1)
         elif (r.kappa, r.radicand) != (1, 1):
             bound *= ctx.real(r.kappa) * mp.sqrt(ctx.real(r.radicand))
-        if row.group != "G":
-            bound /= mp.sqrt(mp.pi * (k // 2))
+        bound /= mp.sqrt(mp.pi * (k // 2))
         if row.weight == "recip":
             bound /= k + 1
         if alternating:

@@ -10,11 +10,10 @@ A tree is either a leaf or a list ``[op, arg, ...]``:
   ``neg sqrt ln arctan artanh arccot arccoth`` take one argument,
   ``add sub mul div`` two.
 
-Trees round-trip through JSON unchanged, which is how the registry stores its
-expected constants.  Evaluation happens under a
-:class:`~cbcseries.precision.PrecisionContext`, one rounding per operation,
-so the same tree yields more digits in a bigger context.  An argument outside
-an op's domain raises :class:`~cbcseries.precision.DomainError`.
+The registry writes its expected constants as such trees.  Evaluation happens
+under a :class:`~cbcseries.precision.PrecisionContext`, one rounding per
+operation, so the same tree yields more digits in a bigger context.  An
+argument outside an op's domain raises :class:`~cbcseries.precision.DomainError`.
 """
 
 from __future__ import annotations

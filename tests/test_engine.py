@@ -670,10 +670,10 @@ def reference_tail_bound(spec, N, ctx):
             kappa = kappa * 2 / mp.sqrt(mpf(5)) if row.seq == "F" else kappa * 2
             weight = row.weight
             if weight == "recip":
-                return kappa * q**M / ((2 * M + 1) * (1 - q)) * pad
+                return kappa * q**M / ((2 * M + 1) * mp.sqrt(mp.pi * M) * (1 - q)) * pad
             if weight == "plain":
-                return kappa * q**M / (1 - q) * pad
-            return kappa * q**M * (M * (1 - q) + q) / (1 - q) ** 2 * pad
+                return kappa * q**M / (mp.sqrt(mp.pi * M) * (1 - q)) * pad
+            return kappa * q**M * (M * (1 - q) + q) / ((1 - q) ** 2 * mp.sqrt(mp.pi * M)) * pad
         if fam in ("H1", "H2"):
             return q**M / mp.sqrt(2 * mp.pi * M) / (1 - q) * pad
         if fam in ("H3", "H4"):

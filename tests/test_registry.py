@@ -1,11 +1,12 @@
-import importlib.util
-import json
+import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from mpmath import mpf
 
+from cbcseries.closedforms import closed_value
+from cbcseries.engine import x_real
+from cbcseries.expressions import evaluate
 from cbcseries.precision import UsageError, make_context
 from cbcseries.registry import (
     EXAMPLE_SETS,
@@ -15,9 +16,6 @@ from cbcseries.registry import (
 )
 
 CTX40 = make_context(40)
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-DATA_FILE = REPO_ROOT / "src" / "cbcseries" / "data" / "examples.json"
 
 
 def test_row_counts():
@@ -33,6 +31,10 @@ def test_row_counts():
         "thm15": 7,
         "thm16": 1,
     }
+    ids = [row.id for row in rows]
+    assert len(set(ids)) == len(ids)
+    for row in rows:
+        assert re.fullmatch(r"adaptive|closed|bound:\d+", row.mode), (row.id, row.mode)
 
 
 def test_known_ids_present():
@@ -50,14 +52,14 @@ def test_known_ids_present():
         assert rid in ids
 
 
-def test_data_file_matches_builder():
-    """The shipped registry must be exactly what the builder produces."""
-    script = REPO_ROOT / "scripts" / "build_registry.py"
-    loader = importlib.util.spec_from_file_location("build_registry", script)
-    mod = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(mod)
-    doc = json.loads(DATA_FILE.read_text(encoding="utf-8"))
-    assert doc["rows"] == mod.build_rows()
+def test_every_expected_tree_is_its_family_closed_form():
+    """scale * closed form of the spec equals the expected tree to 30 digits on
+    every row; for thm16-J1 this is the only 30-digit check, since its
+    bound-mode run certifies only 0.02."""
+    with CTX40.workprec():
+        for row in list_examples("all"):
+            got = x_real(row.scale, CTX40) * closed_value(row.spec, CTX40)
+            assert abs(got - evaluate(row.expected, CTX40)) <= mpf(10) ** -30, row.id
 
 
 def test_spot_values():
