@@ -13,6 +13,10 @@ Each result carries two proven error components:
 * ``rounding_bound``: a counted bound on the arithmetic error of the one
   summation driver, which runs every family on integers scaled by 2^B
   (see :class:`_Kernel`), plus the final rounding to working precision.
+  Past :func:`cbcseries.moments.crossover` terms, :func:`sum_fixed` forms
+  a C partial sum as S - T(N) by certified CVZ instead of stepping every
+  term; its bound then holds the CVZ errors, their counted truncations and
+  the width of the enclosure of the first omitted term.
 
 :func:`sum_adaptive` sums up to the least N whose ``tail_bound`` fits the
 target, found before summing by a secant search on log2 ``tail_bound`` (see
@@ -30,6 +34,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
 
+from cbcseries import moments
 from cbcseries.exact import binomial, fib_lucas, harmonic
 from cbcseries.families import FAMILIES, FamilySpec, PhiValue, SurdValue, sign
 from cbcseries.precision import PrecisionContext, Real, UsageError
@@ -502,6 +507,11 @@ def _run(k: _Kernel, N: int) -> int:
     return k.out[0] * sf + k.out[1] * sl
 
 
+def _scale_bits(N: int, ctx: PrecisionContext) -> int:
+    """B, the scale 2^B of a sum over indices up to N."""
+    return math.ceil(ctx.working_digits * 3.3219280948873626) + 2 * (N + 1).bit_length() + 16
+
+
 def _scaled_sum(spec: FamilySpec, N: int, ctx: PrecisionContext,
                 room: Optional[Real] = None) -> Tuple[Optional[Real], Real]:
     """(value, rounding bound) of the terms with index 0..N.
@@ -509,7 +519,7 @@ def _scaled_sum(spec: FamilySpec, N: int, ctx: PrecisionContext,
     Returns (None, fixed-point part of the bound) without summing when that
     part alone exceeds ``room``.
     """
-    B = math.ceil(ctx.working_digits * 3.3219280948873626) + 2 * (N + 1).bit_length() + 16
+    B = _scale_bits(N, ctx)
     k = _kernel(spec, N, B)
     steps = max(0, N - k.first + 1)
     # a truncation at step j reaches term n multiplied by at most 1, or by
@@ -535,11 +545,20 @@ def sum_fixed(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
 
     Never refuses: at uncertifiable parameter points the truncation bound
     is reported as +inf.  ``converged`` is always False; certified
-    convergence is :func:`sum_adaptive`'s job.
+    convergence is :func:`sum_adaptive`'s job.  From
+    :func:`cbcseries.moments.crossover` on, C1 and C2 are not stepped term
+    by term: :func:`cbcseries.moments.partial_sum` gives S - T(N) with a
+    rounding bound no larger than the kernel's.  ``terms_used`` is N + 1
+    either way, the terms the value stands for.
     """
     if N < 0:
         raise UsageError(f"sum_fixed: N must be >= 0, got {N}")
-    value, rounding = _scaled_sum(spec, N, ctx)
+    row, B = FAMILIES[spec.family], _scale_bits(N, ctx)
+    if row.group == "C" and N >= moments.crossover(B):
+        k = _kernel(spec, N, B)
+        value, rounding = moments.partial_sum(k.num, k.den, _ratio(spec), row.index, N, B, ctx)
+    else:
+        value, rounding = _scaled_sum(spec, N, ctx)
     with ctx.workprec():
         try:
             trunc = tail_bound(spec, N, ctx)

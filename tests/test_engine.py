@@ -397,6 +397,19 @@ def test_c_families_keep_the_sign_of_negative_x_past_50000_terms():
             assert abs(minus.value - closed_value(minus_spec, CTX)) <= minus.error_bound()
 
 
+def test_kernel_keeps_the_sign_of_negative_x_past_50000_terms():
+    """sum_fixed takes the CVZ path at this N, so the kernel is called directly."""
+    N = 60_000
+    for family in ("C1", "C2"):
+        plus, _ = engine._scaled_sum(FamilySpec(family, x=Fraction(1, 2)), N, CTX)
+        minus_spec = FamilySpec(family, x=Fraction(-1, 2))
+        minus, rounding = engine._scaled_sum(minus_spec, N, CTX)
+        with CTX.workprec():
+            assert minus == -plus
+            bound = rounding + tail_bound(minus_spec, N, CTX)
+            assert abs(minus - closed_value(minus_spec, CTX)) <= bound
+
+
 _ALPHA = (1 + 5**0.5) / 2
 
 
