@@ -53,7 +53,7 @@ from cbcseries.registry import (
 
 SCHEMA_VERSION = 1
 
-_TOL_HELP = f"comparison tolerance (default 10^({TOLERANCE_EXPONENT}-digits))"
+_TOL_HELP = f"comparison tolerance, >= 0 (default 10^({TOLERANCE_EXPONENT}-digits))"
 _PI_RE = re.compile(r"^([+-]?)pi(?:/(\d+))?$")
 
 IDENTITY_IDS = (

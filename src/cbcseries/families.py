@@ -52,6 +52,12 @@ from typing import NamedTuple, Optional, Tuple, Union
 from cbcseries.exact import fib_lucas
 from cbcseries.precision import UsageError
 
+# Largest |m|, |s| (G) and r (I1, I2) accepted.  F_k and L_k have about
+# 0.69 k bits; at |s| = 10^6 a G1 refusal takes about 0.4 s and at 10^7 7-9 s
+# (Python 3.11, one Xeon core), so a larger index is refused before any F/L
+# number is formed.
+MAX_INDEX = 10**6
+
 
 class SignPattern(enum.Enum):
     CEIL_HALF = "ceil-half"      # (−1)^ceil(n/2):  +,−,−,+,+,−,−,+,...
@@ -225,6 +231,12 @@ def _abs_eq(x: XValue, bound: Fraction) -> bool:
     return abs(x) == bound
 
 
+def _check_index(fam: str, name: str, value: int) -> None:
+    """Refuse a Fibonacci/Lucas index with |value| past MAX_INDEX."""
+    if abs(value) > MAX_INDEX:
+        raise UsageError(f"{fam}: |{name}| must be <= {MAX_INDEX}, the index limit, got {value}")
+
+
 def four_alpha_pow_cmp(p: Fraction, m: int) -> int:
     """Sign of (p − 4·alpha^|m|), decided exactly.
 
@@ -307,6 +319,7 @@ class FamilySpec:
             for name in ("m", "s"):
                 if not isinstance(getattr(self, name), int):
                     raise UsageError(f"{fam}: {name} must be an integer")
+                _check_index(fam, name, getattr(self, name))
             if not isinstance(self.p, Fraction):
                 raise UsageError(f"{fam}: p must be an exact rational")
             if self.seq not in ("F", "L"):
@@ -327,6 +340,7 @@ class FamilySpec:
             low = 0 if fam == "I1" else 2
             if not isinstance(self.r, int) or self.r % 2 or self.r < low:
                 raise UsageError(f"{fam}: r must be an even integer >= {low}, got {self.r}")
+            _check_index(fam, "r", self.r)
 
     # -- structural helpers used by the engine and the CLI -------------------
 

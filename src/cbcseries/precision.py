@@ -26,10 +26,18 @@ Real = mpmath.mpf
 
 RealLike = Union[int, float, str, Fraction, Real]
 
-# Extra working digits beyond digits + guard_digits.  Rounding bounds are
-# reported at digits + guard_digits, so the slack guarantees the reported
-# bound dominates the true accumulated error even for ~1e7-term sums.
+# Guard digits past the requested ones: they absorb cancellation and
+# accumulated rounding, and rounding bounds are quoted at digits + GUARD_DIGITS.
+GUARD_DIGITS = 15
+
+# Extra working digits beyond digits + GUARD_DIGITS, so that the reported
+# rounding bound dominates the true accumulated error even for ~1e7-term sums.
 _SLACK_DPS = 10
+
+# Largest digits accepted.  At 10^5 digits `constants` takes about 2 s and
+# `closed` or `eval` up to about 30 s (Python 3.11, one Xeon core); at 10^6
+# `constants` alone runs past a minute, so a larger request is refused at once.
+MAX_DIGITS = 100_000
 
 
 class UsageError(ValueError):
@@ -50,27 +58,24 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Requested precision plus guard digits.
+    """Requested precision plus ``GUARD_DIGITS``.
 
-    ``digits`` is what the caller wants to trust; ``guard_digits`` absorb
-    cancellation and accumulated rounding.  ``working_digits`` is their sum
-    and is the precision at which rounding bounds are quoted.
+    ``digits`` is what the caller wants to trust, at most ``MAX_DIGITS``;
+    ``working_digits`` adds the guard digits and is the precision at which
+    rounding bounds are quoted.
     """
 
     digits: int
-    guard_digits: int = 15
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or self.digits < 1:
             raise UsageError(f"digits must be a positive integer, got {self.digits!r}")
-        if not isinstance(self.guard_digits, int) or self.guard_digits < 0:
-            raise UsageError(
-                f"guard_digits must be a non-negative integer, got {self.guard_digits!r}"
-            )
+        if self.digits > MAX_DIGITS:
+            raise UsageError(f"digits must be <= {MAX_DIGITS}, the digits limit, got {self.digits}")
 
     @property
     def working_digits(self) -> int:
-        return self.digits + self.guard_digits
+        return self.digits + GUARD_DIGITS
 
     def workprec(self):
         """Context manager setting mpmath precision for this context."""
@@ -97,8 +102,8 @@ class PrecisionContext:
             return mp.nstr(value, self.digits, strip_zeros=False)
 
 
-def make_context(digits: int, guard_digits: int = 15) -> PrecisionContext:
-    return PrecisionContext(digits=digits, guard_digits=guard_digits)
+def make_context(digits: int) -> PrecisionContext:
+    return PrecisionContext(digits=digits)
 
 
 @dataclass(frozen=True)

@@ -401,10 +401,14 @@ def adaptive_target(ctx: PrecisionContext):
 def comparison_tolerance(ctx: PrecisionContext, tolerance=None):
     """``tolerance`` at working precision, by default 10^(TOLERANCE_EXPONENT -
     digits): the slack granted to closed-form evaluation on top of the
-    certified bound."""
+    certified bound.  A negative tolerance raises :class:`UsageError`."""
     with ctx.workprec():
-        return (mp.mpf(10) ** (TOLERANCE_EXPONENT - ctx.digits) if tolerance is None
-                else ctx.real(tolerance))
+        if tolerance is None:
+            return mp.mpf(10) ** (TOLERANCE_EXPONENT - ctx.digits)
+        tol = ctx.real(tolerance)
+        if tol < 0:
+            raise UsageError(f"tolerance must be >= 0, got {tolerance}")
+        return tol
 
 
 def comparison_passes(diff, bound, tol) -> bool:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -14,6 +15,8 @@ import pytest
 
 import cbcseries
 import cbcseries.cli as cli
+from cbcseries.families import MAX_INDEX
+from cbcseries.precision import GUARD_DIGITS, MAX_DIGITS
 from cbcseries.registry import ComparisonReport
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -133,6 +136,48 @@ def test_identity_huge_n_max_fails_fast(capsys):
         assert out == ""
         assert "must be in [" in err and "got 10000000" in err
         assert time.perf_counter() - start < 1.0
+
+
+def test_extreme_precision_and_indices_exit_2_fast(capsys):
+    """Requests far past the digits or index limits would run for minutes; they
+    are refused before any work."""
+    cases = [
+        (("constants", "--digits", "100000000"), "digits must be <= 100000"),
+        (("eval", "--family", "F3", "--x", "1/2", "--digits", "5000000"),
+         "digits must be <= 100000"),
+        (("closed", "--family", "C1", "--x", "1/3", "--digits", "50000000"),
+         "digits must be <= 100000"),
+        (("eval", "--family", "G1", "--m", "1", "--s", "100000000", "--p", "8", "--digits", "20"),
+         "|s| must be <= 1000000"),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert out == ""
+        assert message in err and "limit" in err
+    # the limits themselves pass validation; nothing is evaluated
+    assert cbcseries.make_context(MAX_DIGITS).working_digits == MAX_DIGITS + GUARD_DIGITS
+    cbcseries.FamilySpec("G1", m=1, s=-MAX_INDEX, p=Fraction(8))
+    cbcseries.FamilySpec("I1", r=MAX_INDEX)
+    cbcseries.FamilySpec("I2", r=MAX_INDEX)
+    for kwargs in ({"m": MAX_INDEX + 1, "s": 0}, {"m": 1, "s": MAX_INDEX + 1}):
+        with pytest.raises(cbcseries.UsageError, match="index limit"):
+            cbcseries.FamilySpec("G1", p=Fraction(8), **kwargs)
+    with pytest.raises(cbcseries.UsageError, match="index limit"):
+        cbcseries.FamilySpec("I2", r=MAX_INDEX + 2)
+
+
+def test_negative_tolerance_exits_2(capsys):
+    for argv in (("compare", "--family", "F3", "--x", "1/2", "--tol", "-1"),
+                 ("examples", "--id", "thm15-I3", "--tol", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "tolerance must be >= 0" in err
+    code, out, err = run(capsys, "compare", "--family", "F3", "--x", "1/2", "--tol", "0")
+    assert code == 0
 
 
 def test_identity_unknown_id_rejected(capsys):

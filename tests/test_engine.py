@@ -363,7 +363,7 @@ def test_g_refusal_at_a_huge_shift_forms_alpha_to_the_shift_once(monkeypatch):
         return real_fib_lucas(k)
 
     monkeypatch.setattr(engine, "fib_lucas", counted)
-    engine._alpha_pow_at.cache_clear()
+    engine._constants.cache_clear()
     with pytest.raises(ConvergenceError) as info:
         sum_adaptive(FamilySpec("G1", m=1, s=s, p=Fraction(8)), Fraction(1, 10**42), CTX40)
     assert "rounding bound" in str(info.value)
@@ -376,14 +376,15 @@ def test_g_tail_bound_does_not_depend_on_the_alpha_power_cache():
              FamilySpec("G6", m=3, s=5, p=Fraction(20))]
     for ctx in (CTX, CTX40):
         for spec in specs:
-            engine._alpha_pow_at.cache_clear()
+            engine._constants.cache_clear()
             cold = [tail_bound(spec, N, ctx) for N in (0, 9, 400)]
             warm = [tail_bound(spec, N, ctx) for N in (0, 9, 400)]
             assert cold == warm
             with ctx.workprec():
-                f, ell = engine.fib_lucas(abs(spec.s))
-                direct = (ctx.real(ell) + mp.sqrt(mpf(5)) * ctx.real(f)) / 2
-                assert engine._alpha_pow(abs(spec.s), ctx) == direct
+                direct = 2 * alpha_pow(abs(spec.s), ctx)
+                if FAMILIES[spec.family].seq == "F":
+                    direct /= mp.sqrt(mpf(5))
+                assert engine._constants(spec, ctx)[1] == direct
 
 
 def test_c_families_keep_the_sign_of_negative_x_past_50000_terms():
@@ -518,12 +519,19 @@ def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, dig
     assert total < 5 * len(rows)
 
 
-def test_j1_refusal_takes_a_handful_of_tail_calls(monkeypatch):
-    """J1 needs ~10^84 terms at 40 digits: the refusal probes the search limit once
-    the model points past it (66 calls by doubling), plus one call at the cap."""
+@pytest.mark.parametrize("digits", [40, 1000])
+@pytest.mark.parametrize("spec", [J1, FamilySpec("C1", x=Fraction(1, 2)),
+                                  FamilySpec("C2", x=Fraction(-1, 2))],
+                         ids=["J1", "C1-1/2", "C2--1/2"])
+def test_j1_refusal_takes_a_handful_of_tail_calls(monkeypatch, spec, digits):
+    """The power-law tails (J1, C at |x| = 1/2) need far more than 2^64 terms
+    (J1 ~10^84 at 40 digits): the refusal probes the search limit once the
+    model points past it (66 calls by doubling), plus one call at the cap.
+    The log2 M term of the model keeps this to 7-10 calls; a secant alone
+    takes 14 at J1 and about 80 at C1/C2 at 40 digits."""
     calls = counting_tail_bound(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
-        sum_adaptive(J1, Fraction(1, 10**42), CTX40, max_terms=2000)
+        sum_adaptive(spec, Fraction(1, 10 ** (digits + 2)), make_context(digits), max_terms=2000)
     assert "predicts N = more than 2^64, past the cap of 2000 terms" in str(info.value)
     assert len(calls) <= 12
     assert calls.count(engine._SEARCH_LIMIT) == 1
@@ -560,9 +568,9 @@ def test_stop_index_matches_the_reference_on_a_sample(spec, digits, shift, manti
 
 def test_ratio_is_formed_once_per_search():
     spec = FamilySpec("T3", phi=PhiValue(Fraction(1, 5), True))
-    engine._geometric_ratio_at.cache_clear()
+    engine._constants.cache_clear()
     res = sum_adaptive(spec, Fraction(1, 10**42), CTX40)
-    info = engine._geometric_ratio_at.cache_info()
+    info = engine._constants.cache_info()
     assert res.converged
     assert info.misses == 1 and info.hits >= 2
 
@@ -574,7 +582,7 @@ def test_tail_bound_does_not_depend_on_the_ratio_cache():
              FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(2)))]
     for ctx in (CTX, CTX40):
         for spec in specs:
-            engine._geometric_ratio_at.cache_clear()
+            engine._constants.cache_clear()
             cold = [tail_bound(spec, N, ctx) for N in (0, 9, 400)]
             warm = [tail_bound(spec, N, ctx) for N in (0, 9, 400)]
             assert cold == warm
@@ -621,6 +629,13 @@ def test_sum_adaptive_rejects_a_cap_past_the_search_limit():
                      make_context(20), max_terms=2**64)
 
 
+def alpha_pow(k, ctx):
+    """alpha^k = (L_k + sqrt5 F_k)/2 at the working precision."""
+    with ctx.workprec():
+        f, ell = fib_lucas(k)
+        return (ctx.real(ell) + mp.sqrt(mpf(5)) * ctx.real(f)) / 2
+
+
 def reference_geometric_ratio(spec, ctx):
     """The per-family ratio majorant q that the table-driven one replaced."""
     fam = spec.family
@@ -634,12 +649,12 @@ def reference_geometric_ratio(spec, ctx):
     if fam in C_FAMILIES:
         return 16 * ctx.real(spec.x) ** 4
     if fam in G_FAMILIES:
-        return 4 * engine._alpha_pow(abs(spec.m), ctx) / ctx.real(spec.p)
+        return 4 * alpha_pow(abs(spec.m), ctx) / ctx.real(spec.p)
     if fam in H_FAMILIES:
         return abs(ctx.real(spec.x))
     if fam == "I1":
         _, lr = fib_lucas(spec.r)
-        return engine._alpha_pow(spec.r, ctx) / lr
+        return alpha_pow(spec.r, ctx) / lr
     if fam == "I2":
         _, lr = fib_lucas(spec.r)
         return ctx.real(Fraction(4, lr * lr))
@@ -678,7 +693,7 @@ def reference_tail_bound(spec, N, ctx):
         if fam in ("T1", "T2"):
             return q**M / ((2 * M + 1) * mp.sqrt(mp.pi * M)) / (1 - q) * pad
         if fam in G_FAMILIES:
-            kappa = engine._alpha_pow(abs(spec.s), ctx)
+            kappa = alpha_pow(abs(spec.s), ctx)
             row = FAMILIES[fam]
             kappa = kappa * 2 / mp.sqrt(mpf(5)) if row.seq == "F" else kappa * 2
             weight = row.weight

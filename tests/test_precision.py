@@ -15,10 +15,7 @@ def test_context_validation():
         make_context(0)
     with pytest.raises(UsageError):
         make_context(-3)
-    with pytest.raises(UsageError):
-        make_context(20, guard_digits=-1)
-    ctx = make_context(25, guard_digits=5)
-    assert ctx.working_digits == 30
+    assert make_context(25).working_digits == 40
 
 
 def test_real_conversion_is_exact():
