@@ -26,7 +26,7 @@ from cbcseries.engine import (
     UncertifiedError,
     ConvergenceError,
 )
-from cbcseries.closedforms import closed_value, NumericFailure
+from cbcseries.closedforms import closed_value
 from cbcseries.registry import list_examples, run_example
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "UncertifiedError",
     "ConvergenceError",
     "closed_value",
-    "NumericFailure",
     "list_examples",
     "run_example",
     "__version__",

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from cbcseries.closedforms import NumericFailure, closed_value
+from cbcseries.closedforms import closed_value
 from cbcseries.engine import (
     DEFAULT_MAX_TERMS,
     ConvergenceError,
@@ -31,6 +31,7 @@ from cbcseries.engine import (
 )
 from cbcseries.families import ALL_FAMILIES, FamilySpec, PhiValue, list_families
 from cbcseries.identities import (
+    SIGN_SPLIT_N_DEFAULT,
     check_binomial_transform,
     check_convolution,
     check_harmonic_integral,
@@ -56,24 +57,25 @@ SCHEMA_VERSION = 1
 _TOL_HELP = f"comparison tolerance, >= 0 (default 10^({TOLERANCE_EXPONENT}-digits))"
 _PI_RE = re.compile(r"^([+-]?)pi(?:/(\d+))?$")
 
-IDENTITY_IDS = (
-    "convolution",
-    "weighted-convolution",
-    "binomial-transform",
-    "sign-split",
-    "arcsin-split",
-    "derivative-forms",
-    "harmonic-integral",
-    "all",
-)
+# a negative fraction or angle given as a separate word ("--x -1/2",
+# "--phi -pi/6"), which argparse would read as a flag
+_NEGATIVE_VALUE_RE = re.compile(r"^-(\d|\.|pi)")
+_VALUE_FLAGS = ("--x", "--phi", "--p", "--tol")
 
-_RANGE_DEFAULTS = {
-    "convolution": 300,
-    "weighted-convolution": 300,
-    "binomial-transform": 60,
-    "sign-split": 63,
-    "harmonic-integral": 100,
+# identity id -> (default --n-max of a range check, or None; the check run at
+# that bound and a context).  The lambdas look the check_* functions up as
+# module globals at call time.
+_IDENTITY_CHECKS = {
+    "convolution": (300, lambda n, ctx: check_convolution(n)),
+    "weighted-convolution": (300, lambda n, ctx: check_weighted_convolution(n)),
+    "binomial-transform": (60, lambda n, ctx: check_binomial_transform(n)),
+    "sign-split": (SIGN_SPLIT_N_DEFAULT, lambda n, ctx: check_sign_split(n_max=n)),
+    "arcsin-split": (None, lambda n, ctx: check_lemma1(_lemma_samples(), ctx)),
+    "derivative-forms": (None, lambda n, ctx: check_lemma2(_lemma_samples(), ctx)),
+    "harmonic-integral": (100, lambda n, ctx: check_harmonic_integral(n)),
 }
+IDENTITY_IDS = tuple(_IDENTITY_CHECKS) + ("all",)
+_RANGE_CHECKS = sorted(i for i, (default, _) in _IDENTITY_CHECKS.items() if default is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -266,36 +268,20 @@ def _lemma_samples():
     return [Fraction(7 * (2 * k - 19), 200) for k in range(20)]
 
 
-def _run_identity(name: str, n_max, ctx: PrecisionContext):
-    bound = n_max if n_max is not None else _RANGE_DEFAULTS.get(name)
-    if name == "convolution":
-        return check_convolution(bound)
-    if name == "weighted-convolution":
-        return check_weighted_convolution(bound)
-    if name == "binomial-transform":
-        return check_binomial_transform(bound)
-    if name == "sign-split":
-        return check_sign_split(n_max=bound)
-    if name == "harmonic-integral":
-        return check_harmonic_integral(bound)
-    if name == "arcsin-split":
-        return check_lemma1(_lemma_samples(), ctx)
-    return check_lemma2(_lemma_samples(), ctx)
-
-
 def _cmd_identity(args: argparse.Namespace):
     ident = args.id
-    if args.n_max is not None and ident not in _RANGE_DEFAULTS:
+    if args.n_max is not None and ident not in _RANGE_CHECKS:
         raise UsageError(
             "--n-max applies only to a single range-based check "
-            f"({', '.join(sorted(_RANGE_DEFAULTS))})"
+            f"({', '.join(_RANGE_CHECKS)})"
         )
     ctx = make_context(args.digits)
-    selected = [i for i in IDENTITY_IDS if i != "all"] if ident == "all" else [ident]
+    selected = list(_IDENTITY_CHECKS) if ident == "all" else [ident]
     rows = []
     ok = True
     for name in selected:
-        report = _run_identity(name, args.n_max, ctx)
+        default, run = _IDENTITY_CHECKS[name]
+        report = run(default if args.n_max is None else args.n_max, ctx)
         rows.append(
             {
                 "id": report.id,
@@ -437,10 +423,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_negative_values(argv: list) -> list:
+    """Write a value flag followed by a negative word, "--x -1/2", as the one
+    word "--x=-1/2", which argparse reads as the flag's value."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _VALUE_FLAGS and _NEGATIVE_VALUE_RE.match(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -448,7 +446,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UncertifiedError, ConvergenceError, NumericFailure) as exc:
+    except (UncertifiedError, ConvergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     _emit(record, args.format)

@@ -45,8 +45,9 @@ _TWIN = {_CEIL: _FLOOR, _FLOOR: _CEIL, _ALT: _PLUS, _PLUS: _ALT}
 class NumericFailure(Exception):
     """A closed form that cannot be evaluated.
 
-    No closed form raises it now (every route is real); it stays defined
-    because callers name it among the numeric failures they catch.
+    No closed form raises it (every route is real).  It stays defined only
+    because ``bench/run.py`` names it among the numeric failures it catches;
+    that is its only reader.
     """
 
 

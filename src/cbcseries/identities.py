@@ -34,6 +34,8 @@ CONVOLUTION_N_LIMIT = 2000
 TRANSFORM_N_LIMIT = 1000
 SIGN_SPLIT_N_LIMIT = 2000
 HARMONIC_V_LIMIT = 1000
+# sequence length bound of the sign-split check when none is given
+SIGN_SPLIT_N_DEFAULT = 63
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,7 @@ def _ratio_weighted_sequence(x: Fraction, length: int) -> List[Fraction]:
 
 def check_sign_split(
     sample_sequences: Optional[Iterable[Sequence[Fraction]]] = None,
-    n_max: int = 63,
+    n_max: int = SIGN_SPLIT_N_DEFAULT,
     count: int = 200,
     seed: int = 20260823,
 ) -> IdentityReport:

@@ -8,9 +8,8 @@ deterministic -- the same inputs under the same context give bit-identical
 output.
 
 The module also provides the handful of named constants the series closed
-forms need (golden ratio and friends).  The elementary operations of the
-registry's expression trees, with their domain checks, are the one table
-``expressions.OPS``.
+forms need (golden ratio and friends).  The elementary functions of the
+registry's constants, with their domain checks, are in ``expressions``.
 """
 
 from __future__ import annotations

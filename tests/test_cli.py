@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -15,8 +16,9 @@ import pytest
 
 import cbcseries
 import cbcseries.cli as cli
+import cbcseries.registry as registry
 from cbcseries.families import MAX_INDEX
-from cbcseries.precision import GUARD_DIGITS, MAX_DIGITS
+from cbcseries.precision import GUARD_DIGITS, MAX_DIGITS, make_context
 from cbcseries.registry import ComparisonReport
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -178,6 +180,54 @@ def test_negative_tolerance_exits_2(capsys):
         assert "tolerance must be >= 0" in err
     code, out, err = run(capsys, "compare", "--family", "F3", "--x", "1/2", "--tol", "0")
     assert code == 0
+
+
+def test_negative_values_as_separate_words(capsys, monkeypatch):
+    """A negative fraction or angle may follow its flag as a separate word."""
+    eval_c1 = ("eval", "--family", "C1", "--force-terms", "10", "--format", "json")
+    code, spaced, err = run(capsys, *eval_c1, "--x", "-1/2")
+    assert code == 0, err
+    code, joined, err = run(capsys, *eval_c1, "--x=-1/2")
+    assert code == 0, err
+    assert spaced == joined
+    code, out, err = run(capsys, "compare", "--family", "T3", "--phi", "-pi/6")
+    assert code == 0, err
+    code, out, err = run(capsys, "compare", "--family", "F3", "--x", "1/2", "--tol", "-1/10")
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be >= 0" in err
+    # the same from the command line itself
+    monkeypatch.setattr(sys, "argv", ["cbcseries", *eval_c1, "--x", "-1/2"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == joined
+
+
+def test_traced_names_are_looked_up_at_call_time(capsys, monkeypatch):
+    """cli and registry call check_convolution, sum_adaptive and evaluate
+    through their module globals, so a wrapper put there sees every call.
+    The benchmark's tracer times these layers that way; a table that captured
+    the function objects would read zero."""
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "check_convolution")
+    count(cli, "sum_adaptive")
+    count(registry, "evaluate")
+    assert cli.main(["identity", "--id", "convolution"]) == 0
+    assert calls == {"check_convolution": 1}
+    assert cli.main(["compare", "--family", "F3", "--x", "1/2"]) == 0
+    assert calls["sum_adaptive"] == 1
+    assert registry.run_example("thm15-I3", make_context(30)).passed
+    assert calls["evaluate"] == 1
+    capsys.readouterr()
 
 
 def test_identity_unknown_id_rejected(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cbcseries.expressions import evaluate
+from cbcseries.expressions import arccot, arccoth, arctan, artanh, evaluate, ln, sqrt
 from cbcseries.precision import DomainError, UsageError, constants, make_context
 
 CTX = make_context(30)
@@ -59,9 +59,10 @@ def test_artanh_against_higher_precision():
     with hi.workprec():
         cap = 10 * mp.mpf(10) ** -(lo.working_digits - 1)
         for _ in range(200):
-            x = str(Fraction(rng.randint(-9800, 9800), 10000))
-            coarse = evaluate(["artanh", x], lo)
-            fine = evaluate(["artanh", x], hi)
+            num = rng.randint(-9800, 9800)
+            expr = lambda c: artanh(mp.mpf(num) / 10000)
+            coarse = evaluate(expr, lo)
+            fine = evaluate(expr, hi)
             assert abs(coarse - fine) <= cap * max(1, abs(fine))
 
 
@@ -69,27 +70,23 @@ def test_arccot_complements_arctan():
     ctx = make_context(40)
     with ctx.workprec():
         tol = mp.mpf(10) ** -45
-        for x in ("1/4", 1, "35/2"):
-            s = evaluate(["add", ["arccot", x], ["arctan", x]], ctx)
+        for x in (Fraction(1, 4), Fraction(1), Fraction(35, 2)):
+            s = evaluate(lambda c: arccot(ctx.real(x)) + arctan(ctx.real(x)), ctx)
             assert abs(s - mp.pi / 2) < tol
         # continuous (0, pi) branch: arccot(-x) = pi - arccot(x)
-        left = evaluate(["arccot", -2], ctx)
-        right = mp.pi - evaluate(["arccot", 2], ctx)
+        left = evaluate(lambda c: arccot(-2), ctx)
+        right = mp.pi - evaluate(lambda c: arccot(2), ctx)
         assert abs(left - right) < tol
-        assert evaluate(["arccot", 0], ctx) == mp.pi / 2
+        assert evaluate(lambda c: arccot(0), ctx) == mp.pi / 2
 
 
 def test_elementary_domains():
     with pytest.raises(DomainError):
-        evaluate(["sqrt", -1], CTX)
+        evaluate(lambda c: sqrt(-1), CTX)
     with pytest.raises(DomainError):
-        evaluate(["artanh", 1], CTX)
+        evaluate(lambda c: artanh(1), CTX)
     with pytest.raises(DomainError):
-        evaluate(["arccoth", "1/2"], CTX)
+        evaluate(lambda c: arccoth(mp.mpf(1) / 2), CTX)
     with pytest.raises(DomainError):
-        evaluate(["ln", 0], CTX)
-    with pytest.raises(DomainError):
-        evaluate(["div", 1, 0], CTX)
-    with pytest.raises(UsageError):
-        evaluate(["cosh", 1], CTX)
+        evaluate(lambda c: ln(0), CTX)
 

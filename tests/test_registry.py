@@ -52,14 +52,17 @@ def test_known_ids_present():
         assert rid in ids
 
 
-def test_every_expected_tree_is_its_family_closed_form():
-    """scale * closed form of the spec equals the expected tree to 30 digits on
-    every row; for thm16-J1 this is the only 30-digit check, since its
-    bound-mode run certifies only 0.02."""
-    with CTX40.workprec():
+@pytest.mark.parametrize("digits", [40, 120])
+def test_every_expected_tree_is_its_family_closed_form(digits):
+    """scale * closed form of the spec equals the expected constant to
+    10^-(digits + 10) on every row, which pins each transcribed constant far
+    past the 30 digits `examples` prints; for thm16-J1 this is the only deep
+    check, since its bound-mode run certifies only 0.02."""
+    ctx = make_context(digits)
+    with ctx.workprec():
         for row in list_examples("all"):
-            got = x_real(row.scale, CTX40) * closed_value(row.spec, CTX40)
-            assert abs(got - evaluate(row.expected, CTX40)) <= mpf(10) ** -30, row.id
+            got = x_real(row.scale, ctx) * closed_value(row.spec, ctx)
+            assert abs(got - evaluate(row.expected, ctx)) <= mpf(10) ** -(digits + 10), row.id
 
 
 def test_spot_values():
