@@ -203,6 +203,8 @@ def _cmd_eval(args: argparse.Namespace):
     ctx = make_context(args.digits)
     spec = _spec_from_args(args)
     if args.force_terms is not None:
+        if args.max_terms < 1:
+            raise UsageError(f"max_terms must be >= 1, got {args.max_terms}")
         count = args.force_terms + 1 - spec.first_index()
         if count > args.max_terms:
             raise UsageError(
@@ -373,7 +375,24 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="data-stream format (default text)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _value_words(parser: argparse.ArgumentParser) -> frozenset:
+    """The words that `parser` reads as one of _VALUE_FLAGS, resolved as
+    argparse resolves them: an exact option wins, otherwise a prefix of
+    exactly one option ("--ph" for "--phi"; "--p" is G's "--p")."""
+    options = parser._option_string_actions
+    words = set()
+    for flag in _VALUE_FLAGS:
+        if flag in options:
+            words.add(flag)
+            for end in range(3, len(flag)):
+                prefix = flag[:end]
+                if prefix not in options and sum(o.startswith(prefix) for o in options) == 1:
+                    words.add(prefix)
+    return frozenset(words)
+
+
+def _build_parser() -> tuple:
+    """The parser, and each subcommand's value-flag words (_value_words)."""
     ap = argparse.ArgumentParser(
         prog="cbcseries",
         description="Certified evaluation and verification of central-binomial series.",
@@ -420,15 +439,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                    help="data-stream format (default text)")
 
-    return ap
+    return ap, {name: _value_words(p) for name, p in sub.choices.items()}
+
+
+# built once, at import: parsing keeps its state in the namespace it returns,
+# and help and usage read the terminal and sys.stdout/stderr when they print
+_PARSER, _VALUE_WORDS = _build_parser()
 
 
 def _attach_negative_values(argv: list) -> list:
     """Write a value flag followed by a negative word, "--x -1/2", as the one
     word "--x=-1/2", which argparse reads as the flag's value."""
+    words = _VALUE_WORDS.get(argv[0], ()) if argv else ()
     out = []
     for word in argv:
-        if out and out[-1] in _VALUE_FLAGS and _NEGATIVE_VALUE_RE.match(word):
+        if out and out[-1] in words and _NEGATIVE_VALUE_RE.match(word):
             out[-1] += "=" + word
         else:
             out.append(word)
@@ -436,9 +461,8 @@ def _attach_negative_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -192,10 +193,22 @@ def test_negative_values_as_separate_words(capsys, monkeypatch):
     assert spaced == joined
     code, out, err = run(capsys, "compare", "--family", "T3", "--phi", "-pi/6")
     assert code == 0, err
-    code, out, err = run(capsys, "compare", "--family", "F3", "--x", "1/2", "--tol", "-1/10")
+    for tol in ("--tol", "--to", "--t"):
+        code, out, err = run(capsys, "compare", "--family", "F3", "--x", "1/2", tol, "-1/10")
+        assert code == 2, tol
+        assert out == ""
+        assert "tolerance must be >= 0" in err
+    # an abbreviated flag resolves as argparse resolves it: a unique prefix
+    # ("--ph" is --phi), but an exact flag first ("--p" is G's --p)
+    eval_t1 = ("eval", "--family", "T1", "--format", "json")
+    code, abbreviated, err = run(capsys, *eval_t1, "--ph", "-pi/6")
+    assert code == 0, err
+    code, full, err = run(capsys, *eval_t1, "--phi=-pi/6")
+    assert code == 0, err
+    assert abbreviated == full
+    code, out, err = run(capsys, "eval", "--family", "G1", "--m", "1", "--s", "0", "--p", "-17/2")
     assert code == 2
-    assert out == ""
-    assert "tolerance must be >= 0" in err
+    assert "got p = -17/2" in err
     # the same from the command line itself
     monkeypatch.setattr(sys, "argv", ["cbcseries", *eval_c1, "--x", "-1/2"])
     assert cli.main() == 0
@@ -228,6 +241,53 @@ def test_traced_names_are_looked_up_at_call_time(capsys, monkeypatch):
     assert registry.run_example("thm15-I3", make_context(30)).passed
     assert calls["evaluate"] == 1
     capsys.readouterr()
+
+
+def test_main_reuses_one_parser_and_carries_no_state(capsys, monkeypatch):
+    """The parser is built once, at import: main builds none, and no call
+    leaves state in it that a later call sees."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    compare = ("compare", "--family", "F3", "--x", "1/2", "--format", "json")
+    code, out, err = run(capsys, *compare, "--tol", "0")
+    assert code == 0, err
+    assert json.loads(out)["parameters"]["tol"] == "0"
+    code, out, err = run(capsys, *compare)
+    assert code == 0, err
+    assert json.loads(out)["parameters"]["tol"] == "1e-25"
+    eval_f3 = ("eval", "--family", "F3", "--x", "1/2", "--format", "json")
+    code, out, err = run(capsys, *eval_f3, "--force-terms", "10")
+    assert code == 0, err
+    assert json.loads(out)["results"][0]["converged"] == "false"
+    code, out, err = run(capsys, *eval_f3)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["results"][0]["converged"] == "true"
+    assert "force_terms" not in doc["parameters"]
+    # --set and --id are mutually exclusive; --id must not linger
+    code, out, err = run(capsys, "examples", "--id", "ex6-F3-x1", "--format", "json")
+    assert code == 0, err
+    code, out, err = run(capsys, "examples", "--set", "thm15", "--format", "json")
+    assert code == 0, err
+    assert len(json.loads(out)["results"]) == 7
+    code, out, err = run(capsys, "eval", "--family", "F99")
+    assert code == 2
+    assert err.startswith("usage: cbcseries eval")
+    code, out, err = run(capsys, "constants", "--digits", "10")
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "eval", "--help")
+    assert code == 0
+    assert out.startswith("usage: cbcseries eval")
+    code, out, err = run(capsys, "constants", "--digits", "10")
+    assert (code, err) == (0, "")
+    assert out.startswith("name ")
+    assert built == []
 
 
 def test_identity_unknown_id_rejected(capsys):
@@ -278,6 +338,7 @@ def test_usage_errors_exit_2(capsys):
         ("eval", "--family", "F3", "--x", "1/2", "--r", "4"),
         ("eval", "--family", "T1", "--phi", "pi/banana"),
         ("eval", "--family", "C1", "--x", "3/5"),
+        ("eval", "--family", "F3", "--x", "1/2", "--force-terms", "3", "--max-terms", "-5"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -355,10 +416,10 @@ def test_max_terms_past_the_search_limit_exits_2(capsys):
 
 
 def test_max_terms_below_one_exits_2(capsys):
-    for command in ("eval", "compare"):
+    for command in (("eval",), ("compare",), ("eval", "--force-terms", "3")):
         for cap in ("0", "-5"):
             code, out, err = run(
-                capsys, command, "--family", "F3", "--x", "1/2", f"--max-terms={cap}"
+                capsys, *command, "--family", "F3", "--x", "1/2", f"--max-terms={cap}"
             )
             assert code == 2
             assert out == ""
