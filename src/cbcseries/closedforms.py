@@ -91,7 +91,11 @@ def closed_value(spec: FamilySpec, ctx: PrecisionContext) -> Real:
             else:
                 v = _shape(row.sign, row.weight, x)
         elif row.group == "T":
-            v = _shape(row.sign, row.weight, mp.tan(phi_real(spec.phi, ctx)))
+            if spec.at_certification_boundary():  # tan(+-pi/4) = +-1 exactly
+                y = mpf(1 if spec.phi.coeff > 0 else -1)
+            else:
+                y = mp.tan(phi_real(spec.phi, ctx))
+            v = _shape(row.sign, row.weight, y)
         elif row.group == "C":
             # a - b is about y/3 at y = 4x^2: the difference cancels
             # log2(1/y) ~ 2 log2(1/|x|) bits, carried as extra working bits

@@ -20,7 +20,11 @@ Each result carries two proven error components:
 
 :func:`sum_adaptive` sums up to the least N whose ``tail_bound`` fits the
 target, found before summing by a secant search on log2 ``tail_bound`` (see
-:func:`_stop_index`).  ``term`` and ``term_fraction`` compute single summands
+:func:`_stop_index`).  Where the terms alternate, directly or in pairs, and
+their magnitudes are a moment sequence (C, H, F1-F4, T1-T4), it sums by
+certified CVZ (:func:`_cvz_sum`) instead wherever that is cheaper, and on
+the domain boundary, where no tail model exists; ``truncation_bound`` is
+then the CVZ error.  ``term`` and ``term_fraction`` compute single summands
 directly and are the independent checks of the driver.
 """
 
@@ -36,15 +40,22 @@ from mpmath import mp, mpf
 
 from cbcseries import moments
 from cbcseries.exact import binomial, fib_lucas, harmonic
-from cbcseries.families import FAMILIES, FamilySpec, PhiValue, SurdValue, sign
+from cbcseries.families import FAMILIES, Family, FamilySpec, PhiValue, SurdValue, sign
 from cbcseries.precision import PrecisionContext, Real, UsageError
 
 DEFAULT_MAX_TERMS = 10_000_000
 # multiplicative safety pad on every reported bound, so that the bound stays
 # an upper bound despite its own few-ulp evaluation error
 _BOUND_PAD = "1.00000001"
+# the same pad as a double, for the CVZ bounds: it covers their few roundings
+_CVZ_PAD = mpf(_BOUND_PAD)
 # the stop-index search reports "more than 2^64" past this index
 _SEARCH_LIMIT = 2**64
+# a CVZ step at scale 2^B costs about max(1, B/_CVZ_STEP_BITS) kernel steps, and
+# the stop-index search about _SEARCH_STEPS (CPython 3.11, mpmath's pure-Python
+# backend, 40 to 1000 digits)
+_CVZ_STEP_BITS = 256
+_SEARCH_STEPS = 256
 # model-guided stop-index probes before the search falls back to galloping and
 # bisection
 _MODEL_PROBES = 16
@@ -396,6 +407,27 @@ def _tan_fixed(phi: PhiValue, bits: int) -> Fraction:
     return Fraction(-t if phi.coeff < 0 else t, 1 << bits)
 
 
+def _first(row: Family) -> int:
+    """The first nonzero term: n = 1 for the n weight and for C(4n-2, 2n-1)."""
+    return 1 if row.first or row.index[1] < 0 else 0
+
+
+def _head(row: Family, r: _Ratio, z: Fraction) -> Tuple[int, int]:
+    """(hn, hd) with |t_first| = hn/hd = kappa |z|^first C(k, k/2)/2^k w(first),
+    for G and I1 without their F/L factor and for F1/F2 without sqrt(radicand)."""
+    first = _first(row)
+    k = row.index[0] * first + row.index[1]
+    wd = {"recip": k + 1, "harmonic": first + 1}.get(row.weight, 1)  # 1/w(first)
+    hn, hd = r.kappa.numerator * math.comb(k, k // 2), r.kappa.denominator * wd << k
+    return (hn * abs(z.numerator) ** first, hd * z.denominator ** first) if first else (hn, hd)
+
+
+def _signs(row: Family, r: _Ratio, negative: bool) -> Tuple[bool, bool, bool, bool]:
+    """Whether t_n is negative, for n mod 4, when z (tan phi for T) is ``negative``."""
+    flip = r.flip < 0
+    return tuple((sign(row.sign, n) < 0) ^ flip ^ (negative and n % 2 == 1) for n in range(4))
+
+
 def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
     """The summation descriptor of ``spec`` for indices up to N at scale 2^B."""
     row, r = FAMILIES[spec.family], _ratio(spec)
@@ -420,13 +452,8 @@ def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
     num, den = _poly(abs(zk.numerator), *num), _poly(zk.denominator, *den)
     g = math.gcd(*num, *den)
     num, den = tuple(c // g for c in num), tuple(c // g for c in den)
-    # the first nonzero term: n = 1 for the n weight and for C(4n-2, 2n-1)
-    first = 1 if row.first or b < 0 else 0
-    k = a * first + b
-    wd = {"recip": k + 1, "harmonic": first + 1}.get(row.weight, 1)  # 1/w(first)
-    zf = abs(z) ** first  # the head kappa z^first C(k, k/2)/2^k w(first) is hn/hd
-    hn = r.kappa.numerator * zf.numerator * math.comb(k, k // 2)
-    hd = r.kappa.denominator * zf.denominator * wd << k
+    first = _first(row)
+    hn, hd = _head(row, r, z)
     if r.stride is None:
         step, head = None, ((hn << B) // hd,)
     else:
@@ -437,16 +464,7 @@ def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
         # J1: A_n errs by at most n(n+1)/2 units and A_N, H_{N+1} <= 1 + log2(N+1),
         # so the Abel total errs by less than (2 + log2(N+1)) (N+1)^2 units
         units = 2 + (N + 1).bit_length()
-    neg = tuple(sign(row.sign, n) * (-1 if z < 0 else 1) ** n * r.flip < 0 for n in range(4))
-    return _Kernel(first, head, num, den, neg, step, r.out, row.weight, units)
-
-
-def _differences(c: Tuple[int, int, int, int], n: int) -> Tuple[int, int, int, int]:
-    """p(n) and the forward differences of p at n, for the cubic p with
-    coefficients c (constant first): p(n+1) - p(n), 2 c2 + 6 c3 (n + 1), 6 c3."""
-    c0, c1, c2, c3 = c
-    return (((c3 * n + c2) * n + c1) * n + c0, c1 + c2 * (2 * n + 1) + c3 * (3 * n * (n + 1) + 1),
-            2 * c2 + 6 * c3 * (n + 1), 6 * c3)
+    return _Kernel(first, head, num, den, _signs(row, r, z < 0), step, r.out, row.weight, units)
 
 
 def _run(k: _Kernel, N: int) -> int:
@@ -456,8 +474,8 @@ def _run(k: _Kernel, N: int) -> int:
     r1 + r2, r2 + r3), so each step multiplies and divides by the same
     integers as evaluating the two cubics at n would.
     """
-    r, r1, r2, r3 = _differences(k.num, k.first)
-    s, s1, s2, s3 = _differences(k.den, k.first)
+    r, r1, r2, r3 = moments.differences(k.num, k.first)
+    s, s1, s2, s3 = moments.differences(k.den, k.first)
     neg = k.neg
     if k.weight == "harmonic":  # J1: first = 0, so m = n + 2
         one = a = k.head[0]
@@ -649,6 +667,95 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
             step *= 2
 
 
+def _alternation(spec: FamilySpec) -> Optional[int]:
+    """How the terms of ``spec`` alternate, when their magnitudes are a moment
+    sequence: 0 term by term, 1 or -1 (the sign of t_(2k+1)/t_(2k)) in pairs
+    t_(2k) + t_(2k+1); None when they do not alternate or carry the n,
+    harmonic or F/L factor."""
+    row, r = FAMILIES[spec.family], _ratio(spec)
+    if r.stride is not None or row.weight not in ("plain", "recip"):
+        return None
+    neg = _signs(row, r, (spec.phi.coeff if r.z is None else r.z) < 0)
+    if neg[0] != neg[1] != neg[2] != neg[3]:
+        return 0
+    if neg[0] != neg[2] and neg[1] != neg[3]:
+        return 1 if neg[0] == neg[1] else -1
+    return None
+
+
+def _cvz_sum(spec: FamilySpec, pair: int, target: Real, ctx: PrecisionContext,
+             max_terms: int, boundary: bool) -> Optional[EvalResult]:
+    """The certified sum by the CVZ acceleration, or None off the boundary
+    where the kernel is cheaper or CVZ would pass ``max_terms``.
+
+    The magnitudes A_j (terms or pairs) are moments of a positive measure on
+    [0, q'] (:func:`moments.grid_support`); pairs because a_2k +- a_2k+1 =
+    int t^2k (1 +- t) dmu.  n weights then err by at most A_0 qn^n/d
+    (:func:`moments.cvz`), with A_0 <= a_first (2 a_first for + pairs), so n
+    follows from the target in closed form (:func:`moments.weight_count`).  A
+    magnitude j steps past the head lies within units (j + 1) below its exact
+    value, and the weighted total errs by less than the sum of those over the
+    A_j.  Runs at the working precision of ``ctx``.
+    """
+    row, r = FAMILIES[spec.family], _ratio(spec)
+    if r.z == 0:  # x = 0: the kernel sums the one nonzero term
+        return None
+    # the kernel's term ratio q, from _constants only where z or sqrt(radicand)
+    # is irrational
+    ratio = root = None
+    if r.z is None or r.radicand != 1:
+        ratio, _, root, _ = _constants(spec, ctx)
+    z = abs(r.z) if r.z is not None else None
+    log_q = _log2(ratio) if z is None else math.log2(z.numerator) - math.log2(z.denominator)
+    # a T head has first = 0, so tan(phi) does not enter it
+    hn, hd = _head(row, r, r.z if r.z is not None else Fraction(1))
+    hn *= 2 if pair > 0 else 1  # a0 = hn/hd
+    # the support [0, q] of the magnitudes' measure: q = |z|, or z^2 in pairs
+    e = 2 if pair else 1
+    q = moments.grid_support(ratio**e if z is None else z**e)
+    # log2(a0 root/(target (1 - 2^-16))), with 2^-15 for the last factor
+    bits = math.log2(hn) - math.log2(hd) - _log2(target) + 2**-15
+    if root is not None:
+        bits += _log2(root)
+    n = moments.weight_count(bits, q)
+    steps = 2 * n if pair else n
+    first = _first(row)
+    last = first + steps - 1
+    B = _scale_bits(last, ctx)
+    if not boundary:
+        # the kernel steps about bits/log2(1/q) terms, after its stop-index search
+        kernel = math.inf if log_q >= 0 else bits / -log_q + _SEARCH_STEPS
+        if steps > max_terms or steps * max(1, B / _CVZ_STEP_BITS) >= kernel:
+            return None
+    if steps > max_terms:
+        raise ConvergenceError(
+            spec, target, f"CVZ on [0, {q}] needs {steps} terms, past the cap of "
+            f"{max_terms} terms", ctx, first + max_terms - 1)
+    k = _kernel(spec, last, B)
+    d, weights = moments.weights(n, q)
+    total = moments.cvz(k.num, k.den, k.head[0], first, weights, pair) // d
+    units = k.units * (2 * n * n + n if pair else n * (n + 1) // 2) + 1  # + 1 for // d
+    value = mp.ldexp(total, -B)
+    # trunc = a0 qn^n/d rounded up to prec - 1 bits, so exactly; the rounding
+    # bound adds the rounding of the value, below 2^(4 - prec) |value|
+    num, den = hn * q.numerator**n, hd * d
+    shift = mp.prec - 1 - num.bit_length() + den.bit_length()
+    up = -((-num << shift) // den) if shift >= 0 else -(-num // (den << -shift))
+    trunc = mp.ldexp(up, -shift)
+    rounding = mp.ldexp(units + (abs(total) >> (mp.prec - 4)) + 1, -B)
+    if root is not None:  # three more roundings, which the pad covers
+        value, trunc, rounding = value * root, trunc * root * _CVZ_PAD, rounding * root * _CVZ_PAD
+    if k.neg[first & 3]:
+        value = -value
+    converged = trunc + rounding <= target
+    result = EvalResult(spec, value, steps, trunc, rounding, converged, ctx.digits)
+    if not converged:
+        raise ConvergenceError(
+            spec, target, f"CVZ with {n} weights on [0, {q}] leaves truncation "
+            f"{mp.nstr(trunc, 8)} and rounding {mp.nstr(rounding, 8)}", ctx, last, result)
+    return result
+
+
 def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
     row = FAMILIES[spec.family]
     if row.weight == "harmonic":
@@ -671,8 +778,12 @@ def sum_adaptive(
 
     The stop index N is the least index whose ``tail_bound`` is within
     (1 - 2^-16) of the target (the rest is left for rounding), computed once
-    before summing.  Raises :class:`UncertifiedError` at parameter points
-    with no tail model, :class:`ConvergenceError` when N lies past
+    before summing.  Alternating moment sequences go to :func:`_cvz_sum`
+    first, which sums them when it is cheaper or no tail model exists; its
+    ``terms_used`` counts the terms stepped, both of each pair.  Raises
+    :class:`UncertifiedError` at parameter points with neither (the
+    n-weighted shapes on the boundary, where they diverge),
+    :class:`ConvergenceError` when N or the CVZ terms lie past
     ``max_terms`` terms (counted from the family's first index) or when the
     rounding bound keeps the total above the target, and
     :class:`UsageError` when ``max_terms`` is below 1 or above 2^64, past
@@ -683,7 +794,12 @@ def sum_adaptive(
     if max_terms > _SEARCH_LIMIT:
         raise UsageError(
             f"sum_adaptive: max_terms must be <= 2^64, the search limit, got {max_terms}")
-    if spec.at_certification_boundary():
+    pair, boundary = _alternation(spec), spec.at_certification_boundary()
+    if boundary and pair is None:
+        if FAMILIES[spec.family].weight == "linear":
+            raise UncertifiedError(
+                spec, "the terms grow like sqrt(n) on the domain boundary, so the series "
+                "diverges; use sum_fixed for a partial sum")
         raise UncertifiedError(
             spec, "parameter on the domain boundary; use sum_fixed for an "
             "uncertified partial sum"
@@ -692,6 +808,10 @@ def sum_adaptive(
         target = ctx.real(target_abs_error)
         if not target > 0:
             raise UsageError("sum_adaptive: target_abs_error must be > 0")
+        if pair is not None:
+            result = _cvz_sum(spec, pair, target, ctx, max_terms, boundary)
+            if result is not None:
+                return result
         last = spec.first_index() + max_terms - 1
         at_cap = None
         try:

@@ -348,13 +348,15 @@ class FamilySpec:
         return FAMILIES[self.family].first
 
     def at_certification_boundary(self) -> bool:
-        """True when the parameter sits where no proven tail bound exists.
+        """True when the parameter sits where the term ratio reaches 1, so that
+        no tail model exists.
 
         F families at |x| = 1; T families at |phi| = pi/4; G families at
         p = 4 alpha^|m| (unreachable for rational p); I1 at no r (the ratio
-        alpha^r/L_r < 1 for all even r >= 0).  C families certify on their
-        whole domain via the alternating-term bound, J1 via its integral
-        bound, H families are strict-interior by validation.
+        alpha^r/L_r < 1 for all even r >= 0).  C families have the
+        alternating-term model on their whole domain, J1 its integral
+        bound, H families are strict-interior by validation.  F1-F4 and
+        T1-T4 still certify there, by CVZ; F5/F6 and T5/T6 diverge.
         """
         group = FAMILIES[self.family].group
         if group == "F":

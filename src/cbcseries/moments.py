@@ -1,30 +1,30 @@
-"""Certified partial sums of the C families without stepping every term.
+"""Certified CVZ summation of alternating moment sequences.
 
-The magnitudes a_n of C1 and C2 form a Hausdorff moment sequence on [0, 1]:
-with k = 4n + b, a_n = kappa (16x^4)^n c_k/(k + 1), where
+Where a series alternates, its magnitudes are often a Hausdorff moment
+sequence a_m = int_0^q t^m dmu for a positive mu: the central-binomial
+factor c_k = C(k, k/2)/2^k = (1/pi) int_0^1 t^(k/2 - 1/2) (1 - t)^(-1/2) dt
+and 1/(k + 1) = int_0^1 s^k ds are moments in the index, and so are their
+products, a factor |z|^m (which moves the support to [0, |z|]) and every
+shift m -> M + j.  The acceleration of H. Cohen, F. Rodriguez Villegas and
+D. Zagier ("Convergence acceleration of alternating series", Exp. Math. 9,
+2000), with P_n(t) = T_n(1 - 2t/q) for the Chebyshev polynomial T_n, then
+sums sum (-1)^m a_m from n weighted terms to within a_0/T_n(1 + 2/q): 3 +
+sqrt8 per weight at q = 1, 9.9 at q = 1/2.  Terms whose signs repeat with
+period 4 (F1-F4, T1-T4) alternate in pairs a_2k +- a_2k+1 = int t^2k (1 +-
+t) dmu, again moments, on [0, q^2].
 
-    c_k = C(k, k/2)/2^k = (1/pi) int_0^1 t^(k/2 - 1/2) (1 - t)^(-1/2) dt
-
-and 1/(k + 1) = int_0^1 s^k ds are moments in n, and so are their product,
-the point mass (16x^4)^n on [0, 1] and every shift n -> N + 1 + j.  So the
-alternating sums S = sum_n (-1)^n a_n and T(N) = sum_{n>N} (-1)^n a_n both
-yield to the acceleration of H. Cohen, F. Rodriguez Villegas and D. Zagier
-("Convergence acceleration of alternating series", Exp. Math. 9, 2000):
-n weighted terms give the sum to within a_first/T_n(3), T_n the Chebyshev
-polynomial, and the partial sum is S_N = S - T(N).
-
-Two services make that a proof:
-
-* :func:`central_binomial_enclosure` encloses c_k at any even index from the
-  Stirling series of ln Gamma, which envelops for real arguments (DLMF
-  5.11(ii)): the remainder lies between 0 and the first omitted term.  T(N)
-  needs it for a_{N+1}.
-* :func:`_cvz` runs the weighted sum on integers scaled by 2^B, stepping
-  a_j/a_first by the exact term ratio of the summation kernel, with every
-  truncation counted.
-
-:func:`partial_sum` assembles S_N; ``engine.sum_fixed`` takes it from
-:func:`crossover` terms on.
+* :func:`cvz` is the one summation loop: it steps the magnitudes on
+  integers scaled by 2^B by the exact term ratio of the summation kernel,
+  with the cubics stepped by exact forward differences
+  (:func:`differences`), and weights them by :func:`weights`.
+  ``engine.sum_adaptive`` sums the alternating families with it, n
+  following from the target (:func:`weight_count`).
+* :func:`partial_sum` forms a C1/C2 partial sum in bound mode as S_N =
+  S - T(N), two calls of the loop, from :func:`crossover` terms on.  T(N)
+  needs a_(N+1), which :func:`central_binomial_enclosure` encloses at any
+  even index from the Stirling series of ln Gamma, which envelops for real
+  arguments (DLMF 5.11(ii)): the remainder lies between 0 and the first
+  omitted term.
 """
 
 from __future__ import annotations
@@ -32,20 +32,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import Iterable, Iterator, Tuple
 
 from mpmath import iv, mp
 
 from cbcseries.precision import PrecisionContext, Real, UsageError
-
-# log2(3 + sqrt8): T_n(3) >= (3 + sqrt8)^n / 2
-_LOG2_CVZ_RATE = math.log2(3 + math.sqrt(8))
-
-
-def cvz_terms(B: int) -> int:
-    """The CVZ weights n whose Chebyshev denominator T_n(3) is at least 2^B."""
-    return math.ceil((B + 2) / _LOG2_CVZ_RATE)
-
 
 def crossover(B: int) -> int:
     """The least N at which :func:`partial_sum` is worth its cost at scale 2^B.
@@ -57,7 +48,7 @@ def crossover(B: int) -> int:
     12 at 1000 (B = 3400), 40 at 10^4 (B = 33,300); max(10, sqrt(B/16))
     gives 10, 15 and 46.
     """
-    return math.ceil(max(10, math.sqrt(B / 16)) * cvz_terms(B))
+    return math.ceil(max(10, math.sqrt(B / 16)) * weight_count(B + 1, Fraction(1)))
 
 
 @lru_cache(maxsize=4)
@@ -150,40 +141,102 @@ def _stirling_enclosure(m: int, bits: int):
                   - 2 * m * iv.log(2))
 
 
-def _chebyshev_3(n: int) -> int:
-    """T_n(3), by T_(j+1) = 6 T_j - T_(j-1)."""
-    t0, t1 = 1, 3
+def chebyshev(n: int, q: Fraction) -> int:
+    """d = qn^n T_n(1 + 2/q) for q = qn/qd, the integer denominator of the CVZ
+    weights on [0, q], by U_(j+1) = 2 (qn + 2 qd) U_j - qn^2 U_(j-1) for
+    U_j = qn^j T_j(1 + 2/q)."""
+    qn, qd = q.numerator, q.denominator
+    x, qq = 2 * (qn + 2 * qd), qn * qn
+    t0, t1 = 1, qn + 2 * qd
     for _ in range(n):
-        t0, t1 = t1, 6 * t1 - t0
+        t0, t1 = t1, x * t1 - qq * t0
     return t0
 
 
-def _cubic(c: Tuple[int, int, int, int], m: int) -> int:
-    return ((c[3] * m + c[2]) * m + c[1]) * m + c[0]
+def grid_support(q) -> Fraction:
+    """q' >= q on the grid 1/16, for 0 <= q <= 1 a Fraction or, with 2^-20 to
+    spare for its rounding, an mpf."""
+    if isinstance(q, Fraction):
+        return Fraction(max(1, -(-16 * q.numerator // q.denominator)), 16)
+    return Fraction(min(16, max(1, int(mp.ceil(q * 16 + mp.ldexp(1, -20))))), 16)
 
 
-def _cvz(num, den, first: int, n: int, d: int, B: int) -> Tuple[int, int]:
-    """sum_j c_j u_j and sum_j c_j v_j, j < n, for the CVZ weights c_j and u_j,
-    v_j the floors of 2^B a_j/a_0 and 2^B a_(first+j)/a_first, stepped by
-    a_(m+1)/a_m = num(m)/den(m) <= 1.
+def weight_count(bits: float, q: Fraction) -> int:
+    """The least n with 2/rho^n <= 2^-bits, rho = x + sqrt(x^2 - 1) at x = 1 +
+    2/q, so that qn^n/d = 1/T_n(x) <= 2^-bits, as T_n(x) >= rho^n/2."""
+    x = 1 + 2 * q.denominator / q.numerator
+    return max(1, math.ceil((bits + 1) / math.log2(x + math.sqrt(x * x - 1))))
 
-    With P(t) = T_n(1 - 2t) = sum_i beta_i t^i, c_j = (-1)^j sum_(i>j) |beta_i|
-    and d = T_n(3) = sum |beta_i|.  For moments a_m of a positive measure on
-    [0, 1], |sum_j (-1)^j a_j/a_0 - sum_j c_j a_j/(d a_0)| <= 1/d, and so from
-    ``first``.  Each u_j lies within j units below its exact value (a ratio at
-    most 1 carries earlier errors on undiminished) and |c_j| < d, so each
-    scaled total errs by less than d n(n - 1)/2 units.
+
+def differences(c: Tuple[int, int, int, int], n: int) -> Tuple[int, int, int, int]:
+    """p(n) and the forward differences of p at n, for the cubic p with
+    coefficients c (constant first): p(n+1) - p(n), 2 c2 + 6 c3 (n + 1), 6 c3."""
+    c0, c1, c2, c3 = c
+    return (((c3 * n + c2) * n + c1) * n + c0, c1 + c2 * (2 * n + 1) + c3 * (3 * n * (n + 1) + 1),
+            2 * c2 + 6 * c3 * (n + 1), 6 * c3)
+
+
+def _weights(n: int, q: Fraction, d: int) -> Iterator[int]:
+    """The CVZ weights c_0, ..., c_(n-1) on [0, q], for d = ``chebyshev(n, q)``.
+
+    With q = qn/qd and qn^n T_n(1 - 2t/q) = sum_i beta_i t^i, c_j = (-1)^j
+    sum_(i>j) |beta_i| and d = sum |beta_i|; b steps through -|beta_0|,
+    |beta_1|, -|beta_2|, ... by the exact ratio of consecutive coefficients.
     """
-    u = v = 1 << B
-    b, c, head, tail = -1, -d, 0, 0
+    qn, qd = q.numerator, q.denominator
+    b, c = -qn**n, -d
     for j in range(n):
         c = b - c
-        head += c * u
-        tail += c * v
-        b = b * 2 * (j + n) * (j - n) // ((2 * j + 1) * (j + 1))
-        u = u * _cubic(num, j) // _cubic(den, j)
-        v = v * _cubic(num, first + j) // _cubic(den, first + j)
-    return head, tail
+        yield c
+        b = b * (2 * (j + n) * (j - n) * qd) // ((2 * j + 1) * (j + 1) * qn)
+
+
+@lru_cache(maxsize=8)
+def _weight_table(n: int, q: Fraction) -> Tuple[int, Tuple[int, ...]]:
+    d = chebyshev(n, q)
+    return d, tuple(_weights(n, q, d))
+
+
+def weights(n: int, q: Fraction) -> Tuple[int, Iterable[int]]:
+    """(d, c_0..c_(n-1)), memoised up to n = 128 (about 100 digits), where a
+    table takes at most about 15 kB; past that each weight reaches B bits, so
+    they stream, and each call gives a fresh stream."""
+    if n <= 128:
+        return _weight_table(n, q)
+    d = chebyshev(n, q)
+    return d, _weights(n, q, d)
+
+
+def cvz(num, den, u: int, first: int, weights: Iterable[int], pair: int = 0) -> int:
+    """sum_j c_j A_j over the CVZ ``weights`` c_j on [0, q] of :func:`weights`.
+
+    The magnitudes start at u = a_first and step by a_(m+1) = a_m num(m)//den(m),
+    the cubics stepped by exact forward differences.  A_j is a_(first+j) for
+    ``pair`` 0, else the pair a_(first+2j) + pair a_(first+2j+1).
+
+    |c_j| < d, and if A_j = int t^j dmu for a positive mu on [0, q], then
+    sum_j (-1)^j A_j = int dmu/(1 + t) and |that - sum_j c_j A_j/d| <=
+    qn^n A_0/d.  A floored a_m that lies within e units below its exact
+    value, with a ratio at most 1, steps to one within e + 1, so whatever the
+    caller counts per a_m, the weighted total errs by less than d times that
+    count summed over the A_j.
+    """
+    r, r1, r2, r3 = differences(num, first)
+    s, s1, s2, s3 = differences(den, first)
+    total = 0
+    for c in weights:
+        if pair:
+            v = u
+            u = u * r // s
+            r, r1, r2 = r + r1, r1 + r2, r2 + r3
+            s, s1, s2 = s + s1, s1 + s2, s2 + s3
+            total += c * (v + u if pair > 0 else v - u)
+        else:
+            total += c * u
+        u = u * r // s
+        r, r1, r2 = r + r1, r1 + r2, r2 + r3
+        s, s1, s2 = s + s1, s1 + s2, s2 + s3
+    return total
 
 
 def partial_sum(num, den, ratio, index: Tuple[int, int], N: int, B: int,
@@ -193,16 +246,20 @@ def partial_sum(num, den, ratio, index: Tuple[int, int], N: int, B: int,
     (a, b), a_m = kappa z^m C(k, k/2)/(2^k (k + 1)) (kappa, z from ``ratio``).
 
     S_N = a_0 H + (-1)^N a_(N+1) T for the normalized alternating sums H
-    from index 0 and T from N + 1.  The bound holds the two CVZ errors, the
-    counted truncations, the width of the enclosure of a_(N+1) and the
-    rounding of the value to the working precision.
+    from index 0 and T from N + 1, each one :func:`cvz` on [0, 1] from 2^B,
+    whose magnitudes are exact at the start and so err by at most j units
+    j steps on.  The bound holds the two CVZ errors, the counted
+    truncations, the width of the enclosure of a_(N+1) and the rounding of
+    the value to the working precision.
     """
-    n = cvz_terms(B)
-    d = _chebyshev_3(n)
+    one = Fraction(1)
+    n = weight_count(B + 1, one)  # T_n(3) >= 2^B
     (a, b), M = index, N + 1
     k = a * M + b
     units = n * (n - 1) // 2 + 1
-    head_sum, tail_sum = _cvz(num, den, M, n, d, B)
+    d, c = weights(n, one)
+    head_sum = cvz(num, den, 1 << B, 0, c)
+    tail_sum = cvz(num, den, 1 << B, M, weights(n, one)[1])
     saved = iv.prec
     try:
         iv.prec = B + 32

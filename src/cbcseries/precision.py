@@ -96,9 +96,9 @@ class PrecisionContext:
         raise UsageError(f"cannot interpret {value!r} as a real number")
 
     def to_str(self, value) -> str:
-        """Render at the requested digit count (deterministic)."""
-        with self.workprec():
-            return mp.nstr(value, self.digits, strip_zeros=False)
+        """Render at the requested digit count (deterministic: mpmath's nstr
+        reads the digit count, not the working precision)."""
+        return mp.nstr(value, self.digits, strip_zeros=False)
 
 
 def make_context(digits: int) -> PrecisionContext:

@@ -349,19 +349,25 @@ def get_example(row_id: str) -> ExampleRow:
     raise UsageError(f"unknown example id {row_id!r}")
 
 
+@lru_cache(maxsize=16)
+def _power_of_ten(exponent: int, ctx: PrecisionContext) -> Real:
+    """10^exponent at the working precision of ``ctx``, formed once per pair."""
+    with ctx.workprec():
+        return mp.mpf(10) ** exponent
+
+
 def adaptive_target(ctx: PrecisionContext):
     """10^-(digits + 2), the error target of the adaptive runs behind a comparison."""
-    with ctx.workprec():
-        return mp.mpf(10) ** (-(ctx.digits + 2))
+    return _power_of_ten(-(ctx.digits + 2), ctx)
 
 
 def comparison_tolerance(ctx: PrecisionContext, tolerance=None):
     """``tolerance`` at working precision, by default 10^(TOLERANCE_EXPONENT -
     digits): the slack granted to closed-form evaluation on top of the
     certified bound.  A negative tolerance raises :class:`UsageError`."""
+    if tolerance is None:
+        return _power_of_ten(TOLERANCE_EXPONENT - ctx.digits, ctx)
     with ctx.workprec():
-        if tolerance is None:
-            return mp.mpf(10) ** (TOLERANCE_EXPONENT - ctx.digits)
         tol = ctx.real(tolerance)
         if tol < 0:
             raise UsageError(f"tolerance must be >= 0, got {tolerance}")

@@ -1,5 +1,6 @@
 """End-to-end checks, one test per contract item, at the stated tolerances."""
 
+import json
 import time
 from fractions import Fraction
 
@@ -168,7 +169,7 @@ def test_criterion_09_lemma_suite():
     assert check_lemma2(samples, ctx).passed
 
 
-def test_criterion_10_robustness():
+def test_criterion_10_robustness(capsys):
     lo = make_context(30)
     hi = make_context(60)
     cases = [
@@ -190,4 +191,15 @@ def test_criterion_10_robustness():
             # the sharper form: the high-digit value sits inside the
             # low-digit certificate
             assert drift <= r_lo.error_bound() * mpf("1.000001"), spec.describe()
-    assert cli.main(["eval", "--family", "F4", "--x", "-1", "--digits", "20"]) == 3
+    assert cli.main(["eval", "--family", "F6", "--x", "-1", "--digits", "20"]) == 3
+    # F4 at x = -1 converges and is summed by CVZ
+    capsys.readouterr()
+    argv = ["eval", "--family", "F4", "--x", "-1", "--digits", "100", "--format", "json"]
+    assert cli.main(argv) == 0
+    row = json.loads(capsys.readouterr().out)["results"][0]
+    ref = make_context(120)
+    with ref.workprec():
+        closed = closed_value(FamilySpec("F4", x=Fraction(-1)), ref)
+        # the print rounds to 100 significant digits
+        slack = mpf(10) ** -100 * max(1, abs(closed))
+        assert abs(mpf(row["value"]) - closed) <= mpf(row["error_bound"]) + slack

@@ -14,11 +14,13 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 import cbcseries
 import cbcseries.cli as cli
 import cbcseries.registry as registry
-from cbcseries.families import MAX_INDEX
+from cbcseries.closedforms import closed_value
+from cbcseries.families import MAX_INDEX, FamilySpec
 from cbcseries.precision import GUARD_DIGITS, MAX_DIGITS, make_context
 from cbcseries.registry import ComparisonReport
 
@@ -42,11 +44,24 @@ def test_eval_simple(capsys):
 
 def test_eval_boundary_exits_3(capsys):
     code, out, err = run(
-        capsys, "eval", "--family", "F3", "--x", "1", "--digits", "20"
+        capsys, "eval", "--family", "F5", "--x", "1", "--digits", "20"
     )
     assert code == 3
     assert "numeric failure" in err
     assert out == ""
+    # F3 at x = 1 converges and is summed by CVZ
+    code, out, err = run(
+        capsys, "eval", "--family", "F3", "--x", "1", "--digits", "100", "--format", "json"
+    )
+    assert code == 0, err
+    row = json.loads(out)["results"][0]
+    assert row["converged"] == "true"
+    ctx = make_context(120)
+    with ctx.workprec():
+        closed = closed_value(FamilySpec("F3", x=Fraction(1)), ctx)
+        # the print rounds to 100 significant digits
+        slack = mpf(10) ** -100 * max(1, abs(closed))
+        assert abs(mpf(row["value"]) - closed) <= mpf(row["error_bound"]) + slack
 
 
 def test_eval_boundary_force_terms(capsys):
@@ -489,9 +504,19 @@ def test_installed_console_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "alpha" in proc.stdout
 
-    proc = run_wrapper("eval", "--family", "F3", "--x", "1", "--digits", "20")
+    proc = run_wrapper("eval", "--family", "F5", "--x", "1", "--digits", "20")
     assert proc.returncode == 3, proc.stderr
     assert "numeric failure" in proc.stderr
+
+    proc = run_wrapper("eval", "--family", "F3", "--x", "1", "--digits", "100", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout)["results"][0]
+    ctx = make_context(120)
+    with ctx.workprec():
+        closed = closed_value(FamilySpec("F3", x=Fraction(1)), ctx)
+        # the print rounds to 100 significant digits
+        slack = mpf(10) ** -100 * max(1, abs(closed))
+        assert abs(mpf(row["value"]) - closed) <= mpf(row["error_bound"]) + slack
 
     installed = shutil.which(entry.name)
     if installed:
