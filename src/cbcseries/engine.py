@@ -6,17 +6,20 @@ terms at a point, :func:`_ratio`.  The tail bound, its ratio q and the
 summation kernel read those two descriptions; only :func:`term_fraction`,
 the exact oracle, spells each family out.
 
-Each result carries two proven error components:
+Each sum runs one of three paths, which :func:`_plan` chooses before any
+term is stepped, by one measured cost rule; it also raises
+every refusal known before summing.  Each result carries two proven error
+components:
 
 * ``truncation_bound``: the one tail formula of :func:`tail_bound` (an
   integral comparison for J1) evaluated at the last summed index.
 * ``rounding_bound``: a counted bound on the arithmetic error of the one
   summation driver, which runs every family on integers scaled by 2^B
   (see :class:`_Kernel`), plus the final rounding to working precision.
-  Past :func:`cbcseries.moments.crossover` terms, :func:`sum_fixed` forms
-  a C partial sum as S - T(N) by certified CVZ instead of stepping every
-  term; its bound then holds the CVZ errors, their counted truncations and
-  the width of the enclosure of the first omitted term.
+  Where it is cheaper, :func:`sum_fixed` forms a C partial sum as S - T(N)
+  by certified CVZ instead of stepping every term (:func:`_split_sum`); its
+  bound then holds the CVZ errors, their counted truncations and the width
+  of the enclosure of the first omitted term.
 
 :func:`sum_adaptive` sums up to the least N whose ``tail_bound`` fits the
 target, found before summing by a secant search on log2 ``tail_bound`` (see
@@ -36,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
 
 from cbcseries import moments
 from cbcseries.exact import binomial, fib_lucas, harmonic
@@ -51,11 +54,6 @@ _BOUND_PAD = "1.00000001"
 _CVZ_PAD = mpf(_BOUND_PAD)
 # the stop-index search reports "more than 2^64" past this index
 _SEARCH_LIMIT = 2**64
-# a CVZ step at scale 2^B costs about max(1, B/_CVZ_STEP_BITS) kernel steps, and
-# the stop-index search about _SEARCH_STEPS (CPython 3.11, mpmath's pure-Python
-# backend, 40 to 1000 digits)
-_CVZ_STEP_BITS = 256
-_SEARCH_STEPS = 256
 # model-guided stop-index probes before the search falls back to galloping and
 # bisection
 _MODEL_PROBES = 16
@@ -243,7 +241,10 @@ class _Ratio(NamedTuple):
     out: Tuple[int, int] = (0, 1)
 
 
-@lru_cache(maxsize=32)
+# 64 entries hold every spec of a registry pass (48 _ratio and 42 _constants
+# keys at 30 digits); the largest, a G entry at |s| = 10^6, holds about 170 kB
+# of F/L integers, so about 11 MB in all at worst
+@lru_cache(maxsize=64)
 def _ratio(spec: FamilySpec) -> _Ratio:
     """The ``_Ratio`` of ``spec``, memoised because G's F_s, L_s can be large."""
     row, x = FAMILIES[spec.family], spec.x
@@ -275,7 +276,7 @@ def _ratio(spec: FamilySpec) -> _Ratio:
     return _Ratio(Fraction(4, lr * lr))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)  # sized as _ratio's memo
 def _constants(spec: FamilySpec, ctx: PrecisionContext) -> Tuple[Real, Real, Real, Real]:
     """(q, c, sqrt(radicand), pad) of ``spec`` at ``ctx``'s working precision,
     formed once per (spec, ctx), as the stop-index search reads them at each probe.
@@ -547,34 +548,7 @@ def _scaled_sum(spec: FamilySpec, N: int, ctx: PrecisionContext,
 
 
 # ---------------------------------------------------------------------------
-# summation drivers
-
-
-def sum_fixed(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
-    """Partial sum of the terms with index 0..N (inclusive).
-
-    Never refuses: at uncertifiable parameter points the truncation bound
-    is reported as +inf.  ``converged`` is always False; certified
-    convergence is :func:`sum_adaptive`'s job.  From
-    :func:`cbcseries.moments.crossover` on, C1 and C2 are not stepped term
-    by term: :func:`cbcseries.moments.partial_sum` gives S - T(N) with a
-    rounding bound no larger than the kernel's.  ``terms_used`` is N + 1
-    either way, the terms the value stands for.
-    """
-    if N < 0:
-        raise UsageError(f"sum_fixed: N must be >= 0, got {N}")
-    row, B = FAMILIES[spec.family], _scale_bits(N, ctx)
-    if row.group == "C" and N >= moments.crossover(B):
-        k = _kernel(spec, N, B)
-        value, rounding = moments.partial_sum(k.num, k.den, _ratio(spec), row.index, N, B, ctx)
-    else:
-        value, rounding = _scaled_sum(spec, N, ctx)
-    with ctx.workprec():
-        try:
-            trunc = tail_bound(spec, N, ctx)
-        except UncertifiedError:
-            trunc = mpf("inf")
-    return EvalResult(spec, value, N + 1, trunc, rounding, False, ctx.digits)
+# the summation plan
 
 
 def _log2(x: Real) -> float:
@@ -683,77 +657,116 @@ def _alternation(spec: FamilySpec) -> Optional[int]:
     return None
 
 
-def _cvz_sum(spec: FamilySpec, pair: int, target: Real, ctx: PrecisionContext,
-             max_terms: int, boundary: bool) -> Optional[EvalResult]:
-    """The certified sum by the CVZ acceleration, or None off the boundary
-    where the kernel is cheaper or CVZ would pass ``max_terms``.
+class _Plan(NamedTuple):
+    """How one sum runs, at scale 2^B, up to index ``last``: ``path`` "kernel"
+    (``trunc``, its tail bound), "cvz" (n weights on [0, q], in pairs of sign
+    ``pair`` if not 0, with A_0 <= hn/hd root for ``head`` = (hn, hd, root))
+    or "split" (n weights on [0, 1])."""
 
-    The magnitudes A_j (terms or pairs) are moments of a positive measure on
-    [0, q'] (:func:`moments.grid_support`); pairs because a_2k +- a_2k+1 =
-    int t^2k (1 +- t) dmu.  n weights then err by at most A_0 qn^n/d
-    (:func:`moments.cvz`), with A_0 <= a_first (2 a_first for + pairs), so n
-    follows from the target in closed form (:func:`moments.weight_count`).  A
-    magnitude j steps past the head lies within units (j + 1) below its exact
-    value, and the weighted total errs by less than the sum of those over the
-    A_j.  Runs at the working precision of ``ctx``.
+    path: str
+    last: int
+    B: int
+    n: int = 0
+    q: Fraction = Fraction(1)
+    pair: int = 0
+    trunc: Optional[Real] = None
+    head: Tuple[int, int, Optional[Real]] = (0, 1, None)
+
+
+def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
+          target: Optional[Real] = None, max_terms: int = DEFAULT_MAX_TERMS) -> _Plan:
+    """How to sum to index N (bound mode), or to within ``target`` in at most
+    ``max_terms`` terms (adaptive mode, at ``ctx``'s working precision): by
+    the path predicted cheapest, and by CVZ where no tail model exists.  n
+    weights on [0, q'] err by at most A_0 qn^n/d (:func:`moments.cvz`), so n
+    follows from the target in closed form; the kernel's N comes from
+    :func:`_stop_index`.  Raises the refusals known before summing, in this
+    order: :class:`UncertifiedError` on the boundary without CVZ,
+    :class:`UsageError` for a target not above 0, :class:`ConvergenceError`
+    past the cap or where q rounds to 1.
+
+    Costs are in kernel steps at scale 2^B, a step of C1 at x = 1/2, whose
+    state keeps all B bits (0.42-0.81 us at 40 digits, 2.4-4.0 us at 1000).
+    Best of 5 to 7, medians of 3 to 9 runs (CVZ on [0, 1]; at 2000 digits
+    6.69), of 6 (the search over C1, F3, H2, T3, I3) and of 3 (a C1 split at
+    x = 1/2 at the rule's crossover, per weight, with the enclosure's memo
+    cleared, as a new N finds it, and warm, as a repeated N does), CPython
+    3.11.7, mpmath 1.3.0's pure-Python backend; the last column is the rule:
+
+        digits      10    40   100   200   300  1000
+        B          120   220   430   755  1090  3420
+        CVZ step     -  1.08  2.18  2.70  3.07  5.30   max(1, sqrt(B/110))
+        search       -   426   468     -   383   453   400
+        split cold  25    16    11   9.3    11    15   max(10, sqrt(B/16))
+        split warm  11   7.7   6.9   6.4   7.9    11
+
+    Weights on [0, 13/16] (2.34 B bits) cost 1.83 times those on [0, 1] at
+    300 and 1000 digits, and on [0, 3/4] (1.56 B bits) 1.3 to 2 times; the
+    rule takes the ratio of the bits to the power 0.7 (1.81 and 1.36).  The
+    split's rule, from its first measurement (break-even N/n 7-9 at 40
+    digits, 12 at 1000, 40 at 10^4), lies between its cold and warm costs
+    but at 10 and 200 digits; no workload near the crossover shows which of
+    the two its requests see.
     """
-    row, r = FAMILIES[spec.family], _ratio(spec)
-    if r.z == 0:  # x = 0: the kernel sums the one nonzero term
-        return None
-    # the kernel's term ratio q, from _constants only where z or sqrt(radicand)
-    # is irrational
-    ratio = root = None
-    if r.z is None or r.radicand != 1:
-        ratio, _, root, _ = _constants(spec, ctx)
-    z = abs(r.z) if r.z is not None else None
-    log_q = _log2(ratio) if z is None else math.log2(z.numerator) - math.log2(z.denominator)
-    # a T head has first = 0, so tan(phi) does not enter it
-    hn, hd = _head(row, r, r.z if r.z is not None else Fraction(1))
-    hn *= 2 if pair > 0 else 1  # a0 = hn/hd
-    # the support [0, q] of the magnitudes' measure: q = |z|, or z^2 in pairs
-    e = 2 if pair else 1
-    q = moments.grid_support(ratio**e if z is None else z**e)
-    # log2(a0 root/(target (1 - 2^-16))), with 2^-15 for the last factor
-    bits = math.log2(hn) - math.log2(hd) - _log2(target) + 2**-15
-    if root is not None:
-        bits += _log2(root)
-    n = moments.weight_count(bits, q)
-    steps = 2 * n if pair else n
+    row = FAMILIES[spec.family]
     first = _first(row)
-    last = first + steps - 1
-    B = _scale_bits(last, ctx)
-    if not boundary:
-        # the kernel steps about bits/log2(1/q) terms, after its stop-index search
-        kernel = math.inf if log_q >= 0 else bits / -log_q + _SEARCH_STEPS
-        if steps > max_terms or steps * max(1, B / _CVZ_STEP_BITS) >= kernel:
-            return None
-    if steps > max_terms:
-        raise ConvergenceError(
-            spec, target, f"CVZ on [0, {q}] needs {steps} terms, past the cap of "
-            f"{max_terms} terms", ctx, first + max_terms - 1)
-    k = _kernel(spec, last, B)
-    d, weights = moments.weights(n, q)
-    total = moments.cvz(k.num, k.den, k.head[0], first, weights, pair) // d
-    units = k.units * (2 * n * n + n if pair else n * (n + 1) // 2) + 1  # + 1 for // d
-    value = mp.ldexp(total, -B)
-    # trunc = a0 qn^n/d rounded up to prec - 1 bits, so exactly; the rounding
-    # bound adds the rounding of the value, below 2^(4 - prec) |value|
-    num, den = hn * q.numerator**n, hd * d
-    shift = mp.prec - 1 - num.bit_length() + den.bit_length()
-    up = -((-num << shift) // den) if shift >= 0 else -(-num // (den << -shift))
-    trunc = mp.ldexp(up, -shift)
-    rounding = mp.ldexp(units + (abs(total) >> (mp.prec - 4)) + 1, -B)
-    if root is not None:  # three more roundings, which the pad covers
-        value, trunc, rounding = value * root, trunc * root * _CVZ_PAD, rounding * root * _CVZ_PAD
-    if k.neg[first & 3]:
-        value = -value
-    converged = trunc + rounding <= target
-    result = EvalResult(spec, value, steps, trunc, rounding, converged, ctx.digits)
-    if not converged:
-        raise ConvergenceError(
-            spec, target, f"CVZ with {n} weights on [0, {q}] leaves truncation "
-            f"{mp.nstr(trunc, 8)} and rounding {mp.nstr(rounding, 8)}", ctx, last, result)
-    return result
+    if N is not None:
+        B = _scale_bits(N, ctx)
+        n = moments.weight_count(B + 1, Fraction(1))  # T_n(3) >= 2^B
+        if row.group == "C" and max(10, math.sqrt(B / 16)) * n <= N:
+            return _Plan("split", N, B, n)
+        return _Plan("kernel", N, B)
+    pair, boundary, r = _alternation(spec), spec.at_certification_boundary(), _ratio(spec)
+    if boundary and pair is None:
+        raise UncertifiedError(spec, (
+            "the terms grow like sqrt(n) on the domain boundary, so the series diverges; use "
+            "sum_fixed for a partial sum") if row.weight == "linear" else (
+            "parameter on the domain boundary; use sum_fixed for an uncertified partial sum"))
+    if not target > 0:
+        raise UsageError("sum_adaptive: target_abs_error must be > 0")
+    if pair is not None and r.z != 0:  # at x = 0 the kernel sums the one nonzero term
+        # A_0 <= hn/hd root (2 a_first for + pairs; tan(phi) is not in a T head,
+        # as first = 0), root None where z and sqrt(radicand) are rational;
+        # ratio the kernel's q, and the magnitudes' support q = |z|, or z^2 in pairs
+        hn, hd = _head(row, r, r.z if r.z is not None else Fraction(1))
+        hn *= 2 if pair > 0 else 1
+        root = _constants(spec, ctx)[2] if r.z is None or r.radicand != 1 else None
+        ratio = _constants(spec, ctx)[0] if r.z is None else abs(r.z)
+        log_q = (_log2(ratio) if r.z is None
+                 else math.log2(ratio.numerator) - math.log2(ratio.denominator))
+        q = moments.grid_support(ratio ** (2 if pair else 1))
+        # log2(a0 root/(target (1 - 2^-16))), with 2^-15 for the last factor
+        bits = math.log2(hn) - math.log2(hd) - _log2(target) + 2**-15
+        if root is not None:
+            bits += _log2(root)
+        n = moments.weight_count(bits, q)
+        steps = 2 * n if pair else n
+        B = _scale_bits(first + steps - 1, ctx)
+        # the kernel steps about bits/log2(1/q) terms after its search; the
+        # weights on [0, qn/16] have about B + n log2(qn) bits
+        kernel = bits / -log_q + 400 if log_q < 0 else math.inf
+        cvz = steps * max(1, math.sqrt(B / 110)) * ((B + n * math.log2(q.numerator)) / B) ** 0.7
+        if boundary or (steps <= max_terms and cvz < kernel):
+            if steps > max_terms:
+                raise ConvergenceError(
+                    spec, target, f"CVZ on [0, {q}] needs {steps} terms, past the cap of "
+                    f"{max_terms} terms", ctx, first + max_terms - 1)
+            return _Plan("cvz", first + steps - 1, B, n, q, pair, head=(hn, hd, root))
+    last = spec.first_index() + max_terms - 1
+    try:
+        N, trunc = _stop_index(spec, target * (1 - mpf(2) ** -16), ctx)
+    except UncertifiedError:
+        # off the boundary the ratio majorant is below 1, so here it lies
+        # within a few ulps of 1: far more than 2^64 terms
+        N, at_cap = None, "the ratio majorant rounds to 1 at the working precision"
+    else:
+        if N is not None and N <= last:
+            return _Plan("kernel", N, _scale_bits(N, ctx), trunc=trunc)
+        at_cap = f"tail_bound at N = {last} is {mp.nstr(tail_bound(spec, last, ctx), 8)}"
+    raise ConvergenceError(
+        spec, target, f"{_tail_model(spec, ctx)} predicts N = "
+        f"{'more than 2^64' if N is None else N}, past the cap of {max_terms} terms ({at_cap})",
+        ctx, last)
 
 
 def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
@@ -768,6 +781,114 @@ def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
     return f"the geometric tail model (q = {q})"
 
 
+# ---------------------------------------------------------------------------
+# the runners, and the drivers: plan, run, wrap
+
+
+def _cvz_sum(spec: FamilySpec, plan: _Plan) -> Tuple[Real, Real, Real]:
+    """(value, truncation bound, rounding bound) of a "cvz" plan, at the
+    working precision, for ``plan.head`` = (hn, hd, root) with A_0 <= hn/hd
+    root.  The magnitudes A_j (terms or pairs) are moments of a positive
+    measure on [0, q'], pairs because a_2k +- a_2k+1 = int t^2k (1 +- t) dmu,
+    so the n weights err by at most A_0 qn^n/d.  A magnitude j steps past the
+    head lies within units (j + 1) below its exact value, and the weighted
+    total errs by less than the sum of those over the A_j.
+    """
+    n, q, pair, B, (hn, hd, root) = plan.n, plan.q, plan.pair, plan.B, plan.head
+    k = _kernel(spec, plan.last, B)
+    d, weights = moments.weights(n, q)
+    total = moments.cvz(k.num, k.den, k.head[0], k.first, weights, pair) // d
+    units = k.units * (2 * n * n + n if pair else n * (n + 1) // 2) + 1  # + 1 for // d
+    value = mp.ldexp(total, -B)
+    # trunc = a0 qn^n/d rounded up to prec - 1 bits, so exactly; the rounding
+    # bound adds the rounding of the value, below 2^(4 - prec) |value|
+    num, den = hn * q.numerator**n, hd * d
+    shift = mp.prec - 1 - num.bit_length() + den.bit_length()
+    up = -((-num << shift) // den) if shift >= 0 else -(-num // (den << -shift))
+    trunc = mp.ldexp(up, -shift)
+    rounding = mp.ldexp(units + (abs(total) >> (mp.prec - 4)) + 1, -B)
+    if root is not None:  # three more roundings, which the pad covers
+        value, trunc, rounding = value * root, trunc * root * _CVZ_PAD, rounding * root * _CVZ_PAD
+    return -value if k.neg[k.first & 3] else value, trunc, rounding
+
+
+def _iv_fraction(q: Fraction):
+    return iv.mpf(q.numerator) / q.denominator
+
+
+def _ends(v) -> Tuple[Real, Real]:
+    """The endpoints of an iv interval, as mpf."""
+    return mp.make_mpf(v._mpi_[0]), mp.make_mpf(v._mpi_[1])
+
+
+def _split_sum(spec: FamilySpec, plan: _Plan, ctx: PrecisionContext) -> Tuple[Real, Real]:
+    """(value, rounding bound) of a "split" plan: sum_(m<=N) (-1)^m a_m flip for
+    N = ``plan.last``, where a_m = kappa z^m C(k, k/2)/(2^k (k + 1)) with k = a
+    m + b for the C row's index (a, b), and kappa, z and flip from
+    :func:`_ratio`; a_(m+1)/a_m <= 1.
+
+    S_N = a_0 H + (-1)^N a_(N+1) T for the normalized alternating sums H
+    from index 0 and T from N + 1, each one :func:`moments.cvz` on [0, 1]
+    from 2^B, whose magnitudes are exact at the start and so err by at most
+    j units j steps on.  The bound holds the two CVZ errors, the counted
+    truncations, the width of the enclosure of a_(N+1)
+    (:func:`moments.central_binomial_enclosure`) and the rounding of the
+    value to the working precision.
+    """
+    ratio, (a, b) = _ratio(spec), FAMILIES[spec.family].index
+    N, B, n = plan.last, plan.B, plan.n
+    kernel, M = _kernel(spec, N, B), N + 1
+    k = a * M + b
+    units = n * (n - 1) // 2 + 1
+    d, c = moments.weights(n, Fraction(1))
+    head_sum = moments.cvz(kernel.num, kernel.den, 1 << B, 0, c)
+    tail_sum = moments.cvz(kernel.num, kernel.den, 1 << B, M, moments.weights(n, Fraction(1))[1])
+    saved = iv.prec
+    try:
+        iv.prec = B + 32
+        head = _iv_fraction(ratio.kappa * Fraction(math.comb(b, b // 2), (b + 1) << b))
+        tail_head = (_iv_fraction(ratio.kappa) * _iv_fraction(ratio.z) ** M
+                     * moments.central_binomial_enclosure(k, B + 8) / (k + 1))
+        scale = iv.ldexp(iv.mpf(d), B)
+        slack = iv.ldexp(iv.mpf([-units, units]), -B)
+        total = (head * (head_sum / scale + slack)
+                 + (-1) ** N * tail_head * (tail_sum / scale + slack))
+        low, high = _ends(total)
+        with ctx.workprec():
+            value = (low + high) / 2
+        low, high = _ends(total - value)
+    finally:
+        iv.prec = saved
+    with ctx.workprec():
+        # the sign applies last and exactly, so x and -x give opposite values
+        return ratio.flip * value, max(-low, high)
+
+
+def sum_fixed(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
+    """Partial sum of the terms with index 0..N (inclusive).
+
+    Never refuses: at uncertifiable parameter points the truncation bound
+    is reported as +inf.  ``converged`` is always False; certified
+    convergence is :func:`sum_adaptive`'s job.  Where :func:`_plan` finds it
+    cheaper, C1 and C2 are not stepped term by term: :func:`_split_sum`
+    gives S - T(N) with a rounding bound no larger than the kernel's.
+    ``terms_used`` is N + 1 either way, the terms the value stands for.
+    """
+    if N < 0:
+        raise UsageError(f"sum_fixed: N must be >= 0, got {N}")
+    plan = _plan(spec, ctx, N)
+    if plan.path == "split":
+        value, rounding = _split_sum(spec, plan, ctx)
+    else:
+        value, rounding = _scaled_sum(spec, N, ctx)
+    with ctx.workprec():
+        try:
+            trunc = tail_bound(spec, N, ctx)
+        except UncertifiedError:
+            trunc = mpf("inf")
+    return EvalResult(spec, value, N + 1, trunc, rounding, False, ctx.digits)
+
+
 def sum_adaptive(
     spec: FamilySpec,
     target_abs_error,
@@ -778,11 +899,11 @@ def sum_adaptive(
 
     The stop index N is the least index whose ``tail_bound`` is within
     (1 - 2^-16) of the target (the rest is left for rounding), computed once
-    before summing.  Alternating moment sequences go to :func:`_cvz_sum`
-    first, which sums them when it is cheaper or no tail model exists; its
-    ``terms_used`` counts the terms stepped, both of each pair.  Raises
-    :class:`UncertifiedError` at parameter points with neither (the
-    n-weighted shapes on the boundary, where they diverge),
+    before summing.  Alternating moment sequences are summed by
+    :func:`_cvz_sum` instead where :func:`_plan` finds that cheaper or no
+    tail model exists; its ``terms_used`` counts the terms stepped, both of
+    each pair.  Raises :class:`UncertifiedError` at parameter points with
+    neither (the n-weighted shapes on the boundary, where they diverge),
     :class:`ConvergenceError` when N or the CVZ terms lie past
     ``max_terms`` terms (counted from the family's first index) or when the
     rounding bound keeps the total above the target, and
@@ -794,52 +915,23 @@ def sum_adaptive(
     if max_terms > _SEARCH_LIMIT:
         raise UsageError(
             f"sum_adaptive: max_terms must be <= 2^64, the search limit, got {max_terms}")
-    pair, boundary = _alternation(spec), spec.at_certification_boundary()
-    if boundary and pair is None:
-        if FAMILIES[spec.family].weight == "linear":
-            raise UncertifiedError(
-                spec, "the terms grow like sqrt(n) on the domain boundary, so the series "
-                "diverges; use sum_fixed for a partial sum")
-        raise UncertifiedError(
-            spec, "parameter on the domain boundary; use sum_fixed for an "
-            "uncertified partial sum"
-        )
     with ctx.workprec():
         target = ctx.real(target_abs_error)
-        if not target > 0:
-            raise UsageError("sum_adaptive: target_abs_error must be > 0")
-        if pair is not None:
-            result = _cvz_sum(spec, pair, target, ctx, max_terms, boundary)
-            if result is not None:
-                return result
-        last = spec.first_index() + max_terms - 1
-        at_cap = None
-        try:
-            N, trunc = _stop_index(spec, target * (1 - mpf(2) ** -16), ctx)
-        except UncertifiedError:
-            # off the boundary the ratio majorant is below 1, so here it lies
-            # within a few ulps of 1: far more than 2^64 terms
-            N = trunc = None
-            at_cap = "the ratio majorant rounds to 1 at the working precision"
-        if N is None or N > last:
-            predicted = "more than 2^64" if N is None else str(N)
-            if at_cap is None:
-                at_cap = f"tail_bound at N = {last} is {mp.nstr(tail_bound(spec, last, ctx), 8)}"
-            raise ConvergenceError(
-                spec, target,
-                f"{_tail_model(spec, ctx)} predicts N = {predicted}, past the cap of "
-                f"{max_terms} terms ({at_cap})",
-                ctx, last,
-            )
-        value, rounding = _scaled_sum(spec, N, ctx, room=target - trunc)
-        partial = None
-        if value is not None:
-            if trunc + rounding <= target:
-                return EvalResult(spec, value, N + 1, trunc, rounding, True, ctx.digits)
-            partial = EvalResult(spec, value, N + 1, trunc, rounding, False, ctx.digits)
-        raise ConvergenceError(
-            spec, target,
-            f"at the predicted N = {N} the rounding bound {mp.nstr(rounding, 8)} leaves no "
-            f"room for it (truncation {mp.nstr(trunc, 8)}); it needs more working digits",
-            ctx, N, partial,
-        )
+        plan = _plan(spec, ctx, target=target, max_terms=max_terms)
+        N = plan.last
+        if plan.path == "cvz":
+            value, trunc, rounding = _cvz_sum(spec, plan)
+            terms = N + 1 - _first(FAMILIES[spec.family])
+        else:
+            trunc, terms = plan.trunc, N + 1
+            value, rounding = _scaled_sum(spec, N, ctx, room=target - trunc)
+        result = value if value is None else EvalResult(
+            spec, value, terms, trunc, rounding, trunc + rounding <= target, ctx.digits)
+        if result is not None and result.converged:
+            return result
+        reason = (f"CVZ with {plan.n} weights on [0, {plan.q}] leaves truncation "
+                  f"{mp.nstr(trunc, 8)} and rounding {mp.nstr(rounding, 8)}"
+                  if plan.path == "cvz" else
+                  f"at the predicted N = {N} the rounding bound {mp.nstr(rounding, 8)} leaves "
+                  f"no room for it (truncation {mp.nstr(trunc, 8)}); it needs more working digits")
+        raise ConvergenceError(spec, target, reason, ctx, N, result)

@@ -18,13 +18,15 @@ t) dmu, again moments, on [0, q^2].
   with the cubics stepped by exact forward differences
   (:func:`differences`), and weights them by :func:`weights`.
   ``engine.sum_adaptive`` sums the alternating families with it, n
-  following from the target (:func:`weight_count`).
-* :func:`partial_sum` forms a C1/C2 partial sum in bound mode as S_N =
-  S - T(N), two calls of the loop, from :func:`crossover` terms on.  T(N)
-  needs a_(N+1), which :func:`central_binomial_enclosure` encloses at any
-  even index from the Stirling series of ln Gamma, which envelops for real
-  arguments (DLMF 5.11(ii)): the remainder lies between 0 and the first
-  omitted term.
+  following from the target (:func:`weight_count`), and ``engine.sum_fixed``
+  forms a C1/C2 partial sum in bound mode as S_N = S - T(N), two calls of
+  the loop, where that is cheaper than the kernel.
+* :func:`central_binomial_enclosure` encloses C(k, k/2)/2^k at any even
+  index, the first term a_(N+1) of T(N), from the Stirling series of
+  ln Gamma, which envelops for real arguments (DLMF 5.11(ii)): the
+  remainder lies between 0 and the first omitted term.
+
+The module holds only this mathematics; ``engine`` chooses when to run it.
 """
 
 from __future__ import annotations
@@ -36,19 +38,7 @@ from typing import Iterable, Iterator, Tuple
 
 from mpmath import iv, mp
 
-from cbcseries.precision import PrecisionContext, Real, UsageError
-
-def crossover(B: int) -> int:
-    """The least N at which :func:`partial_sum` is worth its cost at scale 2^B.
-
-    A kernel step multiplies a B-bit integer by small ones, a CVZ step two
-    B-bit integers, so their cost ratio grows with B once the interpreter's
-    per-step overhead stops dominating.  Measured break-even N/n (CPython
-    3.11, mpmath on its pure-Python backend): 7-9 at 40 digits (B = 240),
-    12 at 1000 (B = 3400), 40 at 10^4 (B = 33,300); max(10, sqrt(B/16))
-    gives 10, 15 and 46.
-    """
-    return math.ceil(max(10, math.sqrt(B / 16)) * weight_count(B + 1, Fraction(1)))
+from cbcseries.precision import UsageError
 
 
 @lru_cache(maxsize=4)
@@ -73,15 +63,6 @@ def _log2_stirling_term(j: int, x: int) -> float:
     2 (2j)! zeta(2j)/(2 pi)^2j and zeta(2j) <= zeta(2) < 2."""
     return (2 + math.lgamma(2 * j + 1) / math.log(2) - 2 * j * math.log2(2 * math.pi)
             - math.log2(2 * j * (2 * j - 1)) - (2 * j - 1) * math.log2(x))
-
-
-def _iv_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / q.denominator
-
-
-def _ends(v) -> Tuple[Real, Real]:
-    """The endpoints of an iv interval, as mpf."""
-    return mp.make_mpf(v._mpi_[0]), mp.make_mpf(v._mpi_[1])
 
 
 def _stirling_terms(x: int, bits: int) -> int:
@@ -237,45 +218,3 @@ def cvz(num, den, u: int, first: int, weights: Iterable[int], pair: int = 0) -> 
         r, r1, r2 = r + r1, r1 + r2, r2 + r3
         s, s1, s2 = s + s1, s1 + s2, s2 + s3
     return total
-
-
-def partial_sum(num, den, ratio, index: Tuple[int, int], N: int, B: int,
-                ctx: PrecisionContext) -> Tuple[Real, Real]:
-    """(value, rounding bound) of sum_(n<=N) (-1)^n a_n ``ratio.flip``, for
-    a_(m+1)/a_m = num(m)/den(m) <= 1 and, with k = a m + b for ``index`` =
-    (a, b), a_m = kappa z^m C(k, k/2)/(2^k (k + 1)) (kappa, z from ``ratio``).
-
-    S_N = a_0 H + (-1)^N a_(N+1) T for the normalized alternating sums H
-    from index 0 and T from N + 1, each one :func:`cvz` on [0, 1] from 2^B,
-    whose magnitudes are exact at the start and so err by at most j units
-    j steps on.  The bound holds the two CVZ errors, the counted
-    truncations, the width of the enclosure of a_(N+1) and the rounding of
-    the value to the working precision.
-    """
-    one = Fraction(1)
-    n = weight_count(B + 1, one)  # T_n(3) >= 2^B
-    (a, b), M = index, N + 1
-    k = a * M + b
-    units = n * (n - 1) // 2 + 1
-    d, c = weights(n, one)
-    head_sum = cvz(num, den, 1 << B, 0, c)
-    tail_sum = cvz(num, den, 1 << B, M, weights(n, one)[1])
-    saved = iv.prec
-    try:
-        iv.prec = B + 32
-        head = _iv_fraction(ratio.kappa * Fraction(math.comb(b, b // 2), (b + 1) << b))
-        tail_head = (_iv_fraction(ratio.kappa) * _iv_fraction(ratio.z) ** M
-                     * central_binomial_enclosure(k, B + 8) / (k + 1))
-        scale = iv.ldexp(iv.mpf(d), B)
-        slack = iv.ldexp(iv.mpf([-units, units]), -B)
-        total = (head * (head_sum / scale + slack)
-                 + (-1) ** N * tail_head * (tail_sum / scale + slack))
-        low, high = _ends(total)
-        with ctx.workprec():
-            value = (low + high) / 2
-        low, high = _ends(total - value)
-    finally:
-        iv.prec = saved
-    with ctx.workprec():
-        # the sign applies last and exactly, so x and -x give opposite values
-        return ratio.flip * value, max(-low, high)

@@ -176,3 +176,13 @@ def alternating_specs(draw):
 @given(alternating_specs(), st.sampled_from([10, 40, 100]))
 def test_every_alternating_family_certifies_within_its_bound(spec, digits):
     certified(spec, digits)
+
+
+def test_cvz_refusal_below_the_rounding_floor_keeps_its_partial():
+    """A target below what the working precision can carry refuses after
+    summing, naming both bounds, and keeps the uncertified sum."""
+    with pytest.raises(ConvergenceError, match=r"CVZ with 105 weights on \[0, 1\] leaves "
+                                               r"truncation 8\.2820162e-81 and rounding") as info:
+        sum_adaptive(FamilySpec("F3", x=Fraction(1)), Fraction(1, 10**80), make_context(20))
+    assert info.value.partial.terms_used == 210
+    assert not info.value.partial.converged

@@ -24,12 +24,19 @@ def exact(v) -> Fraction:
 
 
 def first_cvz_index(ctx) -> int:
-    """The least N that sum_fixed sums by CVZ: N >= crossover(B(N)), where B
-    grows with N, so iterating N -> crossover(B(N)) from 0 stops there."""
-    N = 0
-    while N < moments.crossover(engine._scale_bits(N, ctx)):
-        N = moments.crossover(engine._scale_bits(N, ctx))
-    return N
+    """The least N that sum_fixed sums by S - T(N), found by galloping and
+    bisecting on the plan's path: the kernel's cost grows with N and the
+    split's only with B, which grows like log N."""
+    def split(N):
+        return engine._plan(FamilySpec("C1", x=Fraction(1, 2)), ctx, N).path == "split"
+
+    low, high = 0, 1
+    while not split(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if split(mid) else (mid, high)
+    return high
 
 
 @pytest.mark.parametrize("digits", [10, 40, 1000])
@@ -37,7 +44,7 @@ def test_central_binomial_enclosure_contains_the_exact_value(digits):
     bits = math.ceil(digits * 3.3219280948873626)
     for k in itertools.chain(range(0, 401, 2), (4000, 20000)):
         box = moments.central_binomial_enclosure(k, bits)
-        low, high = (exact(v) for v in moments._ends(box))
+        low, high = (exact(v) for v in engine._ends(box))
         c = Fraction(math.comb(k, k // 2), 2**k)
         assert low <= c <= high, (k, bits)
         assert (high - low) <= c / 2**bits, (k, bits)
