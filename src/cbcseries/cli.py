@@ -57,10 +57,10 @@ SCHEMA_VERSION = 1
 _TOL_HELP = f"comparison tolerance, >= 0 (default 10^({TOLERANCE_EXPONENT}-digits))"
 _PI_RE = re.compile(r"^([+-]?)pi(?:/(\d+))?$")
 
-# a negative fraction or angle given as a separate word ("--x -1/2",
-# "--phi -pi/6"), which argparse would read as a flag
+# the words each subcommand reads as values, not flags: a negative number, as
+# argparse's own matcher, and a negative fraction or angle ("--x -1/2",
+# "--phi -pi/6"), which that matcher would take for a flag
 _NEGATIVE_VALUE_RE = re.compile(r"^-(\d|\.|pi)")
-_VALUE_FLAGS = ("--x", "--phi", "--p", "--tol")
 
 # identity id -> (default --n-max of a range check, or None; the check run at
 # that bound and a context).  The lambdas look the check_* functions up as
@@ -115,8 +115,6 @@ def _spec_from_args(args: argparse.Namespace) -> FamilySpec:
             kwargs[name] = value
     if args.p is not None:
         kwargs["p"] = _parse_fraction(args.p, "--p")
-    if args.seq is not None:
-        kwargs["seq"] = args.seq
     return FamilySpec(family=args.family, **kwargs)
 
 
@@ -142,7 +140,7 @@ def _record(command: str, parameters: dict, results: list) -> dict:
 
 def _echo_spec(args: argparse.Namespace) -> dict:
     out = {"family": args.family}
-    for name in ("x", "phi", "m", "s", "p", "r", "seq"):
+    for name in ("x", "phi", "m", "s", "p", "r"):
         value = getattr(args, name, None)
         if value is not None:
             out[name] = value if isinstance(value, int) else str(value)
@@ -366,7 +364,6 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s", type=int, help="index offset (G families)")
     p.add_argument("--p", help="denominator base, exact p/q or decimal (G families)")
     p.add_argument("--r", type=int, help="even Lucas index (I1, I2)")
-    p.add_argument("--seq", choices=("F", "L"), help="sequence kind (G families)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -375,24 +372,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="data-stream format (default text)")
 
 
-def _value_words(parser: argparse.ArgumentParser) -> frozenset:
-    """The words that `parser` reads as one of _VALUE_FLAGS, resolved as
-    argparse resolves them: an exact option wins, otherwise a prefix of
-    exactly one option ("--ph" for "--phi"; "--p" is G's "--p")."""
-    options = parser._option_string_actions
-    words = set()
-    for flag in _VALUE_FLAGS:
-        if flag in options:
-            words.add(flag)
-            for end in range(3, len(flag)):
-                prefix = flag[:end]
-                if prefix not in options and sum(o.startswith(prefix) for o in options) == 1:
-                    words.add(prefix)
-    return frozenset(words)
-
-
-def _build_parser() -> tuple:
-    """The parser, and each subcommand's value-flag words (_value_words)."""
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cbcseries",
         description="Certified evaluation and verification of central-binomial series.",
@@ -439,30 +419,22 @@ def _build_parser() -> tuple:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                    help="data-stream format (default text)")
 
-    return ap, {name: _value_words(p) for name, p in sub.choices.items()}
+    # argparse has no public hook for this; it reads the private matcher the
+    # same way on CPython 3.10 to 3.13, and test_negative_values_as_separate_words
+    # fails if a later version stops
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_VALUE_RE
+    return ap
 
 
 # built once, at import: parsing keeps its state in the namespace it returns,
 # and help and usage read the terminal and sys.stdout/stderr when they print
-_PARSER, _VALUE_WORDS = _build_parser()
-
-
-def _attach_negative_values(argv: list) -> list:
-    """Write a value flag followed by a negative word, "--x -1/2", as the one
-    word "--x=-1/2", which argparse reads as the flag's value."""
-    words = _VALUE_WORDS.get(argv[0], ()) if argv else ()
-    out = []
-    for word in argv:
-        if out and out[-1] in words and _NEGATIVE_VALUE_RE.match(word):
-            out[-1] += "=" + word
-        else:
-            out.append(word)
-    return out
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

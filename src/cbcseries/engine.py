@@ -835,7 +835,8 @@ def _split_sum(spec: FamilySpec, plan: _Plan, ctx: PrecisionContext) -> Tuple[Re
     (:func:`moments.central_binomial_enclosure`) and the rounding of the
     value to the working precision.
     """
-    ratio, (a, b) = _ratio(spec), FAMILIES[spec.family].index
+    row, ratio = FAMILIES[spec.family], _ratio(spec)
+    a, b = row.index
     N, B, n = plan.last, plan.B, plan.n
     kernel, M = _kernel(spec, N, B), N + 1
     k = a * M + b
@@ -846,7 +847,7 @@ def _split_sum(spec: FamilySpec, plan: _Plan, ctx: PrecisionContext) -> Tuple[Re
     saved = iv.prec
     try:
         iv.prec = B + 32
-        head = _iv_fraction(ratio.kappa * Fraction(math.comb(b, b // 2), (b + 1) << b))
+        head = _iv_fraction(Fraction(*_head(row, ratio, ratio.z)))  # a_0
         tail_head = (_iv_fraction(ratio.kappa) * _iv_fraction(ratio.z) ** M
                      * moments.central_binomial_enclosure(k, B + 8) / (k + 1))
         scale = iv.ldexp(iv.mpf(d), B)

@@ -261,6 +261,7 @@ class FamilySpec:
     """One series from the catalog plus its parameters.
 
     Exactly the parameters the family needs may be given; the rest stay None.
+    A G family's F or L sequence is fixed by its id (``FAMILIES[id].seq``).
     Construction raises :class:`UsageError` on a domain violation.  The
     boundary of a domain (|x| = 1, |phi| = pi/4, p = 4 alpha^|m|) is accepted
     here; whether evaluation can be *certified* there is the engine's call.
@@ -273,7 +274,6 @@ class FamilySpec:
     s: Optional[int] = None
     p: Optional[Fraction] = None
     r: Optional[int] = None
-    seq: Optional[str] = None
 
     def __post_init__(self):
         fam = self.family
@@ -281,12 +281,7 @@ class FamilySpec:
             raise UsageError(f"unknown family {fam!r}")
         row = FAMILIES[fam]
         needed = set(filter(None, row.params.split(", ")))
-        if row.group == "G":
-            needed.add("seq")
-            if self.seq is None:
-                # seq is derivable from the id; fill it in for convenience
-                object.__setattr__(self, "seq", row.seq)
-        given = {name for name in ("x", "phi", "m", "s", "p", "r", "seq")
+        given = {name for name in ("x", "phi", "m", "s", "p", "r")
                  if getattr(self, name) is not None}
         extra = given - needed
         missing = needed - given
@@ -322,10 +317,6 @@ class FamilySpec:
                 _check_index(fam, name, getattr(self, name))
             if not isinstance(self.p, Fraction):
                 raise UsageError(f"{fam}: p must be an exact rational")
-            if self.seq not in ("F", "L"):
-                raise UsageError(f"{fam}: seq must be 'F' or 'L'")
-            if self.seq != row.seq:
-                raise UsageError(f"{fam} is a {row.seq}-sequence family; got seq={self.seq!r}")
             if four_alpha_pow_cmp(self.p, self.m) < 0:
                 raise UsageError(
                     f"{fam}: requires p >= 4*alpha^|m| "
@@ -376,10 +367,12 @@ class FamilySpec:
                 parts.append(f"x={self.x}")
         if self.phi is not None:
             parts.append(f"phi={self.phi}")
-        for name in ("m", "s", "p", "r", "seq"):
+        for name in ("m", "s", "p", "r"):
             v = getattr(self, name)
             if v is not None:
                 parts.append(f"{name}={v}")
+        if FAMILIES[self.family].group == "G":
+            parts.append(f"seq={FAMILIES[self.family].seq}")
         return " ".join(parts)
 
 

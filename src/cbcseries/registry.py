@@ -11,8 +11,10 @@ constant against the family closed form at 40 and 120 digits.
 Row modes:
 
 * ``adaptive``: sum the series with a certified adaptive run;
-* ``closed``: the parameter sits on the certification boundary (|x| = 1), so
-  the family closed form stands in for the series, with zero certified bound;
+* ``closed``: the family closed form stands in for the series, with zero
+  certified bound.  These are the six x = 1 rows: F5/F6, whose series
+  diverge there, and F1-F4, which CVZ certifies at x = 1 but which stay
+  here until the comparison itself is certified (ROADMAP item 5);
 * ``bound:N``: fixed N-term summation with its certified tail bound, for rows
   whose series converges too slowly for the adaptive path.
 
@@ -42,12 +44,13 @@ TOLERANCE_EXPONENT = 5
 
 @dataclass(frozen=True)
 class ExampleRow:
-    """One catalogued constant: series spec, exact scale, expected constant."""
+    """One catalogued constant: series spec, expected constant, mode and
+    exact scale.  The id names the set and the series (``ex6-F1-x1``); the
+    row carries no other description of itself."""
 
     id: str
     spec: FamilySpec
     expected: Callable[[Constants], Real]
-    anchor: str
     mode: str = "adaptive"
     scale: XValue = Fraction(1)
 
@@ -88,68 +91,50 @@ def _rows() -> tuple:
     rows += [
         ExampleRow("ex6-F1-x1", FamilySpec("F1", x=one),
                    lambda c: sqrt(2) * arccot(sqrt(c.delta)),
-                   "catalog ex6: inverse-tangent weight, ceil signs, denominator 4^n",
                    "closed"),
         ExampleRow("ex6-F2-x1", FamilySpec("F2", x=one),
                    lambda c: sqrt(2) * arccoth(sqrt(c.delta)),
-                   "catalog ex6: inverse-tangent weight, floor signs, denominator 4^n",
                    "closed"),
         ExampleRow("ex6-F1-xs2o2", FamilySpec("F1", x=sqrt2_over_2),
                    lambda c: 2 * arccot(sqrt(a3(c))),
-                   "catalog ex6: inverse-tangent weight, ceil signs, denominator 8^n",
                    scale=sqrt2),
         ExampleRow("ex6-F2-xs2o2", FamilySpec("F2", x=sqrt2_over_2),
                    lambda c: 2 * arccoth(sqrt(a3(c))),
-                   "catalog ex6: inverse-tangent weight, floor signs, denominator 8^n",
                    scale=sqrt2),
         ExampleRow("ex6-F1-x1o2", FamilySpec("F1", x=half),
                    lambda c: 2 * sqrt(2) * arctan(sqrt(sqrt(17) - 4)),
-                   "catalog ex6: inverse-tangent weight, ceil signs, denominator 16^n",
                    scale=Fraction(2)),
         ExampleRow("ex6-F2-x1o2", FamilySpec("F2", x=half),
                    lambda c: 2 * sqrt(2) * artanh(sqrt(sqrt(17) - 4)),
-                   "catalog ex6: inverse-tangent weight, floor signs, denominator 16^n",
                    scale=Fraction(2)),
         ExampleRow("ex6-F3-x1", FamilySpec("F3", x=one),
                    lambda c: 1 / sqrt(2 * c.delta),
-                   "catalog ex6: plain weight, ceil signs, denominator 4^n",
                    "closed"),
         ExampleRow("ex6-F4-x1", FamilySpec("F4", x=one),
                    lambda c: sqrt(2 * c.delta) / 2,
-                   "catalog ex6: plain weight, floor signs, denominator 4^n",
                    "closed"),
         ExampleRow("ex6-F3-x1o2", FamilySpec("F3", x=half),
-                   lambda c: 2 / sqrt(5 * c.alpha),
-                   "catalog ex6: plain weight, ceil signs, denominator 8^n"),
+                   lambda c: 2 / sqrt(5 * c.alpha)),
         ExampleRow("ex6-F4-x1o2", FamilySpec("F4", x=half),
-                   lambda c: 2 * sqrt(5 * c.alpha) / 5,
-                   "catalog ex6: plain weight, floor signs, denominator 8^n"),
+                   lambda c: 2 * sqrt(5 * c.alpha) / 5),
         ExampleRow("ex6-F3-x1o4", FamilySpec("F3", x=quarter),
-                   lambda c: 2 * sqrt(sqrt(17) - 1) / sqrt(17),
-                   "catalog ex6: plain weight, ceil signs, denominator 16^n"),
+                   lambda c: 2 * sqrt(sqrt(17) - 1) / sqrt(17)),
         ExampleRow("ex6-F4-x1o4", FamilySpec("F4", x=quarter),
-                   lambda c: 2 * sqrt(sqrt(17) + 1) / sqrt(17),
-                   "catalog ex6: plain weight, floor signs, denominator 16^n"),
+                   lambda c: 2 * sqrt(sqrt(17) + 1) / sqrt(17)),
         ExampleRow("ex6-F5-x1", FamilySpec("F5", x=one),
                    lambda c: -(sqrt(c.delta) / 4),
-                   "catalog ex6: linear weight, ceil signs, denominator 4^n",
                    "closed"),
         ExampleRow("ex6-F6-x1", FamilySpec("F6", x=one),
                    lambda c: -(1 / (4 * sqrt(c.delta))),
-                   "catalog ex6: linear weight, floor signs, denominator 4^n",
                    "closed"),
         ExampleRow("ex6-F5-x1o2", FamilySpec("F5", x=half),
-                   lambda c: -(sqrt(5 * a5(c)) / 25),
-                   "catalog ex6: linear weight, ceil signs, denominator 8^n"),
+                   lambda c: -(sqrt(5 * a5(c)) / 25)),
         ExampleRow("ex6-F6-x1o2", FamilySpec("F6", x=half),
-                   lambda c: 1 / (5 * sqrt(5 * a5(c))),
-                   "catalog ex6: linear weight, floor signs, denominator 8^n"),
+                   lambda c: 1 / (5 * sqrt(5 * a5(c)))),
         ExampleRow("ex6-F5-x1o4", FamilySpec("F5", x=quarter),
-                   lambda c: -(sqrt(17) / 289 * sqrt(17 * sqrt(17) + 47)),
-                   "catalog ex6: linear weight, ceil signs, denominator 16^n"),
+                   lambda c: -(sqrt(17) / 289 * sqrt(17 * sqrt(17) + 47))),
         ExampleRow("ex6-F6-x1o4", FamilySpec("F6", x=quarter),
-                   lambda c: sqrt(17) / 289 * sqrt(17 * sqrt(17) - 47),
-                   "catalog ex6: linear weight, floor signs, denominator 16^n"),
+                   lambda c: sqrt(17) / 289 * sqrt(17 * sqrt(17) - 47)),
     ]
 
     # ---- set trig: tangent-argument constants at pi/6 and pi/8 -------------
@@ -162,31 +147,23 @@ def _rows() -> tuple:
     pair8 = lambda c: sqrt(2 + w2d(c)) + sqrt(2 - w2d(c))
     rows += [
         ExampleRow("trig-T1-pi6", FamilySpec("T1", phi=pi6),
-                   lambda c: sqrt(2 * sqrt(3)) * arctan(sqrt(2 - sqrt(3))),
-                   "catalog trig: inverse-tangent weight, ceil signs, phi = pi/6"),
+                   lambda c: sqrt(2 * sqrt(3)) * arctan(sqrt(2 - sqrt(3)))),
         ExampleRow("trig-T3-pi6", FamilySpec("T3", phi=pi6),
-                   lambda c: sqrt(sqrt(3)) / 2,
-                   "catalog trig: plain weight, ceil signs, phi = pi/6"),
+                   lambda c: sqrt(sqrt(3)) / 2),
         ExampleRow("trig-T5-pi6", FamilySpec("T5", phi=pi6),
-                   lambda c: -(sqrt(sqrt(3)) / 4),
-                   "catalog trig: linear weight, ceil signs, phi = pi/6"),
+                   lambda c: -(sqrt(sqrt(3)) / 4)),
         ExampleRow("trig-T1-pi8", FamilySpec("T1", phi=pi8),
-                   lambda c: sqrt(2 * c.delta) * arctan(sqrt(w8d(c) - c.delta)),
-                   "catalog trig: inverse-tangent weight, ceil signs, phi = pi/8"),
+                   lambda c: sqrt(2 * c.delta) * arctan(sqrt(w8d(c) - c.delta))),
         ExampleRow("trig-T3-pi8", FamilySpec("T3", phi=pi8),
-                   lambda c: sqrt(c.delta * w8d(c)) / (sqrt(2) * pair8(c)),
-                   "catalog trig: plain weight, ceil signs, phi = pi/8"),
+                   lambda c: sqrt(c.delta * w8d(c)) / (sqrt(2) * pair8(c))),
+        # the fourth root groups sqrt(8)*delta together
         ExampleRow("trig-T5-pi8", FamilySpec("T5", phi=pi8),
                    lambda c: -((sqrt(2 * c.delta) + sqrt(sqrt(8)))
-                               / (4 * sqrt(w8d(c)) * pair8(c))),
-                   "catalog trig: linear weight, ceil signs, phi = pi/8 "
-                   "(fourth root groups sqrt(8)*delta together)"),
+                               / (4 * sqrt(w8d(c)) * pair8(c)))),
         ExampleRow("trig-T2-pi6", FamilySpec("T2", phi=pi6),
-                   lambda c: sqrt(2 * sqrt(3)) * artanh(sqrt(2 - sqrt(3))),
-                   "catalog trig: inverse-tangent weight, floor signs, phi = pi/6"),
+                   lambda c: sqrt(2 * sqrt(3)) * artanh(sqrt(2 - sqrt(3)))),
         ExampleRow("trig-T4-pi6", FamilySpec("T4", phi=pi6),
-                   lambda c: sqrt(3) * sqrt(sqrt(3)) / 2,
-                   "catalog trig: plain weight, floor signs, phi = pi/6"),
+                   lambda c: sqrt(3) * sqrt(sqrt(3)) / 2),
     ]
 
     # ---- set ex9: Fibonacci/Lucas inverse-tangent rows (m=1, s=0) ----------
@@ -201,29 +178,21 @@ def _rows() -> tuple:
     pref_l16 = lambda c: 2 * sqrt(2) / sqrt(c.alpha)
     rows += [
         ExampleRow("ex9-F-p8", FamilySpec("G1", m=1, s=0, p=p8),
-                   lambda c: pref_f8(c) * (arctan(c1(c)) - c.alpha * artanh(c2(c))),
-                   "catalog ex9: Fibonacci, ceil signs, p = 8"),
+                   lambda c: pref_f8(c) * (arctan(c1(c)) - c.alpha * artanh(c2(c)))),
         ExampleRow("ex9-L-p8", FamilySpec("G2", m=1, s=0, p=p8),
-                   lambda c: pref_l8(c) * (arctan(c1(c)) + c.alpha * artanh(c2(c))),
-                   "catalog ex9: Lucas, ceil signs, p = 8"),
+                   lambda c: pref_l8(c) * (arctan(c1(c)) + c.alpha * artanh(c2(c)))),
         ExampleRow("ex9-F-p8-floor", FamilySpec("G3", m=1, s=0, p=p8),
-                   lambda c: pref_f8(c) * (artanh(c1(c)) - c.alpha * arctan(c2(c))),
-                   "catalog ex9: Fibonacci, floor signs, p = 8"),
+                   lambda c: pref_f8(c) * (artanh(c1(c)) - c.alpha * arctan(c2(c)))),
         ExampleRow("ex9-L-p8-floor", FamilySpec("G4", m=1, s=0, p=p8),
-                   lambda c: pref_l8(c) * (artanh(c1(c)) + c.alpha * arctan(c2(c))),
-                   "catalog ex9: Lucas, floor signs, p = 8"),
+                   lambda c: pref_l8(c) * (artanh(c1(c)) + c.alpha * arctan(c2(c)))),
         ExampleRow("ex9-F-p16", FamilySpec("G1", m=1, s=0, p=p16),
-                   lambda c: pref_f16(c) * (arctan(d1(c)) - c.alpha * artanh(d2(c))),
-                   "catalog ex9: Fibonacci, ceil signs, p = 16"),
+                   lambda c: pref_f16(c) * (arctan(d1(c)) - c.alpha * artanh(d2(c)))),
         ExampleRow("ex9-L-p16", FamilySpec("G2", m=1, s=0, p=p16),
-                   lambda c: pref_l16(c) * (arctan(d1(c)) + c.alpha * artanh(d2(c))),
-                   "catalog ex9: Lucas, ceil signs, p = 16"),
+                   lambda c: pref_l16(c) * (arctan(d1(c)) + c.alpha * artanh(d2(c)))),
         ExampleRow("ex9-F-p16-floor", FamilySpec("G3", m=1, s=0, p=p16),
-                   lambda c: pref_f16(c) * (artanh(d1(c)) - c.alpha * arctan(d2(c))),
-                   "catalog ex9: Fibonacci, floor signs, p = 16"),
+                   lambda c: pref_f16(c) * (artanh(d1(c)) - c.alpha * arctan(d2(c)))),
         ExampleRow("ex9-L-p16-floor", FamilySpec("G4", m=1, s=0, p=p16),
-                   lambda c: pref_l16(c) * (artanh(d1(c)) + c.alpha * arctan(d2(c))),
-                   "catalog ex9: Lucas, floor signs, p = 16"),
+                   lambda c: pref_l16(c) * (artanh(d1(c)) + c.alpha * arctan(d2(c)))),
     ]
 
     # ---- set ex10: plain-weight Fibonacci/Lucas rows (m=1, s=0, p=8) -------
@@ -233,17 +202,13 @@ def _rows() -> tuple:
     b2 = lambda c: sqrt(sqrt(29 * (5 + c.alpha)) + (4 - 5 * c.alpha))
     rows += [
         ExampleRow("ex10-F-p8", FamilySpec("G5", m=1, s=0, p=p8),
-                   lambda c: sqrt(290) / 145 * (a1(c) - a2(c)),
-                   "catalog ex10: Fibonacci, ceil signs"),
+                   lambda c: sqrt(290) / 145 * (a1(c) - a2(c))),
         ExampleRow("ex10-L-p8", FamilySpec("G6", m=1, s=0, p=p8),
-                   lambda c: sqrt(58) / 29 * (a1(c) + a2(c)),
-                   "catalog ex10: Lucas, ceil signs"),
+                   lambda c: sqrt(58) / 29 * (a1(c) + a2(c))),
         ExampleRow("ex10-F-p8-floor", FamilySpec("G7", m=1, s=0, p=p8),
-                   lambda c: sqrt(290) / 145 * (b1(c) - b2(c)),
-                   "catalog ex10: Fibonacci, floor signs"),
+                   lambda c: sqrt(290) / 145 * (b1(c) - b2(c))),
         ExampleRow("ex10-L-p8-floor", FamilySpec("G8", m=1, s=0, p=p8),
-                   lambda c: sqrt(58) / 29 * (b1(c) + b2(c)),
-                   "catalog ex10: Lucas, floor signs"),
+                   lambda c: sqrt(58) / 29 * (b1(c) + b2(c))),
     ]
 
     # ---- set ex11: even-index rows (m=2, s=0, p=16) ------------------------
@@ -262,29 +227,21 @@ def _rows() -> tuple:
     h2m = lambda c: sqrt(w2(c) + 4) * (6 - c.alpha - w2(c)) / den2(c)
     rows += [
         ExampleRow("ex11-F-recip-floor", FamilySpec("G3", m=2, s=0, p=p16),
-                   lambda c: pref_fe(c) * (artanh(e1(c)) - alpha2(c) * artanh(e2(c))),
-                   "catalog ex11: Fibonacci, inverse-tangent weight, floor signs"),
+                   lambda c: pref_fe(c) * (artanh(e1(c)) - alpha2(c) * artanh(e2(c)))),
         ExampleRow("ex11-L-recip-floor", FamilySpec("G4", m=2, s=0, p=p16),
-                   lambda c: pref_le(c) * (artanh(e1(c)) + alpha2(c) * artanh(e2(c))),
-                   "catalog ex11: Lucas, inverse-tangent weight, floor signs"),
+                   lambda c: pref_le(c) * (artanh(e1(c)) + alpha2(c) * artanh(e2(c)))),
         ExampleRow("ex11-F-recip", FamilySpec("G1", m=2, s=0, p=p16),
-                   lambda c: pref_fe(c) * (arctan(e1(c)) - alpha2(c) * arctan(e2(c))),
-                   "catalog ex11: Fibonacci, inverse-tangent weight, ceil signs"),
+                   lambda c: pref_fe(c) * (arctan(e1(c)) - alpha2(c) * arctan(e2(c)))),
         ExampleRow("ex11-L-recip", FamilySpec("G2", m=2, s=0, p=p16),
-                   lambda c: pref_le(c) * (arctan(e1(c)) + alpha2(c) * arctan(e2(c))),
-                   "catalog ex11: Lucas, inverse-tangent weight, ceil signs"),
+                   lambda c: pref_le(c) * (arctan(e1(c)) + alpha2(c) * arctan(e2(c)))),
         ExampleRow("ex11-F-plain-floor", FamilySpec("G7", m=2, s=0, p=p16),
-                   lambda c: sqrt(30) / 15 * (h1p(c) - h2p(c)),
-                   "catalog ex11: Fibonacci, plain weight, floor signs"),
+                   lambda c: sqrt(30) / 15 * (h1p(c) - h2p(c))),
         ExampleRow("ex11-L-plain-floor", FamilySpec("G8", m=2, s=0, p=p16),
-                   lambda c: sqrt(150) / 15 * (h1p(c) + h2p(c)),
-                   "catalog ex11: Lucas, plain weight, floor signs"),
+                   lambda c: sqrt(150) / 15 * (h1p(c) + h2p(c))),
         ExampleRow("ex11-F-plain", FamilySpec("G5", m=2, s=0, p=p16),
-                   lambda c: sqrt(30) / 15 * (h1m(c) - h2m(c)),
-                   "catalog ex11: Fibonacci, plain weight, ceil signs"),
+                   lambda c: sqrt(30) / 15 * (h1m(c) - h2m(c))),
         ExampleRow("ex11-L-plain", FamilySpec("G6", m=2, s=0, p=p16),
-                   lambda c: sqrt(150) / 15 * (h1m(c) + h2m(c)),
-                   "catalog ex11: Lucas, plain weight, ceil signs"),
+                   lambda c: sqrt(150) / 15 * (h1m(c) + h2m(c))),
     ]
 
     # ---- set thm15: Lucas-ratio rows of the 4n-choose-2n series ------------
@@ -297,26 +254,19 @@ def _rows() -> tuple:
 
     rows += [
         ExampleRow("thm15-I1-r2", FamilySpec("I1", r=2),
-                   i1_expected(3, lambda c: sqrt(5)),
-                   "catalog thm15: Lucas-weighted row, r = 2"),
+                   i1_expected(3, lambda c: sqrt(5))),
         ExampleRow("thm15-I1-r4", FamilySpec("I1", r=4),
-                   i1_expected(7, lambda c: 3),
-                   "catalog thm15: Lucas-weighted row, r = 4"),
+                   i1_expected(7, lambda c: 3)),
         ExampleRow("thm15-I1-r6", FamilySpec("I1", r=6),
-                   i1_expected(18, lambda c: sqrt(20)),
-                   "catalog thm15: Lucas-weighted row, r = 6"),
+                   i1_expected(18, lambda c: sqrt(20))),
         ExampleRow("thm15-I2-r2", FamilySpec("I2", r=2),
-                   lambda c: sqrt(15 * alpha2(c)) / 5,
-                   "catalog thm15: Lucas-denominator row, r = 2"),
+                   lambda c: sqrt(15 * alpha2(c)) / 5),
         ExampleRow("thm15-I2-r4", FamilySpec("I2", r=4),
-                   lambda c: sqrt(35 * (alpha2(c) * alpha2(c))) / 15,
-                   "catalog thm15: Lucas-denominator row, r = 4"),
+                   lambda c: sqrt(35 * (alpha2(c) * alpha2(c))) / 15),
         ExampleRow("thm15-I2-r6", FamilySpec("I2", r=6),
-                   lambda c: sqrt(90 * (alpha2(c) * (alpha2(c) * alpha2(c)))) / 40,
-                   "catalog thm15: Lucas-denominator row, r = 6"),
+                   lambda c: sqrt(90 * (alpha2(c) * (alpha2(c) * alpha2(c)))) / 40),
         ExampleRow("thm15-I3", FamilySpec("I3"),
-                   lambda c: sqrt(c.alpha * sqrt(5)),
-                   "catalog thm15: the 20^n row"),
+                   lambda c: sqrt(c.alpha * sqrt(5))),
     ]
 
     # ---- set thm16: harmonic-number series ---------------------------------
@@ -324,7 +274,6 @@ def _rows() -> tuple:
         ExampleRow("thm16-J1", FamilySpec("J1"),
                    lambda c: (mp.mpf(80) / 9 - 32 * sqrt(2) / 9
                               - 8 * sqrt(2) / 3 * ln(c.delta / 2)),
-                   "catalog thm16: harmonic-weighted series, certified at fixed N",
                    "bound:1000000"),
     ]
     return tuple(rows)

@@ -228,6 +228,45 @@ def test_negative_values_as_separate_words(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["cbcseries", *eval_c1, "--x", "-1/2"])
     assert cli.main() == 0
     assert capsys.readouterr().out == joined
+    # every value flag of every subcommand, under every prefix that argparse
+    # resolves to it, reads a negative word as it reads the "=" form
+    values = {"--x": "-1/2", "--phi": "-pi/6", "--p": "-17/2", "--tol": "-1/10"}
+    family = {"--x": ("--family", "C1"), "--phi": ("--family", "T1"),
+              "--p": ("--family", "G1", "--m", "1", "--s", "0")}
+    requests = [(cmd, flag, base) for cmd in ("eval", "closed", "compare")
+                for flag, base in family.items()]
+    requests += [("compare", "--tol", ("--family", "F3", "--x", "1/2")),
+                 ("examples", "--tol", ("--id", "trig-T3-pi6"))]
+    resolved = {}
+    for cmd, flag, base in requests:
+        value = values[flag]
+        for prefix in (flag[:end] for end in range(3, len(flag) + 1)):
+            try:
+                parsed = cli._PARSER.parse_args([cmd, *base, f"{prefix}={value}"])
+            except SystemExit:  # an ambiguous prefix
+                parsed = None
+            capsys.readouterr()
+            if getattr(parsed, flag[2:], None) != value:
+                continue  # not this flag: "--p" is G's --p, not --phi
+            resolved.setdefault((cmd, flag), []).append(prefix)
+            spaced = run(capsys, cmd, *base, prefix, value)
+            assert spaced == run(capsys, cmd, *base, f"{prefix}={value}"), (cmd, prefix)
+            assert "expected one argument" not in spaced[2]
+    assert len(resolved) == len(requests)
+    expected = {"--phi": ["--ph", "--phi"], "--tol": ["--t", "--to", "--tol"]}
+    for (cmd, flag), prefixes in resolved.items():
+        assert prefixes == expected.get(flag, [flag]), (cmd, flag)
+
+
+def test_negative_word_after_any_flag_is_its_value(capsys):
+    """A negative word is a value after every flag, so after one that takes
+    no fraction or angle argparse's own type or choice check rejects it."""
+    code, out, err = run(capsys, "eval", "--family", "F3", "--digits", "-1/2")
+    assert (code, out) == (2, "")
+    assert "argument --digits: invalid int value: '-1/2'" in err
+    code, out, err = run(capsys, "eval", "--family", "-1/2")
+    assert (code, out) == (2, "")
+    assert "argument --family: invalid choice: '-1/2'" in err
 
 
 def test_traced_names_are_looked_up_at_call_time(capsys, monkeypatch):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import cbcseries.cli as cli
 from cbcseries.families import (
     ALL_FAMILIES,
     FAMILIES,
@@ -101,12 +102,14 @@ def test_family_parameter_presence():
     FamilySpec("I3")
 
 
-def test_g_family_validation():
+def test_g_family_validation(capsys):
     spec = FamilySpec("G1", m=1, s=0, p=Fraction(8))
-    assert spec.seq == "F"  # filled in from the id
-    FamilySpec("G2", m=1, s=0, p=Fraction(8), seq="L")
-    with pytest.raises(UsageError):
-        FamilySpec("G1", m=1, s=0, p=Fraction(8), seq="L")
+    assert spec.describe().endswith(" seq=F")  # the sequence comes from the id
+    with pytest.raises(TypeError):
+        FamilySpec("G2", m=1, s=0, p=Fraction(8), seq="L")
+    assert cli.main(["eval", "--family", "G1", "--m", "1", "--s", "0", "--p", "8",
+                     "--seq", "F"]) == 2
+    assert "unrecognized arguments: --seq F" in capsys.readouterr().err
     with pytest.raises(UsageError):
         FamilySpec("G1", m=1, s=0, p=Fraction(6))  # below 4*alpha
     FamilySpec("G5", m=1, s=0, p=Fraction(7))  # 7 > 4*alpha ~ 6.4721
