@@ -7,28 +7,29 @@ summation kernel read those two descriptions; only :func:`term_fraction`,
 the exact oracle, spells each family out.
 
 Each sum runs one of three paths, which :func:`_plan` chooses before any
-term is stepped, by one measured cost rule; it also raises
-every refusal known before summing.  Each result carries two proven error
-components:
+term is stepped, by one measured cost rule; it also raises every refusal
+known before summing.  :func:`_sum` runs the plan.  Each result carries two
+proven error components:
 
 * ``truncation_bound``: the one tail formula of :func:`tail_bound` (an
   integral comparison for J1) evaluated at the last summed index.
-* ``rounding_bound``: a counted bound on the arithmetic error of the one
-  summation driver, which runs every family on integers scaled by 2^B
-  (see :class:`_Kernel`), plus the final rounding to working precision.
-  Where it is cheaper, :func:`sum_fixed` forms a C partial sum as S - T(N)
-  by certified CVZ instead of stepping every term (:func:`_split_sum`); its
-  bound then holds the CVZ errors, their counted truncations and the width
-  of the enclosure of the first omitted term.
+* ``rounding_bound``: the exact distance from the value to the farther end
+  of two integers that bracket the sum at scale 2^B, from the counted
+  truncations of the one summation driver, which runs every family on
+  integers scaled by 2^B (see :class:`_Kernel`).  Where it is cheaper,
+  :func:`sum_fixed` forms a C partial sum as S - T(N) by certified CVZ
+  instead of stepping every term; its bracket then holds the CVZ errors,
+  their counted truncations and the width of the enclosure of the first
+  omitted term.
 
 :func:`sum_adaptive` sums up to the least N whose ``tail_bound`` fits the
 target, found before summing by a secant search on log2 ``tail_bound`` (see
 :func:`_stop_index`).  Where the terms alternate, directly or in pairs, and
 their magnitudes are a moment sequence (C, H, F1-F4, T1-T4), it sums by
-certified CVZ (:func:`_cvz_sum`) instead wherever that is cheaper, and on
-the domain boundary, where no tail model exists; ``truncation_bound`` is
-then the CVZ error.  ``term`` and ``term_fraction`` compute single summands
-directly and are the independent checks of the driver.
+certified CVZ instead wherever that is cheaper, and on the domain boundary,
+where no tail model exists; ``truncation_bound`` is then the CVZ error.
+``term`` and ``term_fraction`` compute single summands directly and are the
+independent checks of the driver.
 """
 
 from __future__ import annotations
@@ -47,11 +48,9 @@ from cbcseries.families import FAMILIES, Family, FamilySpec, PhiValue, SurdValue
 from cbcseries.precision import PrecisionContext, Real, UsageError
 
 DEFAULT_MAX_TERMS = 10_000_000
-# multiplicative safety pad on every reported bound, so that the bound stays
-# an upper bound despite its own few-ulp evaluation error
+# multiplicative safety pad on the tail bound, so that it stays an upper bound
+# despite its own few-ulp evaluation error
 _BOUND_PAD = "1.00000001"
-# the same pad as a double, for the CVZ bounds: it covers their few roundings
-_CVZ_PAD = mpf(_BOUND_PAD)
 # the stop-index search reports "more than 2^64" past this index
 _SEARCH_LIMIT = 2**64
 # model-guided stop-index probes before the search falls back to galloping and
@@ -109,7 +108,7 @@ class EvalResult:
     digits: int
 
     def error_bound(self) -> Real:
-        return self.truncation_bound + self.rounding_bound
+        return mp.fadd(self.truncation_bound, self.rounding_bound, rounding="u")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +276,8 @@ def _ratio(spec: FamilySpec) -> _Ratio:
 
 
 @lru_cache(maxsize=64)  # sized as _ratio's memo
-def _constants(spec: FamilySpec, ctx: PrecisionContext) -> Tuple[Real, Real, Real, Real]:
-    """(q, c, sqrt(radicand), pad) of ``spec`` at ``ctx``'s working precision,
+def _constants(spec: FamilySpec, ctx: PrecisionContext) -> Tuple[Real, Real, Real]:
+    """(q, c, pad) of ``spec`` at ``ctx``'s working precision,
     formed once per (spec, ctx), as the stop-index search reads them at each probe.
 
     q is the term-ratio majorant, valid for every index: the factors a n + b
@@ -296,14 +295,13 @@ def _constants(spec: FamilySpec, ctx: PrecisionContext) -> Tuple[Real, Real, Rea
             f, ell = fib_lucas(k)
             return (ctx.real(ell) + sqrt5 * ctx.real(f)) / 2
 
-        root = mp.sqrt(ctx.real(r.radicand))
         if r.stride is None:
             q = abs(mp.tan(phi_real(spec.phi, ctx))) if r.z is None else ctx.real(abs(r.z))
-            c = ctx.real(r.kappa) * root
+            c = ctx.real(r.kappa) * mp.sqrt(ctx.real(r.radicand))
         else:
             q = alpha_pow(abs(r.stride)) / ctx.real(1 / abs(r.z))
             c = 2 * alpha_pow(abs(r.shift)) / (sqrt5 if row.seq == "F" else 1)
-        return q, c, root, mpf(_BOUND_PAD)
+        return q, c, mpf(_BOUND_PAD)
 
 
 def tail_bound(spec: FamilySpec, N: int, ctx: PrecisionContext) -> Real:
@@ -323,7 +321,7 @@ def tail_bound(spec: FamilySpec, N: int, ctx: PrecisionContext) -> Real:
         raise UsageError(f"tail_bound: N must be >= 0, got {N}")
     row = FAMILIES[spec.family]
     with ctx.workprec():
-        q, c, _, pad = _constants(spec, ctx)
+        q, c, pad = _constants(spec, ctx)
         if row.weight == "harmonic":  # at N = 0: |t_1| = 9/32, then the bound from 1
             return pad * (_j1_integral_bound(N) if N else mpf(9) / 32 + _j1_integral_bound(1))
         alternating = row.group == "C"
@@ -374,9 +372,11 @@ class _Kernel(NamedTuple):
     most 1 in modulus (for ``step``, on the eigenvectors (1, +-sqrt5) of the
     F/L map, where a unit becomes at most 1 + sqrt5), except that the
     "linear" weight folds (n+1)/n into the ratio.  So the scaled total errs
-    by at most ``units`` x steps x spread, where spread is the number of
-    steps, or N (1 + log2 N) >= n H_n for the linear weight.  The value is
-    the scaled total times the spec's sqrt(radicand) times 2^-B.
+    by at most ``units`` x steps x spread (:func:`_kernel_error`), where
+    spread is the number of steps, or N (1 + log2 N) >= n H_n for the linear
+    weight.  The value is the scaled total times the spec's sqrt(radicand)
+    times 2^-B; ``root`` = r, with r <= sqrt(radicand) 2^B < r + 1, carries
+    that factor as the tan(phi) of T is carried (None for radicand 1).
     """
 
     first: int
@@ -388,6 +388,7 @@ class _Kernel(NamedTuple):
     out: Tuple[int, int]
     weight: str
     units: int
+    root: Optional[int]
 
 
 def _poly(c: int, *factors: Tuple[int, int]) -> Tuple[int, int, int, int]:
@@ -465,7 +466,10 @@ def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
         # J1: A_n errs by at most n(n+1)/2 units and A_N, H_{N+1} <= 1 + log2(N+1),
         # so the Abel total errs by less than (2 + log2(N+1)) (N+1)^2 units
         units = 2 + (N + 1).bit_length()
-    return _Kernel(first, head, num, den, _signs(row, r, z < 0), step, r.out, row.weight, units)
+    d = r.radicand
+    root = None if d == 1 else math.isqrt((d.numerator << 2 * B) // d.denominator)
+    return _Kernel(first, head, num, den, _signs(row, r, z < 0), step, r.out, row.weight, units,
+                   root)
 
 
 def _run(k: _Kernel, N: int) -> int:
@@ -524,27 +528,13 @@ def _scale_bits(N: int, ctx: PrecisionContext) -> int:
     return math.ceil(ctx.working_digits * 3.3219280948873626) + 2 * (N + 1).bit_length() + 16
 
 
-def _scaled_sum(spec: FamilySpec, N: int, ctx: PrecisionContext,
-                room: Optional[Real] = None) -> Tuple[Optional[Real], Real]:
-    """(value, rounding bound) of the terms with index 0..N.
-
-    Returns (None, fixed-point part of the bound) without summing when that
-    part alone exceeds ``room``.
-    """
-    B = _scale_bits(N, ctx)
-    k = _kernel(spec, N, B)
+def _kernel_error(k: _Kernel, N: int) -> int:
+    """The count of units within which ``_run(k, N)`` is exact."""
     steps = max(0, N - k.first + 1)
     # a truncation at step j reaches term n multiplied by at most 1, or by
     # n/j for the linear weight: sum_j n/j <= N (1 + log2 N)
     spread = N * (1 + N.bit_length()) if k.weight == "linear" else steps
-    with ctx.workprec():
-        _, _, root, pad = _constants(spec, ctx)
-        err = mp.ldexp(mpf(k.units * steps * spread), -B) * root
-        if room is not None and err * pad > room:
-            return None, err * pad
-        value = mp.ldexp(mpf(_run(k, N)), -B) * root
-        # the total, sqrt(d) and their product round once each
-        return value, (err + abs(value) * mp.ldexp(1, 4 - mp.prec)) * pad
+    return k.units * steps * spread
 
 
 # ---------------------------------------------------------------------------
@@ -658,19 +648,20 @@ def _alternation(spec: FamilySpec) -> Optional[int]:
 
 
 class _Plan(NamedTuple):
-    """How one sum runs, at scale 2^B, up to index ``last``: ``path`` "kernel"
-    (``trunc``, its tail bound), "cvz" (n weights on [0, q], in pairs of sign
-    ``pair`` if not 0, with A_0 <= hn/hd root for ``head`` = (hn, hd, root))
-    or "split" (n weights on [0, 1])."""
+    """How one sum runs, by ``kernel`` at scale 2^B, up to index ``last``:
+    ``path`` "kernel" (``trunc``, its tail bound in adaptive mode), "cvz" (n
+    weights on [0, q], in pairs of sign ``pair`` if not 0, with A_0 <= hn/hd
+    sqrt(radicand) for ``head`` = (hn, hd)) or "split" (n weights on [0, 1])."""
 
     path: str
     last: int
     B: int
+    kernel: _Kernel
     n: int = 0
     q: Fraction = Fraction(1)
     pair: int = 0
     trunc: Optional[Real] = None
-    head: Tuple[int, int, Optional[Real]] = (0, 1, None)
+    head: Tuple[int, int] = (0, 1)
 
 
 def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
@@ -683,7 +674,8 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
     :func:`_stop_index`.  Raises the refusals known before summing, in this
     order: :class:`UncertifiedError` on the boundary without CVZ,
     :class:`UsageError` for a target not above 0, :class:`ConvergenceError`
-    past the cap or where q rounds to 1.
+    past the cap, where q rounds to 1, or where the kernel's counted error
+    alone leaves the target out of reach (the rounding floor).
 
     Costs are in kernel steps at scale 2^B, a step of C1 at x = 1/2, whose
     state keeps all B bits (0.42-0.81 us at 40 digits, 2.4-4.0 us at 1000).
@@ -714,8 +706,8 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
         B = _scale_bits(N, ctx)
         n = moments.weight_count(B + 1, Fraction(1))  # T_n(3) >= 2^B
         if row.group == "C" and max(10, math.sqrt(B / 16)) * n <= N:
-            return _Plan("split", N, B, n)
-        return _Plan("kernel", N, B)
+            return _Plan("split", N, B, _kernel(spec, N, B), n)
+        return _Plan("kernel", N, B, _kernel(spec, N, B))
     pair, boundary, r = _alternation(spec), spec.at_certification_boundary(), _ratio(spec)
     if boundary and pair is None:
         raise UncertifiedError(spec, (
@@ -725,20 +717,19 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
     if not target > 0:
         raise UsageError("sum_adaptive: target_abs_error must be > 0")
     if pair is not None and r.z != 0:  # at x = 0 the kernel sums the one nonzero term
-        # A_0 <= hn/hd root (2 a_first for + pairs; tan(phi) is not in a T head,
-        # as first = 0), root None where z and sqrt(radicand) are rational;
-        # ratio the kernel's q, and the magnitudes' support q = |z|, or z^2 in pairs
+        # A_0 <= hn/hd sqrt(radicand) (2 a_first for + pairs; tan(phi) is not
+        # in a T head, as first = 0); ratio the kernel's q, and the magnitudes'
+        # support q = |z|, or z^2 in pairs
         hn, hd = _head(row, r, r.z if r.z is not None else Fraction(1))
         hn *= 2 if pair > 0 else 1
-        root = _constants(spec, ctx)[2] if r.z is None or r.radicand != 1 else None
         ratio = _constants(spec, ctx)[0] if r.z is None else abs(r.z)
         log_q = (_log2(ratio) if r.z is None
                  else math.log2(ratio.numerator) - math.log2(ratio.denominator))
         q = moments.grid_support(ratio ** (2 if pair else 1))
-        # log2(a0 root/(target (1 - 2^-16))), with 2^-15 for the last factor
+        # log2(a0 sqrt(radicand)/(target (1 - 2^-16))), with 2^-15 for the last factor
         bits = math.log2(hn) - math.log2(hd) - _log2(target) + 2**-15
-        if root is not None:
-            bits += _log2(root)
+        if r.radicand != 1:
+            bits += math.log2(r.radicand) / 2
         n = moments.weight_count(bits, q)
         steps = 2 * n if pair else n
         B = _scale_bits(first + steps - 1, ctx)
@@ -751,8 +742,9 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
                 raise ConvergenceError(
                     spec, target, f"CVZ on [0, {q}] needs {steps} terms, past the cap of "
                     f"{max_terms} terms", ctx, first + max_terms - 1)
-            return _Plan("cvz", first + steps - 1, B, n, q, pair, head=(hn, hd, root))
-    last = spec.first_index() + max_terms - 1
+            last = first + steps - 1
+            return _Plan("cvz", last, B, _kernel(spec, last, B), n, q, pair, head=(hn, hd))
+    last = first + max_terms - 1
     try:
         N, trunc = _stop_index(spec, target * (1 - mpf(2) ** -16), ctx)
     except UncertifiedError:
@@ -761,7 +753,13 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
         N, at_cap = None, "the ratio majorant rounds to 1 at the working precision"
     else:
         if N is not None and N <= last:
-            return _Plan("kernel", N, _scale_bits(N, ctx), trunc=trunc)
+            B = _scale_bits(N, ctx)
+            k = _kernel(spec, N, B)
+            err = _kernel_error(k, N)
+            floor = _finish(k, -err, err, B)[1]
+            if floor > target - trunc:
+                raise ConvergenceError(spec, target, _floor_reason(N, floor, trunc), ctx, N)
+            return _Plan("kernel", N, B, k, trunc=trunc)
         at_cap = f"tail_bound at N = {last} is {mp.nstr(tail_bound(spec, last, ctx), 8)}"
     raise ConvergenceError(
         spec, target, f"{_tail_model(spec, ctx)} predicts N = "
@@ -781,35 +779,13 @@ def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
     return f"the geometric tail model (q = {q})"
 
 
+def _floor_reason(N: int, rounding: Real, trunc: Real) -> str:
+    return (f"at the predicted N = {N} the rounding bound {mp.nstr(rounding, 8)} leaves "
+            f"no room for it (truncation {mp.nstr(trunc, 8)}); it needs more working digits")
+
+
 # ---------------------------------------------------------------------------
-# the runners, and the drivers: plan, run, wrap
-
-
-def _cvz_sum(spec: FamilySpec, plan: _Plan) -> Tuple[Real, Real, Real]:
-    """(value, truncation bound, rounding bound) of a "cvz" plan, at the
-    working precision, for ``plan.head`` = (hn, hd, root) with A_0 <= hn/hd
-    root.  The magnitudes A_j (terms or pairs) are moments of a positive
-    measure on [0, q'], pairs because a_2k +- a_2k+1 = int t^2k (1 +- t) dmu,
-    so the n weights err by at most A_0 qn^n/d.  A magnitude j steps past the
-    head lies within units (j + 1) below its exact value, and the weighted
-    total errs by less than the sum of those over the A_j.
-    """
-    n, q, pair, B, (hn, hd, root) = plan.n, plan.q, plan.pair, plan.B, plan.head
-    k = _kernel(spec, plan.last, B)
-    d, weights = moments.weights(n, q)
-    total = moments.cvz(k.num, k.den, k.head[0], k.first, weights, pair) // d
-    units = k.units * (2 * n * n + n if pair else n * (n + 1) // 2) + 1  # + 1 for // d
-    value = mp.ldexp(total, -B)
-    # trunc = a0 qn^n/d rounded up to prec - 1 bits, so exactly; the rounding
-    # bound adds the rounding of the value, below 2^(4 - prec) |value|
-    num, den = hn * q.numerator**n, hd * d
-    shift = mp.prec - 1 - num.bit_length() + den.bit_length()
-    up = -((-num << shift) // den) if shift >= 0 else -(-num // (den << -shift))
-    trunc = mp.ldexp(up, -shift)
-    rounding = mp.ldexp(units + (abs(total) >> (mp.prec - 4)) + 1, -B)
-    if root is not None:  # three more roundings, which the pad covers
-        value, trunc, rounding = value * root, trunc * root * _CVZ_PAD, rounding * root * _CVZ_PAD
-    return -value if k.neg[k.first & 3] else value, trunc, rounding
+# the runner, and the drivers: plan, run, wrap
 
 
 def _iv_fraction(q: Fraction):
@@ -821,48 +797,81 @@ def _ends(v) -> Tuple[Real, Real]:
     return mp.make_mpf(v._mpi_[0]), mp.make_mpf(v._mpi_[1])
 
 
-def _split_sum(spec: FamilySpec, plan: _Plan, ctx: PrecisionContext) -> Tuple[Real, Real]:
-    """(value, rounding bound) of a "split" plan: sum_(m<=N) (-1)^m a_m flip for
-    N = ``plan.last``, where a_m = kappa z^m C(k, k/2)/(2^k (k + 1)) with k = a
-    m + b for the C row's index (a, b), and kappa, z and flip from
-    :func:`_ratio`; a_(m+1)/a_m <= 1.
+def _finish(k: _Kernel, lo: int, hi: int, B: int) -> Tuple[Real, Real]:
+    """(value, rounding bound) of a sum that lies in [lo, hi] 2^-B times
+    sqrt(radicand), which ``k.root`` brings in outward: the midpoint rounded
+    once to the working precision, to nearest, so that x and -x give opposite
+    values, and its exact distance to the farther end, rounded up."""
+    if k.root is not None:  # times [r, r + 1] 2^-B
+        r = k.root
+        lo, hi, B = lo * (r if lo >= 0 else r + 1), hi * (r + 1 if hi >= 0 else r), 2 * B
+    mid = mpf(lo + hi)  # an integer rounded to prec bits, so int(mid) is exact
+    far = max(int(mid) - 2 * lo, 2 * hi - int(mid))
+    return mp.ldexp(mid, -B - 1), mp.ldexp(mp.fadd(far, 0, rounding="u"), -B - 1)
 
-    S_N = a_0 H + (-1)^N a_(N+1) T for the normalized alternating sums H
-    from index 0 and T from N + 1, each one :func:`moments.cvz` on [0, 1]
-    from 2^B, whose magnitudes are exact at the start and so err by at most
-    j units j steps on.  The bound holds the two CVZ errors, the counted
-    truncations, the width of the enclosure of a_(N+1)
-    (:func:`moments.central_binomial_enclosure`) and the rounding of the
-    value to the working precision.
+
+def _sum(spec: FamilySpec, plan: _Plan) -> Tuple[Real, Optional[Real], Real]:
+    """(value, truncation bound, rounding bound) of ``plan`` at the working
+    precision, the truncation bound ``plan.trunc`` but for "cvz".  Each path
+    brackets its scaled sum between two integers, which :func:`_finish` rounds.
+
+    * "kernel": :func:`_run` within :func:`_kernel_error` units.
+    * "cvz": the magnitudes A_j (terms or pairs) are moments of a positive
+      measure on [0, q'], pairs because a_2k +- a_2k+1 = int t^2k (1 +- t)
+      dmu, so the n weights err by at most A_0 qn^n/d, which rounds up
+      exactly.  A magnitude j steps past the head lies within units (j + 1)
+      below its exact value, and the weighted total errs by less than the
+      sum of those over the A_j, plus 1 for the floor of the division by d.
+    * "split": sum_(m<=N) (-1)^m a_m flip for N = ``plan.last``, with a_m =
+      kappa z^m C(k, k/2)/(2^k (k + 1)), k = a m + b for the C row's index
+      (a, b), and kappa, z and flip from :func:`_ratio`; a_(m+1)/a_m <= 1.
+      S_N = a_0 H + (-1)^N a_(N+1) T for the normalized alternating sums H
+      from index 0 and T from N + 1, each one :func:`moments.cvz` on [0, 1]
+      from 2^B, whose magnitudes are exact at the start and so err by at
+      most j units j steps on.  An ``mpmath.iv`` enclosure, as the Stirling
+      head of T needs, holds the two CVZ errors, the counted truncations and
+      the width of the enclosure of a_(N+1) (from
+      :func:`moments.central_binomial_enclosure`); its ends convert exactly.
     """
-    row, ratio = FAMILIES[spec.family], _ratio(spec)
-    a, b = row.index
-    N, B, n = plan.last, plan.B, plan.n
-    kernel, M = _kernel(spec, N, B), N + 1
-    k = a * M + b
-    units = n * (n - 1) // 2 + 1
-    d, c = moments.weights(n, Fraction(1))
-    head_sum = moments.cvz(kernel.num, kernel.den, 1 << B, 0, c)
-    tail_sum = moments.cvz(kernel.num, kernel.den, 1 << B, M, moments.weights(n, Fraction(1))[1])
-    saved = iv.prec
-    try:
-        iv.prec = B + 32
-        head = _iv_fraction(Fraction(*_head(row, ratio, ratio.z)))  # a_0
-        tail_head = (_iv_fraction(ratio.kappa) * _iv_fraction(ratio.z) ** M
-                     * moments.central_binomial_enclosure(k, B + 8) / (k + 1))
-        scale = iv.ldexp(iv.mpf(d), B)
-        slack = iv.ldexp(iv.mpf([-units, units]), -B)
-        total = (head * (head_sum / scale + slack)
-                 + (-1) ** N * tail_head * (tail_sum / scale + slack))
-        low, high = _ends(total)
-        with ctx.workprec():
-            value = (low + high) / 2
-        low, high = _ends(total - value)
-    finally:
-        iv.prec = saved
-    with ctx.workprec():
-        # the sign applies last and exactly, so x and -x give opposite values
-        return ratio.flip * value, max(-low, high)
+    k, B, trunc, N, n = plan.kernel, plan.B, plan.trunc, plan.last, plan.n
+    if plan.path == "split":
+        row, ratio = FAMILIES[spec.family], _ratio(spec)
+        (a, b), M = row.index, N + 1
+        units = n * (n - 1) // 2 + 1
+        d, c = moments.weights(n, Fraction(1))
+        head_sum = moments.cvz(k.num, k.den, 1 << B, 0, c)
+        tail_sum = moments.cvz(k.num, k.den, 1 << B, M, moments.weights(n, Fraction(1))[1])
+        saved = iv.prec
+        try:
+            iv.prec = B + 32
+            head = _iv_fraction(Fraction(*_head(row, ratio, ratio.z)))  # a_0
+            tail_head = (_iv_fraction(ratio.kappa) * _iv_fraction(ratio.z) ** M
+                         * moments.central_binomial_enclosure(a * M + b, B + 8) / (a * M + b + 1))
+            scale = iv.ldexp(iv.mpf(d), B)
+            slack = iv.ldexp(iv.mpf([-units, units]), -B)
+            total = (head * (head_sum / scale + slack)
+                     + (-1) ** N * tail_head * (tail_sum / scale + slack))
+        finally:
+            iv.prec = saved
+        ends = _ends(total)
+        B = -min(v._mpf_[2] for v in ends)  # the lowest bit's exponent
+        lo, hi = sorted(ratio.flip * int(mp.ldexp(v, B)) for v in ends)
+    elif plan.path == "kernel":
+        total, err = _run(k, N), _kernel_error(k, N)
+        lo, hi = total - err, total + err
+    else:
+        q, (hn, hd) = plan.q, plan.head
+        d, weights = moments.weights(n, q)
+        total = moments.cvz(k.num, k.den, k.head[0], k.first, weights, plan.pair) // d
+        units = k.units * (2 * n * n + n if plan.pair else n * (n + 1) // 2) + 1
+        total = -total if k.neg[k.first & 3] else total
+        lo, hi = total - units, total + units
+        num, den = hn * q.numerator**n, hd * d
+        if k.root is not None:
+            num, den = num * (k.root + 1), den << B
+        trunc = mp.fdiv(num, den, rounding="u")
+    value, rounding = _finish(k, lo, hi, B)
+    return value, trunc, rounding
 
 
 def sum_fixed(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
@@ -871,18 +880,15 @@ def sum_fixed(spec: FamilySpec, N: int, ctx: PrecisionContext) -> EvalResult:
     Never refuses: at uncertifiable parameter points the truncation bound
     is reported as +inf.  ``converged`` is always False; certified
     convergence is :func:`sum_adaptive`'s job.  Where :func:`_plan` finds it
-    cheaper, C1 and C2 are not stepped term by term: :func:`_split_sum`
-    gives S - T(N) with a rounding bound no larger than the kernel's.
-    ``terms_used`` is N + 1 either way, the terms the value stands for.
+    cheaper, C1 and C2 are not stepped term by term but formed as S - T(N)
+    (:func:`_sum`).  ``terms_used`` is N + 1 either way, the terms
+    the value stands for.
     """
     if N < 0:
         raise UsageError(f"sum_fixed: N must be >= 0, got {N}")
     plan = _plan(spec, ctx, N)
-    if plan.path == "split":
-        value, rounding = _split_sum(spec, plan, ctx)
-    else:
-        value, rounding = _scaled_sum(spec, N, ctx)
     with ctx.workprec():
+        value, _, rounding = _sum(spec, plan)
         try:
             trunc = tail_bound(spec, N, ctx)
         except UncertifiedError:
@@ -900,16 +906,16 @@ def sum_adaptive(
 
     The stop index N is the least index whose ``tail_bound`` is within
     (1 - 2^-16) of the target (the rest is left for rounding), computed once
-    before summing.  Alternating moment sequences are summed by
-    :func:`_cvz_sum` instead where :func:`_plan` finds that cheaper or no
-    tail model exists; its ``terms_used`` counts the terms stepped, both of
-    each pair.  Raises :class:`UncertifiedError` at parameter points with
-    neither (the n-weighted shapes on the boundary, where they diverge),
-    :class:`ConvergenceError` when N or the CVZ terms lie past
-    ``max_terms`` terms (counted from the family's first index) or when the
-    rounding bound keeps the total above the target, and
-    :class:`UsageError` when ``max_terms`` is below 1 or above 2^64, past
-    which no stop index is searched.
+    before summing.  Alternating moment sequences are summed by certified
+    CVZ instead where :func:`_plan` finds that cheaper or no tail model
+    exists.  ``terms_used`` counts the terms stepped, from the first nonzero
+    index (:func:`_first`) to N, both terms of each CVZ pair, and
+    ``max_terms`` caps that count.  Raises :class:`UncertifiedError` at
+    parameter points with neither (the n-weighted shapes on the boundary,
+    where they diverge), :class:`ConvergenceError` when N or the CVZ terms
+    lie past the cap or when the rounding bound keeps the total above the
+    target, and :class:`UsageError` when ``max_terms`` is below 1 or above
+    2^64, past which no stop index is searched.
     """
     if max_terms < 1:
         raise UsageError(f"sum_adaptive: max_terms must be >= 1, got {max_terms}")
@@ -919,20 +925,13 @@ def sum_adaptive(
     with ctx.workprec():
         target = ctx.real(target_abs_error)
         plan = _plan(spec, ctx, target=target, max_terms=max_terms)
-        N = plan.last
-        if plan.path == "cvz":
-            value, trunc, rounding = _cvz_sum(spec, plan)
-            terms = N + 1 - _first(FAMILIES[spec.family])
-        else:
-            trunc, terms = plan.trunc, N + 1
-            value, rounding = _scaled_sum(spec, N, ctx, room=target - trunc)
-        result = value if value is None else EvalResult(
-            spec, value, terms, trunc, rounding, trunc + rounding <= target, ctx.digits)
-        if result is not None and result.converged:
+        value, trunc, rounding = _sum(spec, plan)
+        terms = plan.last + 1 - _first(FAMILIES[spec.family])
+        converged = mp.fadd(trunc, rounding, rounding="u") <= target
+        result = EvalResult(spec, value, terms, trunc, rounding, converged, ctx.digits)
+        if converged:
             return result
         reason = (f"CVZ with {plan.n} weights on [0, {plan.q}] leaves truncation "
                   f"{mp.nstr(trunc, 8)} and rounding {mp.nstr(rounding, 8)}"
-                  if plan.path == "cvz" else
-                  f"at the predicted N = {N} the rounding bound {mp.nstr(rounding, 8)} leaves "
-                  f"no room for it (truncation {mp.nstr(trunc, 8)}); it needs more working digits")
-        raise ConvergenceError(spec, target, reason, ctx, N, result)
+                  if plan.path == "cvz" else _floor_reason(plan.last, rounding, trunc))
+        raise ConvergenceError(spec, target, reason, ctx, plan.last, result)

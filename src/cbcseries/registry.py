@@ -12,9 +12,8 @@ Row modes:
 
 * ``adaptive``: sum the series with a certified adaptive run;
 * ``closed``: the family closed form stands in for the series, with zero
-  certified bound.  These are the six x = 1 rows: F5/F6, whose series
-  diverge there, and F1-F4, which CVZ certifies at x = 1 but which stay
-  here until the comparison itself is certified (ROADMAP item 5);
+  certified bound.  These are the F5/F6 rows at x = 1, where their series
+  diverge; F1-F4 at x = 1 are summed adaptively, by certified CVZ;
 * ``bound:N``: fixed N-term summation with its certified tail bound, for rows
   whose series converges too slowly for the adaptive path.
 
@@ -90,11 +89,9 @@ def _rows() -> tuple:
     a5 = lambda c: a3(c) * c.alpha * c.alpha
     rows += [
         ExampleRow("ex6-F1-x1", FamilySpec("F1", x=one),
-                   lambda c: sqrt(2) * arccot(sqrt(c.delta)),
-                   "closed"),
+                   lambda c: sqrt(2) * arccot(sqrt(c.delta))),
         ExampleRow("ex6-F2-x1", FamilySpec("F2", x=one),
-                   lambda c: sqrt(2) * arccoth(sqrt(c.delta)),
-                   "closed"),
+                   lambda c: sqrt(2) * arccoth(sqrt(c.delta))),
         ExampleRow("ex6-F1-xs2o2", FamilySpec("F1", x=sqrt2_over_2),
                    lambda c: 2 * arccot(sqrt(a3(c))),
                    scale=sqrt2),
@@ -108,11 +105,9 @@ def _rows() -> tuple:
                    lambda c: 2 * sqrt(2) * artanh(sqrt(sqrt(17) - 4)),
                    scale=Fraction(2)),
         ExampleRow("ex6-F3-x1", FamilySpec("F3", x=one),
-                   lambda c: 1 / sqrt(2 * c.delta),
-                   "closed"),
+                   lambda c: 1 / sqrt(2 * c.delta)),
         ExampleRow("ex6-F4-x1", FamilySpec("F4", x=one),
-                   lambda c: sqrt(2 * c.delta) / 2,
-                   "closed"),
+                   lambda c: sqrt(2 * c.delta) / 2),
         ExampleRow("ex6-F3-x1o2", FamilySpec("F3", x=half),
                    lambda c: 2 / sqrt(5 * c.alpha)),
         ExampleRow("ex6-F4-x1o2", FamilySpec("F4", x=half),

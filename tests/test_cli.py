@@ -89,6 +89,18 @@ def test_compare_max_terms_cap_exits_3(capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("family, x, terms", [("F5", "1/2", 143), ("H3", "-1/2", 135)])
+def test_max_terms_and_terms_used_count_from_the_first_nonzero_index(capsys, family, x, terms):
+    """F5 and H3 step indices 1..N, so both counts are N, not N + 1."""
+    argv = ("eval", "--family", family, f"--x={x}", "--digits", "40", "--format", "json")
+    code, out, err = run(capsys, *argv, "--max-terms", str(terms))
+    assert code == 0
+    assert json.loads(out)["results"][0]["terms_used"] == terms
+    code, out, err = run(capsys, *argv, "--max-terms", str(terms - 1))
+    assert code == 3
+    assert f"predicts N = {terms}, past the cap of {terms - 1} terms" in err
+
+
 def test_compare_j1_capped_exits_3(capsys):
     code, out, err = run(
         capsys, "compare", "--family", "J1", "--max-terms", "2000"

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -35,6 +35,7 @@ def certified(spec, digits):
     with mp.workdps(digits + 40):
         assert abs(res.value - reference) <= res.error_bound(), (spec.describe(), digits)
         assert res.error_bound() <= mpf(10) ** -(digits + 2)
+        assert res.error_bound() >= mp.fadd(res.truncation_bound, res.rounding_bound, exact=True)
     return res
 
 
@@ -165,15 +166,20 @@ def alternating_specs(draw):
         return FamilySpec(family, phi=draw(st.sampled_from([
             PhiValue(sign * magnitude / 4, True),
             PhiValue(sign * magnitude * Fraction(785, 1000))])))
-    if family in ("F1", "F2") and kind == "between" and draw(st.booleans()):
-        # a surd x = c sqrt(2) with x^2 = 2 c^2 <= 1
-        c = Fraction(draw(st.integers(1, math.isqrt(den * den // 2))), den)
-        return FamilySpec(family, x=SurdValue(sign * c, Fraction(2)))
+    if family in ("F1", "F2") and kind == "between" and den > 2 and draw(st.booleans()):
+        # a surd x = c sqrt(d) with x^2 = d c^2 <= 1
+        d = draw(st.sampled_from([2, 3, 5]))
+        c = Fraction(draw(st.integers(1, math.isqrt(den * den // d))), den)
+        return FamilySpec(family, x=SurdValue(sign * c, Fraction(d)))
     return FamilySpec(family, x=sign * magnitude)
 
 
 @settings(max_examples=80, deadline=None)
 @given(alternating_specs(), st.sampled_from([10, 40, 100]))
+@example(FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(2))), 40)
+@example(FamilySpec("F2", x=SurdValue(Fraction(-1, 3), Fraction(3))), 100)
+@example(FamilySpec("F1", x=SurdValue(Fraction(1, 4), Fraction(5))), 10)
+@example(FamilySpec("T3", phi=PhiValue(Fraction(1, 7), True)), 40)
 def test_every_alternating_family_certifies_within_its_bound(spec, digits):
     certified(spec, digits)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -339,7 +339,8 @@ def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
         res = sum_adaptive(spec, target, ctx)
         assert res.converged
         assert len(calls) <= 8
-        N = res.terms_used - 1
+        # terms_used counts from the first nonzero index: 1 for F5, G10 and H3
+        N = res.terms_used - 1 + engine._first(FAMILIES[spec.family])
         with ctx.workprec():
             assert res.truncation_bound == real_tail_bound(spec, N, ctx)
             assert res.error_bound() <= ctx.real(target)
@@ -404,17 +405,55 @@ def test_c_families_keep_the_sign_of_negative_x_past_50000_terms():
             assert abs(minus.value - closed_value(minus_spec, CTX)) <= minus.error_bound()
 
 
+def kernel_sum(spec, N, ctx):
+    """(value, rounding bound) of the terms 0..N summed by the kernel, whichever
+    path engine._plan would choose."""
+    B = engine._scale_bits(N, ctx)
+    plan = engine._Plan("kernel", N, B, engine._kernel(spec, N, B))
+    with ctx.workprec():
+        value, _, rounding = engine._sum(spec, plan)
+    return value, rounding
+
+
 def test_kernel_keeps_the_sign_of_negative_x_past_50000_terms():
     """sum_fixed takes the CVZ path at this N, so the kernel is called directly."""
     N = 60_000
     for family in ("C1", "C2"):
-        plus, _ = engine._scaled_sum(FamilySpec(family, x=Fraction(1, 2)), N, CTX)
+        plus, _ = kernel_sum(FamilySpec(family, x=Fraction(1, 2)), N, CTX)
         minus_spec = FamilySpec(family, x=Fraction(-1, 2))
-        minus, rounding = engine._scaled_sum(minus_spec, N, CTX)
+        minus, rounding = kernel_sum(minus_spec, N, CTX)
         with CTX.workprec():
             assert minus == -plus
             bound = rounding + tail_bound(minus_spec, N, CTX)
             assert abs(minus - closed_value(minus_spec, CTX)) <= bound
+
+
+_ROOT2_HALF = SurdValue(Fraction(1, 2), Fraction(2))
+
+
+@pytest.mark.parametrize("path, plus, minus, sign, N", [
+    ("kernel", FamilySpec("F1", x=Fraction(3, 4)), FamilySpec("F1", x=Fraction(-3, 4)), -1, 40),
+    ("kernel", FamilySpec("F2", x=_ROOT2_HALF),
+     FamilySpec("F2", x=SurdValue(Fraction(-1, 2), Fraction(2))), -1, 40),
+    # the same terms: (-1)^n (-x)^n = x^n
+    ("kernel", FamilySpec("H2", x=Fraction(1, 2)), FamilySpec("H1", x=Fraction(-1, 2)), 1, None),
+    ("cvz", FamilySpec("F1", x=Fraction(1)), FamilySpec("F1", x=Fraction(-1)), -1, None),
+    ("cvz", FamilySpec("F2", x=Fraction(1)), FamilySpec("F2", x=Fraction(-1)), -1, None),
+    ("cvz", FamilySpec("C1", x=Fraction(1, 2)), FamilySpec("C1", x=Fraction(-1, 2)), -1, None),
+    ("split", FamilySpec("C2", x=Fraction(2, 5)), FamilySpec("C2", x=Fraction(-2, 5)), -1, 60_000),
+], ids=lambda v: v.describe() if isinstance(v, FamilySpec) else str(v))
+def test_negating_the_terms_negates_the_value_on_every_path(path, plus, minus, sign, N):
+    """The value is the bracket's midpoint rounded once, to nearest, so terms
+    of opposite sign give exactly opposite values, with the same bounds."""
+    results = []
+    for spec in (plus, minus):
+        with CTX40.workprec():
+            target = CTX40.real(Fraction(1, 10**42))
+            assert engine._plan(spec, CTX40, N, target).path == path
+        results.append(sum_adaptive(spec, target, CTX40) if N is None else sum_fixed(spec, N, CTX40))
+    a, b = results
+    assert b.value == mp.fmul(sign, a.value, exact=True)
+    assert (b.truncation_bound, b.rounding_bound) == (a.truncation_bound, a.rounding_bound)
 
 
 _ALPHA = (1 + 5**0.5) / 2
@@ -438,14 +477,40 @@ def rational_specs(draw):
     return FamilySpec(family)
 
 
+@st.composite
+def surd_specs(draw):
+    """F1/F2 at a surd x = c sqrt(d), d = 2, 3 or 5, with x^2 <= 1."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    den = draw(st.integers(3, 40))
+    top = math.isqrt(den * den // d)
+    c = Fraction(draw(st.integers(-top, top).filter(bool)), den)
+    return FamilySpec(draw(st.sampled_from(["F1", "F2"])), x=SurdValue(c, Fraction(d)))
+
+
+def exact_partial_sum(spec, N):
+    """The terms 0..N summed exactly and rounded once at the current precision;
+    at a surd x = c sqrt(d), sqrt(d) times the rational sum with x^(2n+1) =
+    c (c^2 d)^n sqrt(d)."""
+    x = spec.x
+    if isinstance(x, SurdValue) and x.as_rational() is None:
+        unit = FamilySpec(spec.family, x=Fraction(1))
+        total = x.coeff * sum(term_fraction(unit, n) * x.squared() ** n for n in range(N + 1))
+        root = mp.sqrt(mpf(x.radicand.numerator) / x.radicand.denominator)
+        return mpf(total.numerator) / total.denominator * root
+    total = sum(term_fraction(spec, n) for n in range(N + 1))
+    return mpf(total.numerator) / total.denominator
+
+
 @settings(max_examples=60, deadline=None)
-@given(rational_specs(), st.integers(0, 300), st.sampled_from([10, 30, 60]))
+@given(st.one_of(rational_specs(), surd_specs()), st.integers(0, 300), st.sampled_from([10, 30, 60]))
+@example(FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(2))), 150, 30)
+@example(FamilySpec("F2", x=SurdValue(Fraction(-1, 3), Fraction(3))), 300, 60)
+@example(FamilySpec("F1", x=SurdValue(Fraction(1, 4), Fraction(5))), 40, 10)
 def test_counted_rounding_bound_holds(spec, N, digits):
     ctx = make_context(digits)
     res = sum_fixed(spec, N, ctx)
-    exact = sum(term_fraction(spec, n) for n in range(N + 1))
     with mp.workdps(ctx.working_digits + 40):
-        assert abs(res.value - mpf(exact.numerator) / exact.denominator) <= res.rounding_bound
+        assert abs(res.value - exact_partial_sum(spec, N)) <= res.rounding_bound
 
 
 @settings(max_examples=30, deadline=None)
@@ -504,10 +569,12 @@ def reference_capped_at_the_search_limit(spec, budget, ctx):
 
 @pytest.mark.parametrize("digits", [30, 40])
 def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, digits):
-    """Every adaptive registry row gets the reference's (N, bound) from at most 8
-    calls, and from under 5 on average (the reference took 15)."""
+    """Every adaptive registry row off the boundary (where no tail model
+    exists) gets the reference's (N, bound) from at most 8 calls, and from
+    under 5 on average (the reference took 15)."""
     ctx = make_context(digits)
-    rows = [row for row in list_examples() if row.mode == "adaptive"]
+    rows = [row for row in list_examples()
+            if row.mode == "adaptive" and not row.spec.at_certification_boundary()]
     assert len(rows) >= 40
     total = 0
     for row in rows:

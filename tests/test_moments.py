@@ -23,6 +23,16 @@ def exact(v) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
+def kernel_sum(spec, N, ctx):
+    """(value, rounding bound) of the terms 0..N summed by the kernel, whichever
+    path engine._plan would choose."""
+    B = engine._scale_bits(N, ctx)
+    plan = engine._Plan("kernel", N, B, engine._kernel(spec, N, B))
+    with ctx.workprec():
+        value, _, rounding = engine._sum(spec, plan)
+    return value, rounding
+
+
 def first_cvz_index(ctx) -> int:
     """The least N that sum_fixed sums by S - T(N), found by galloping and
     bisecting on the plan's path: the kernel's cost grows with N and the
@@ -65,7 +75,7 @@ def check_against_the_kernel(spec, N, ctx):
     """Past the crossover sum_fixed and the kernel agree within their two
     rounding bounds, and the CVZ bound is no larger than the kernel's."""
     res = sum_fixed(spec, N, ctx)
-    value, rounding = engine._scaled_sum(spec, N, ctx)
+    value, rounding = kernel_sum(spec, N, ctx)
     with ctx.workprec():
         assert res.terms_used == N + 1
         assert res.truncation_bound == tail_bound(spec, N, ctx)
@@ -79,7 +89,7 @@ def test_partial_sum_past_the_crossover_matches_the_kernel(digits):
     c = first_cvz_index(ctx)
     # one below the crossover, sum_fixed is the kernel itself
     below = sum_fixed(FamilySpec("C1", x=Fraction(1, 2)), c - 1, ctx)
-    assert (below.value, below.rounding_bound) == engine._scaled_sum(below.spec, c - 1, ctx)
+    assert (below.value, below.rounding_bound) == kernel_sum(below.spec, c - 1, ctx)
     for family, x, N in itertools.product(
             ("C1", "C2"), (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 5), Fraction(1, 10)),
             (c, c + 1, 3 * c)):

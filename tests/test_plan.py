@@ -14,8 +14,8 @@ from cbcseries.registry import adaptive_target, list_examples
 # the registry rows that CVZ sums at 30 digits; every other adaptive row
 # steps the kernel
 CVZ_ROWS = {
-    "ex6-F1-xs2o2", "ex6-F2-xs2o2", "ex6-F1-x1o2", "ex6-F2-x1o2", "ex6-F3-x1o2",
-    "ex6-F4-x1o2", "ex6-F3-x1o4", "ex6-F4-x1o4", "trig-T1-pi6", "trig-T3-pi6",
+    "ex6-F1-x1", "ex6-F2-x1", "ex6-F3-x1", "ex6-F4-x1", "ex6-F1-xs2o2", "ex6-F2-xs2o2",
+    "ex6-F1-x1o2", "ex6-F2-x1o2", "ex6-F3-x1o2", "ex6-F4-x1o2", "ex6-F3-x1o4", "ex6-F4-x1o4", "trig-T1-pi6", "trig-T3-pi6",
     "trig-T1-pi8", "trig-T3-pi8", "trig-T2-pi6", "trig-T4-pi6",
 }
 CAP = 2000  # the term cap of the endpoints requests
@@ -37,7 +37,7 @@ def test_every_registry_row_takes_its_path():
         elif row.mode != "closed":
             paths[row.id] = adaptive_plan(row.spec, 30).path
     assert paths.pop("thm16-J1") == "bound kernel"
-    assert len(paths) == 47
+    assert len(paths) == 51
     assert paths == {row: "cvz" if row in CVZ_ROWS else "kernel" for row in paths}
 
 

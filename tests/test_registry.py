@@ -90,12 +90,11 @@ def test_adaptive_mode_report_shape():
 
 
 def test_closed_mode_report_shape():
-    # the x = 1 rows compare the two closed-form evaluation routes: F5/F6
-    # diverge there, and F1-F4, which CVZ certifies, stay closed until their
-    # rows move to adaptive (ROADMAP item 5)
-    row = get_example("ex6-F3-x1")
+    # the F5/F6 rows at x = 1 compare the two closed-form evaluation routes:
+    # their series diverge there
+    row = get_example("ex6-F5-x1")
     assert row.mode == "closed"
-    report = run_example("ex6-F3-x1", CTX40)
+    report = run_example("ex6-F5-x1", CTX40)
     assert report.terms_used == 0
     assert report.certified_bound == 0
     assert report.passed
