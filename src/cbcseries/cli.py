@@ -29,7 +29,7 @@ from cbcseries.engine import (
     sum_adaptive,
     sum_fixed,
 )
-from cbcseries.families import ALL_FAMILIES, FamilySpec, PhiValue, list_families
+from cbcseries.families import ALL_FAMILIES, FAMILIES, FamilySpec, PhiValue, list_families
 from cbcseries.identities import (
     SIGN_SPLIT_N_DEFAULT,
     check_binomial_transform,
@@ -203,7 +203,7 @@ def _cmd_eval(args: argparse.Namespace):
     if args.force_terms is not None:
         if args.max_terms < 1:
             raise UsageError(f"max_terms must be >= 1, got {args.max_terms}")
-        count = args.force_terms + 1 - spec.first_index()
+        count = args.force_terms + 1 - FAMILIES[spec.family].first
         if count > args.max_terms:
             raise UsageError(
                 f"--force-terms {args.force_terms} sums {count} terms, past the cap "

@@ -181,6 +181,8 @@ def term_fraction(spec: FamilySpec, n: int) -> Fraction:
     fam, row = spec.family, FAMILIES[spec.family]
     if row.group == "T":
         raise UsageError("term_fraction: T-family terms are not rational")
+    if n < row.first:
+        return Fraction(0)
     s = sign(row.sign, n)
     w = n if row.weight == "linear" else 1
     if fam in ("F1", "F2"):
@@ -202,8 +204,6 @@ def term_fraction(spec: FamilySpec, n: int) -> Fraction:
     if fam in ("H1", "H2"):
         return s * binomial(4 * n, 2 * n) * spec.x**n / Fraction(16**n)
     if fam in ("H3", "H4"):
-        if n == 0:
-            return Fraction(0)
         return s * binomial(4 * n - 2, 2 * n - 1) * spec.x**n / Fraction(2 ** (4 * n - 2))
     if fam == "I1":
         _, lrn = fib_lucas(spec.r * n)
@@ -409,15 +409,10 @@ def _tan_fixed(phi: PhiValue, bits: int) -> Fraction:
     return Fraction(-t if phi.coeff < 0 else t, 1 << bits)
 
 
-def _first(row: Family) -> int:
-    """The first nonzero term: n = 1 for the n weight and for C(4n-2, 2n-1)."""
-    return 1 if row.first or row.index[1] < 0 else 0
-
-
 def _head(row: Family, r: _Ratio, z: Fraction) -> Tuple[int, int]:
     """(hn, hd) with |t_first| = hn/hd = kappa |z|^first C(k, k/2)/2^k w(first),
     for G and I1 without their F/L factor and for F1/F2 without sqrt(radicand)."""
-    first = _first(row)
+    first = row.first
     k = row.index[0] * first + row.index[1]
     wd = {"recip": k + 1, "harmonic": first + 1}.get(row.weight, 1)  # 1/w(first)
     hn, hd = r.kappa.numerator * math.comb(k, k // 2), r.kappa.denominator * wd << k
@@ -454,13 +449,12 @@ def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
     num, den = _poly(abs(zk.numerator), *num), _poly(zk.denominator, *den)
     g = math.gcd(*num, *den)
     num, den = tuple(c // g for c in num), tuple(c // g for c in den)
-    first = _first(row)
     hn, hd = _head(row, r, z)
     if r.stride is None:
         step, head = None, ((hn << B) // hd,)
     else:
         step = fib_lucas(r.stride)
-        head = tuple((v * hn << B) // hd for v in fib_lucas(r.stride * first))
+        head = tuple((v * hn << B) // hd for v in fib_lucas(r.stride * row.first))
         units = 2 * abs(r.out[0]) + 4 * abs(r.out[1])
     if row.weight == "harmonic":
         # J1: A_n errs by at most n(n+1)/2 units and A_N, H_{N+1} <= 1 + log2(N+1),
@@ -468,8 +462,8 @@ def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
         units = 2 + (N + 1).bit_length()
     d = r.radicand
     root = None if d == 1 else math.isqrt((d.numerator << 2 * B) // d.denominator)
-    return _Kernel(first, head, num, den, _signs(row, r, z < 0), step, r.out, row.weight, units,
-                   root)
+    return _Kernel(row.first, head, num, den, _signs(row, r, z < 0), step, r.out, row.weight,
+                   units, root)
 
 
 def _run(k: _Kernel, N: int) -> int:
@@ -591,7 +585,7 @@ def _model_guess(points, low: int, high: int) -> int:
 
 
 def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
-    """(N, tail_bound(N)) for the least N >= first index with tail_bound(N) <= budget.
+    """(N, tail_bound(N)) for the least N >= ``Family.first`` with tail_bound(N) <= budget.
 
     Every tail model makes log2 tail_bound(N) close to a + b M + c log2 M in
     M = N + 1: b = log2 q for the geometric models, c from their sqrt(M),
@@ -601,14 +595,14 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
     Probes keep a bracket lo < N <= hi and always land strictly inside it;
     after ``_MODEL_PROBES`` probes the search gallops up from lo and bisects
     instead, so it terminates.  It ends on the certificate tail_bound(N) <=
-    budget < tail_bound(N - 1), or N = first index, which makes N the least
+    budget < tail_bound(N - 1), or N = ``Family.first``, which makes N the least
     such index because the bound falls as N grows.  Over 665 searches (the
     registry rows at 30 digits, the sweep40 and deep1000 bench workloads at
     seeds 1-3) it made 4.64 ``tail_bound`` calls on average and at most 5.
     Returns (None, None) when tail_bound(_SEARCH_LIMIT) > budget; it probes
     there only when the model or the gallop points past it.
     """
-    lo, hi, bound = spec.first_index() - 1, None, None
+    lo, hi, bound = FAMILIES[spec.family].first - 1, None, None
     points = []
     n, probes, step = lo + 1, 0, 1
     while True:
@@ -701,7 +695,7 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
     the two its requests see.
     """
     row = FAMILIES[spec.family]
-    first = _first(row)
+    first = row.first
     if N is not None:
         B = _scale_bits(N, ctx)
         n = moments.weight_count(B + 1, Fraction(1))  # T_n(3) >= 2^B
@@ -909,7 +903,7 @@ def sum_adaptive(
     before summing.  Alternating moment sequences are summed by certified
     CVZ instead where :func:`_plan` finds that cheaper or no tail model
     exists.  ``terms_used`` counts the terms stepped, from the first nonzero
-    index (:func:`_first`) to N, both terms of each CVZ pair, and
+    index (``Family.first``) to N, both terms of each CVZ pair, and
     ``max_terms`` caps that count.  Raises :class:`UncertifiedError` at
     parameter points with neither (the n-weighted shapes on the boundary,
     where they diverge), :class:`ConvergenceError` when N or the CVZ terms
@@ -926,7 +920,7 @@ def sum_adaptive(
         target = ctx.real(target_abs_error)
         plan = _plan(spec, ctx, target=target, max_terms=max_terms)
         value, trunc, rounding = _sum(spec, plan)
-        terms = plan.last + 1 - _first(FAMILIES[spec.family])
+        terms = plan.last + 1 - plan.kernel.first
         converged = mp.fadd(trunc, rounding, rounding="u") <= target
         result = EvalResult(spec, value, terms, trunc, rounding, converged, ctx.digits)
         if converged:

@@ -7,11 +7,11 @@ closed-form evaluator.
 
 :data:`FAMILIES` holds each family's structural facts in one row: group,
 parameters, domain text, sign pattern, weight, central-binomial index and
-F/L sequence (the first index follows from the weight).  The
+F/L sequence (the first index follows from the weight and the index).  The
 :class:`FamilySpec` validation, :func:`list_families`, the engine's tail
 bound and summation kernel, and the closed forms all read it.
 
-Catalog overview (n runs from 0, or from 1 for the n-weighted shapes):
+Catalog overview (n runs from 0, or from 1 for the n-weighted shapes and H3/H4):
 
 ========  =======================================================  ==========
 id        n-th summand                                             parameter
@@ -57,6 +57,7 @@ from cbcseries.precision import UsageError
 # (Python 3.11, one Xeon core), so a larger index is refused before any F/L
 # number is formed.
 MAX_INDEX = 10**6
+_RATIONAL_QUARTER_PI = Fraction(7853981, 10**7)  # the largest rational |phi| taken as <= pi/4
 
 
 class SignPattern(enum.Enum):
@@ -125,7 +126,7 @@ class PhiValue:
         # pi/4 > 0.785398163; a rational |phi| <= 0.7853981 is safely inside,
         # anything above 0.7853982 is outside.  The sliver between cannot be
         # decided exactly, so it is rejected (conservative).
-        return abs(self.coeff) <= Fraction(7853981, 10**7)
+        return abs(self.coeff) <= _RATIONAL_QUARTER_PI
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -163,8 +164,9 @@ class Family(NamedTuple):
 
     @property
     def first(self) -> int:
-        """1 for the n-weighted shapes, whose n = 0 summand is identically 0."""
-        return 1 if self.weight == "linear" else 0
+        """The first nonzero index: 1 for the n weight and for an index offset
+        b < 0 (H3/H4's C(4n-2, 2n-1)), whose n = 0 summand is 0; else 0."""
+        return 1 if self.weight == "linear" or self.index[1] < 0 else 0
 
 
 _CEIL, _FLOOR = SignPattern.CEIL_HALF, SignPattern.FLOOR_HALF
@@ -302,7 +304,10 @@ class FamilySpec:
             if not isinstance(self.phi, PhiValue):
                 raise UsageError(f"{fam}: phi must be a PhiValue")
             if not self.phi.bounded_by_quarter_pi():
-                raise UsageError(f"{fam}: requires |phi| <= pi/4, got phi = {self.phi}")
+                bound = "pi/4" if self.phi.times_pi else (
+                    f"{float(_RATIONAL_QUARTER_PI)} for a rational phi (write the boundary "
+                    "itself as pi/4)")
+                raise UsageError(f"{fam}: requires |phi| <= {bound}, got phi = {self.phi}")
             if row.weight == "recip" and self.phi.is_zero():
                 raise UsageError(f"{fam}: phi = 0 is excluded (cot(phi) singular)")
         elif group == "C":
@@ -334,9 +339,6 @@ class FamilySpec:
             _check_index(fam, "r", self.r)
 
     # -- structural helpers used by the engine and the CLI -------------------
-
-    def first_index(self) -> int:
-        return FAMILIES[self.family].first
 
     def at_certification_boundary(self) -> bool:
         """True when the parameter sits where the term ratio reaches 1, so that

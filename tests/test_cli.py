@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -25,6 +27,7 @@ from cbcseries.precision import GUARD_DIGITS, MAX_DIGITS, make_context
 from cbcseries.registry import ComparisonReport
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -99,6 +102,55 @@ def test_max_terms_and_terms_used_count_from_the_first_nonzero_index(capsys, fam
     code, out, err = run(capsys, *argv, "--max-terms", str(terms - 1))
     assert code == 3
     assert f"predicts N = {terms}, past the cap of {terms - 1} terms" in err
+
+
+def test_force_terms_counts_from_the_first_nonzero_index(capsys):
+    """H3 starts at n = 1, so --force-terms 135 sums 135 terms and fits a cap of
+    135; its terms_used is still N + 1, the indices the value stands for."""
+    argv = ("eval", "--family", "H3", "--x=-1/2", "--max-terms", "135", "--format", "json")
+    code, out, err = run(capsys, *argv, "--force-terms", "135")
+    assert code == 0, err
+    assert json.loads(out)["results"][0]["terms_used"] == 136
+    code, out, err = run(capsys, *argv, "--force-terms", "136")
+    assert code == 2
+    assert "--force-terms 136 sums 136 terms, past the cap --max-terms 135" in err
+
+
+@pytest.mark.parametrize("family, x", [("H4", f"1/{10**40}"), ("H3", f"-1/{10**40}")],
+                         ids=["H4-1e-40", "H3--1e-40"])
+def test_h3_h4_near_zero_sum_their_first_term(capsys, family, x):
+    """Where tail_bound(0) already fits, the sum still holds its one nonzero term."""
+    code, out, err = run(capsys, "compare", "--family", family, f"--x={x}", "--digits", "30",
+                         "--format", "json")
+    assert code == 0, err
+    row = json.loads(out)["results"][0]
+    assert row["terms_used"] == 1 and row["pass"] == "pass"
+    value, bound = mpf(row["series_value"]), mpf(row["error_bound"])
+    assert value != 0
+    assert abs(value - mpf(row["closed_value"])) <= bound < abs(value)
+
+
+def test_a_rational_phi_is_refused_past_its_stated_bound(capsys):
+    """A rational |phi| is accepted up to 0.7853981 (pi/4 = 0.78539816...); the
+    refusal states that bound, not pi/4, which the rational may lie below."""
+    code, out, err = run(capsys, "eval", "--family", "T3", "--phi", "0.78539816")
+    assert code == 2
+    assert ("T3: requires |phi| <= 0.7853981 for a rational phi (write the boundary itself "
+            "as pi/4), got phi = 9817477/12500000") in err
+    assert run(capsys, "eval", "--family", "T3", "--phi", "0.7853981")[0] == 0
+    code, out, err = run(capsys, "eval", "--family", "T3", "--phi", "pi/3")
+    assert code == 2
+    assert "T3: requires |phi| <= pi/4, got phi = pi/3" in err
+
+
+def test_readme_transcripts_are_current(capsys):
+    """Every README block that opens with ``$ cbcseries`` prints exactly what follows it."""
+    blocks = re.findall(r"^```\n\$ cbcseries ([^\n]*)\n(.*?)^```$", README.read_text(),
+                        re.M | re.S)
+    assert len(blocks) >= 4
+    for command, want in blocks:
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (code, out) == (0, want), command
 
 
 def test_compare_j1_capped_exits_3(capsys):

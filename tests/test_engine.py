@@ -340,7 +340,7 @@ def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
         assert res.converged
         assert len(calls) <= 8
         # terms_used counts from the first nonzero index: 1 for F5, G10 and H3
-        N = res.terms_used - 1 + engine._first(FAMILIES[spec.family])
+        N = res.terms_used - 1 + FAMILIES[spec.family].first
         with ctx.workprec():
             assert res.truncation_bound == real_tail_bound(spec, N, ctx)
             assert res.error_bound() <= ctx.real(target)
@@ -539,7 +539,7 @@ def test_counted_rounding_bound_holds_for_irrational_tan(family, k, N):
 
 def reference_stop_index(spec, budget, ctx):
     """The doubling-and-bisection stop-index search that the model-guided one replaced."""
-    lo = spec.first_index() - 1
+    lo = FAMILIES[spec.family].first - 1
     hi = lo + 1
     while True:
         bound = engine.tail_bound(spec, hi, ctx)
@@ -588,7 +588,7 @@ def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, dig
         assert len(calls) <= 8, (row.id, calls)
         total += len(calls)
         N = got[0]
-        assert N in calls and (N == row.spec.first_index() or N - 1 in calls), row.id
+        assert N in calls and (N == FAMILIES[row.spec.family].first or N - 1 in calls), row.id
     assert total < 5 * len(rows)
 
 
@@ -688,7 +688,7 @@ def test_ratio_rounding_to_one_is_a_convergence_error(monkeypatch, spec):
     assert "the geometric tail model (q = 1.0) predicts N = more than 2^64" in message
     assert "past the cap of 1000 terms" in message
     assert "rounds to 1 at the working precision" in message
-    assert calls == [spec.first_index()]
+    assert calls == [FAMILIES[spec.family].first]
     assert sum_fixed(spec, 20, CTX).truncation_bound == mpf("inf")
 
 
@@ -940,7 +940,7 @@ def test_kernel_matches_the_horner_reference_on_every_family():
     specs = kernel_zoo()
     assert {spec.family for spec in specs} == set(ALL_FAMILIES)
     for spec in specs:
-        first = spec.first_index()
+        first = FAMILIES[spec.family].first
         for N, B in itertools.product(sorted({first, first + 1, first + 2, 7, 50, 777}),
                                       (80, 239, 3400)):
             k = engine._kernel(spec, N, B)

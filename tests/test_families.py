@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import cbcseries.cli as cli
+from cbcseries.engine import term, term_fraction
 from cbcseries.families import (
     ALL_FAMILIES,
     FAMILIES,
@@ -14,7 +15,7 @@ from cbcseries.families import (
     list_families,
     sign,
 )
-from cbcseries.precision import UsageError
+from cbcseries.precision import UsageError, make_context
 
 
 def test_sign_patterns_first_period():
@@ -118,9 +119,9 @@ def test_g_family_validation(capsys):
 
 
 def test_shape_helpers():
-    assert FamilySpec("F5", x=Fraction(1, 2)).first_index() == 1
-    assert FamilySpec("F3", x=Fraction(1, 2)).first_index() == 0
-    assert FamilySpec("G9", m=1, s=0, p=Fraction(8)).first_index() == 1
+    assert FAMILIES["F5"].first == 1
+    assert FAMILIES["F3"].first == 0
+    assert FAMILIES["G9"].first == 1
     assert FAMILIES["F1"].weight == "recip"
     assert FAMILIES["F5"].weight == "linear"
     assert FAMILIES["J1"].weight == "harmonic"
@@ -160,3 +161,27 @@ def test_list_families_catalog():
     assert by_id["C1"]["sign"] == "alternating"
     assert by_id["J1"]["parameters"] == ""
     assert "r" in by_id["I2"]["parameters"]
+
+
+def sample_spec(fam: str) -> FamilySpec:
+    """A point where no summand of ``fam`` vanishes by its parameters."""
+    group = FAMILIES[fam].group
+    if group == "T":
+        return FamilySpec(fam, phi=PhiValue(Fraction(1, 7), True))
+    if group == "G":
+        return FamilySpec(fam, m=1, s=3, p=Fraction(8))
+    if fam in ("I1", "I2"):
+        return FamilySpec(fam, r=2)
+    if fam in ("I3", "J1"):
+        return FamilySpec(fam)
+    return FamilySpec(fam, x=Fraction(1, 3))
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES)
+def test_first_is_the_least_index_with_a_nonzero_summand(fam):
+    """``Family.first`` is where the summands start, and list-families prints it."""
+    spec, ctx = sample_spec(fam), make_context(20)
+    summand = term_fraction if FAMILIES[fam].group != "T" else (lambda s, n: term(s, n, ctx))
+    first = next(n for n in range(3) if summand(spec, n) != 0)
+    assert FAMILIES[fam].first == first
+    assert {row["id"]: row["starts_at"] for row in list_families()}[fam] == first
