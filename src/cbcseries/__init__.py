@@ -13,7 +13,6 @@ from cbcseries.precision import (
     make_context,
     constants,
     UsageError,
-    DomainError,
 )
 from cbcseries.families import FamilySpec, SignPattern, list_families
 from cbcseries.engine import (
@@ -36,7 +35,6 @@ __all__ = [
     "make_context",
     "constants",
     "UsageError",
-    "DomainError",
     "FamilySpec",
     "SignPattern",
     "list_families",

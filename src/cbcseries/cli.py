@@ -40,7 +40,7 @@ from cbcseries.identities import (
     check_sign_split,
     check_weighted_convolution,
 )
-from cbcseries.precision import DomainError, PrecisionContext, UsageError, constants, make_context
+from cbcseries.precision import PrecisionContext, UsageError, constants, make_context
 from cbcseries.registry import (
     EXAMPLE_SETS,
     TOLERANCE_EXPONENT,
@@ -439,7 +439,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         record, ok = _DISPATCH[args.command](args)
-    except (UsageError, DomainError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (UncertifiedError, ConvergenceError) as exc:

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from cbcseries.engine import phi_real, x_real
 from cbcseries.exact import fib_lucas
-from cbcseries.families import FAMILIES, FamilySpec, SignPattern
+from cbcseries.families import FAMILIES, FamilySpec, SignPattern, phi_real, x_real
 from cbcseries.precision import PrecisionContext, Real, constants
 
 _CEIL, _FLOOR = SignPattern.CEIL_HALF, SignPattern.FLOOR_HALF
@@ -91,10 +90,8 @@ def closed_value(spec: FamilySpec, ctx: PrecisionContext) -> Real:
             else:
                 v = _shape(row.sign, row.weight, x)
         elif row.group == "T":
-            if spec.at_certification_boundary():  # tan(+-pi/4) = +-1 exactly
-                y = mpf(1 if spec.phi.coeff > 0 else -1)
-            else:
-                y = mp.tan(phi_real(spec.phi, ctx))
+            t = spec.phi.exact_tan()
+            y = mp.tan(phi_real(spec.phi, ctx)) if t is None else ctx.real(t)
             v = _shape(row.sign, row.weight, y)
         elif row.group == "C":
             # a - b is about y/3 at y = 4x^2: the difference cancels

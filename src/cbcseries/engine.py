@@ -44,7 +44,8 @@ from mpmath import iv, mp, mpf
 
 from cbcseries import moments
 from cbcseries.exact import binomial, fib_lucas, harmonic
-from cbcseries.families import FAMILIES, Family, FamilySpec, PhiValue, SurdValue, sign
+from cbcseries.families import (
+    FAMILIES, Family, FamilySpec, PhiValue, SurdValue, phi_real, sign, x_real)
 from cbcseries.precision import PrecisionContext, Real, UsageError
 
 DEFAULT_MAX_TERMS = 10_000_000
@@ -109,25 +110,6 @@ class EvalResult:
 
     def error_bound(self) -> Real:
         return mp.fadd(self.truncation_bound, self.rounding_bound, rounding="u")
-
-
-# ---------------------------------------------------------------------------
-# parameter realization
-
-
-def x_real(x, ctx: PrecisionContext) -> Real:
-    """The x parameter as a Real at working precision (handles surds)."""
-    if isinstance(x, SurdValue):
-        return ctx.real(x.coeff) * mp.sqrt(ctx.real(x.radicand))
-    return ctx.real(x)
-
-
-def phi_real(phi: PhiValue, ctx: PrecisionContext) -> Real:
-    """The angle parameter as a Real at working precision."""
-    v = ctx.real(phi.coeff)
-    if phi.times_pi:
-        v = v * mp.pi
-    return v
 
 
 def _rational_x(spec: FamilySpec) -> Fraction:
@@ -257,10 +239,7 @@ def _ratio(spec: FamilySpec) -> _Ratio:
         b = row.index[1]
         return _Ratio(16 * x**4, 2**b * abs(x) ** (b + 1), -1 if x < 0 else 1)
     if row.group == "T":
-        c = spec.phi.coeff
-        if c == 0 or spec.at_certification_boundary():  # tan is exactly 0 or +-1
-            return _Ratio(Fraction((c > 0) - (c < 0)))
-        return _Ratio(None)
+        return _Ratio(spec.phi.exact_tan())
     if row.group == "G":
         # the state holds (F, L)(mn)/2: 2 V(mn + s) = F(mn) L_s + L(mn) F_s for
         # V = F, and L(mn) L_s + 5 F(mn) F_s for V = L

@@ -6,9 +6,9 @@ the named constants (:class:`~cbcseries.precision.Constants`), such as
 under a :class:`~cbcseries.precision.PrecisionContext`, one rounding per
 operation, so the same function yields more digits in a bigger context.
 
-The functions below are the ones those constants use: ``sqrt ln arctan artanh
-arccot arccoth``.  An argument outside a function's domain raises
-:class:`~cbcseries.precision.DomainError`.
+The functions below are the ones those constants use: ``sqrt ln arctan artanh``
+are mpmath's own, and ``arccot arccoth`` the reciprocal forms for a > 1, the
+only arguments the registry passes them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 
 from mpmath import mp
 
-from .precision import Constants, DomainError, PrecisionContext, Real, constants
+from .precision import Constants, PrecisionContext, Real, constants
 
 
 def evaluate(expr: Callable[[Constants], Real], ctx: PrecisionContext):
@@ -27,39 +27,13 @@ def evaluate(expr: Callable[[Constants], Real], ctx: PrecisionContext):
         return expr(constants(ctx))
 
 
-def sqrt(a):
-    if a < 0:
-        raise DomainError("sqrt", a, "negative argument on the real surface")
-    return mp.sqrt(a)
+sqrt, ln, arctan, artanh = mp.sqrt, mp.log, mp.atan, mp.atanh
 
 
-def ln(a):
-    if a <= 0:
-        raise DomainError("ln", a)
-    return mp.log(a)
-
-
-arctan = mp.atan
-
-
-def artanh(a):
-    if abs(a) >= 1:
-        raise DomainError("artanh", a, "|x| must be < 1")
-    return mp.atanh(a)
-
-
+# mp.one / a, so that an int argument is not divided as a float
 def arccot(a):
-    """arctan(1/a) for a > 0, continued to the (0, pi) branch for a <= 0 so
-    that the function is continuous on the whole line."""
-    # mp.one / a, so that an int argument is not divided as a float
-    if a == 0:
-        return mp.pi / 2
-    if a > 0:
-        return mp.atan(mp.one / a)
-    return mp.atan(mp.one / a) + mp.pi
+    return mp.atan(mp.one / a)
 
 
 def arccoth(a):
-    if abs(a) <= 1:
-        raise DomainError("arccoth", a, "|x| must be > 1")
     return mp.atanh(mp.one / a)

@@ -3,7 +3,8 @@
 A :class:`FamilySpec` names one series from the catalog and carries its
 parameters.  Construction validates the parameter domain exactly (rational
 arithmetic only); everything numeric happens later in the engine and the
-closed-form evaluator.
+closed-form evaluator, which both realize the parameters with
+:func:`x_real` and :func:`phi_real`.
 
 :data:`FAMILIES` holds each family's structural facts in one row: group,
 parameters, domain text, sign pattern, weight, central-binomial index and
@@ -49,8 +50,10 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional, Tuple, Union
 
+from mpmath import mp
+
 from cbcseries.exact import fib_lucas
-from cbcseries.precision import UsageError
+from cbcseries.precision import PrecisionContext, Real, UsageError
 
 # Largest |m|, |s| (G) and r (I1, I2) accepted.  F_k and L_k have about
 # 0.69 k bits; at |s| = 10^6 a G1 refusal takes about 0.4 s and at 10^7 7-9 s
@@ -131,6 +134,15 @@ class PhiValue:
     def is_zero(self) -> bool:
         return self.coeff == 0
 
+    def exact_tan(self) -> Optional[Fraction]:
+        """tan(phi) exactly where it is rational for |phi| <= pi/4: 0 at 0 and
+        +-1 at +-pi/4; None elsewhere, where it is irrational."""
+        if self.coeff == 0:
+            return Fraction(0)
+        if self.times_pi and abs(self.coeff) == Fraction(1, 4):
+            return Fraction(1 if self.coeff > 0 else -1)
+        return None
+
     def __str__(self) -> str:
         if self.times_pi:
             c = self.coeff
@@ -144,6 +156,21 @@ class PhiValue:
 
 
 XValue = Union[Fraction, SurdValue]
+
+
+def x_real(x: XValue, ctx: PrecisionContext) -> Real:
+    """The x parameter as a Real at working precision (handles surds)."""
+    if isinstance(x, SurdValue):
+        return ctx.real(x.coeff) * mp.sqrt(ctx.real(x.radicand))
+    return ctx.real(x)
+
+
+def phi_real(phi: PhiValue, ctx: PrecisionContext) -> Real:
+    """The angle parameter as a Real at working precision."""
+    v = ctx.real(phi.coeff)
+    if phi.times_pi:
+        v = v * mp.pi
+    return v
 
 
 class Family(NamedTuple):

@@ -1,4 +1,4 @@
-"""Precision contexts, the package's error types and named constants.
+"""Precision contexts, the package's usage error and named constants.
 
 All numeric work in this package runs inside a :class:`PrecisionContext`,
 which fixes a requested digit count plus guard digits.  The context wraps
@@ -9,7 +9,7 @@ output.
 
 The module also provides the handful of named constants the series closed
 forms need (golden ratio and friends).  The elementary functions of the
-registry's constants, with their domain checks, are in ``expressions``.
+registry's constants are in ``expressions``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,11 @@ RealLike = Union[int, float, str, Fraction, Real]
 # accumulated rounding, and rounding bounds are quoted at digits + GUARD_DIGITS.
 GUARD_DIGITS = 15
 
-# Extra working digits beyond digits + GUARD_DIGITS, so that the reported
-# rounding bound dominates the true accumulated error even for ~1e7-term sums.
+# Extra working digits beyond digits + GUARD_DIGITS.  The engine counts every
+# other rounding of a sum exactly on integers; these digits keep the value's
+# one final rounding, which ``rounding_bound`` counts, far below the quoted
+# precision, and are the margin at which the tail bound, the closed forms and
+# the constants are evaluated.
 _SLACK_DPS = 10
 
 # Largest digits accepted.  At 10^5 digits `constants` takes about 2 s and
@@ -41,18 +44,6 @@ MAX_DIGITS = 100_000
 
 class UsageError(ValueError):
     """A caller violated an interface contract (bad parameter, bad range)."""
-
-
-class DomainError(ValueError):
-    """An elementary function was called outside its mathematical domain."""
-
-    def __init__(self, func: str, argument: object, detail: str = ""):
-        self.func = func
-        self.argument = argument
-        msg = f"{func}: argument {argument!r} outside domain"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
 
 
 @dataclass(frozen=True)

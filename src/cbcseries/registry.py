@@ -31,9 +31,9 @@ from typing import Callable, List, Optional
 from mpmath import mp
 
 from .closedforms import closed_value
-from .engine import sum_adaptive, sum_fixed, x_real
+from .engine import sum_adaptive, sum_fixed
 from .expressions import arccot, arccoth, arctan, artanh, evaluate, ln, sqrt
-from .families import FamilySpec, PhiValue, SurdValue, XValue
+from .families import FamilySpec, PhiValue, SurdValue, XValue, x_real
 from .precision import Constants, PrecisionContext, Real, UsageError
 
 EXAMPLE_SETS = ("ex6", "trig", "ex9", "ex10", "ex11", "thm15", "thm16")

@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import cbcseries.closedforms
 from cbcseries.closedforms import closed_value
 from cbcseries.engine import sum_adaptive, term_fraction
 from cbcseries.families import FamilySpec, PhiValue, SurdValue
@@ -181,3 +184,17 @@ def test_c_closed_at_tiny_x_matches_the_exact_series():
             with mp.workdps(digits + 40):
                 want = mpf(exact.numerator) / exact.denominator
                 assert abs(v - want) <= mpf(10) ** (1 - digits) * abs(want), (fam, x, digits)
+
+
+def test_closed_forms_do_not_import_the_engine():
+    """The closed forms are the reference every certified sum is checked
+    against, so they share no code with the summation engine."""
+    tree = ast.parse(Path(cbcseries.closedforms.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):  # the module and each name it gives
+            names.add(node.module or "")
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    assert [n for n in names if n.split(".")[-1] == "engine"] == []

@@ -1,8 +1,7 @@
-import pytest
 from mpmath import mp, mpf
 
 from cbcseries.expressions import arccot, arccoth, arctan, artanh, evaluate, ln, sqrt
-from cbcseries.precision import DomainError, make_context
+from cbcseries.precision import make_context
 
 CTX = make_context(30)
 
@@ -39,20 +38,3 @@ def test_evaluate_deterministic():
     a = evaluate(expr, CTX)
     b = evaluate(expr, CTX)
     assert a == b
-
-
-def test_evaluate_domain_errors():
-    with pytest.raises(DomainError):
-        evaluate(lambda c: sqrt(-1), CTX)
-    with pytest.raises(DomainError):
-        evaluate(lambda c: artanh(1), CTX)
-    with pytest.raises(DomainError):
-        evaluate(lambda c: ln(0), CTX)
-    with pytest.raises(DomainError, match=r"arccoth: argument .* \(\|x\| must be > 1\)"):
-        evaluate(lambda c: arccoth(mpf(1) / 2), CTX)
-    with pytest.raises(DomainError):
-        evaluate(lambda c: artanh(-1), CTX)
-    with pytest.raises(DomainError):
-        evaluate(lambda c: ln(mpf(-1) / 3), CTX)
-    with pytest.raises(DomainError):
-        evaluate(lambda c: arccoth(-mpf(1)), CTX)

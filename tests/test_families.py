@@ -55,6 +55,15 @@ def test_phi_value():
     assert PhiValue(Fraction(0)).is_zero()
 
 
+def test_exact_tan_is_rational_only_at_zero_and_quarter_pi():
+    assert PhiValue(Fraction(0)).exact_tan() == 0
+    assert PhiValue(Fraction(0), True).exact_tan() == 0
+    assert PhiValue(Fraction(1, 4), True).exact_tan() == 1
+    assert PhiValue(Fraction(-1, 4), True).exact_tan() == -1
+    assert PhiValue(Fraction(1, 6), True).exact_tan() is None
+    assert PhiValue(Fraction(1, 2)).exact_tan() is None
+
+
 def test_four_alpha_pow_cmp():
     # 4*alpha ~ 6.4721
     assert four_alpha_pow_cmp(Fraction(13, 2), 1) == 1

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from cbcseries.expressions import arccot, arccoth, arctan, artanh, evaluate, ln, sqrt
-from cbcseries.precision import DomainError, UsageError, constants, make_context
+from cbcseries.expressions import arccot, arctan, artanh, evaluate
+from cbcseries.precision import UsageError, constants, make_context
 
 CTX = make_context(30)
 
@@ -73,20 +73,3 @@ def test_arccot_complements_arctan():
         for x in (Fraction(1, 4), Fraction(1), Fraction(35, 2)):
             s = evaluate(lambda c: arccot(ctx.real(x)) + arctan(ctx.real(x)), ctx)
             assert abs(s - mp.pi / 2) < tol
-        # continuous (0, pi) branch: arccot(-x) = pi - arccot(x)
-        left = evaluate(lambda c: arccot(-2), ctx)
-        right = mp.pi - evaluate(lambda c: arccot(2), ctx)
-        assert abs(left - right) < tol
-        assert evaluate(lambda c: arccot(0), ctx) == mp.pi / 2
-
-
-def test_elementary_domains():
-    with pytest.raises(DomainError):
-        evaluate(lambda c: sqrt(-1), CTX)
-    with pytest.raises(DomainError):
-        evaluate(lambda c: artanh(1), CTX)
-    with pytest.raises(DomainError):
-        evaluate(lambda c: arccoth(mp.mpf(1) / 2), CTX)
-    with pytest.raises(DomainError):
-        evaluate(lambda c: ln(0), CTX)
-

@@ -5,8 +5,8 @@ import pytest
 from mpmath import mpf
 
 from cbcseries.closedforms import closed_value
-from cbcseries.engine import x_real
 from cbcseries.expressions import evaluate
+from cbcseries.families import x_real
 from cbcseries.precision import UsageError, make_context
 from cbcseries.registry import (
     EXAMPLE_SETS,
@@ -57,12 +57,17 @@ def test_every_expected_tree_is_its_family_closed_form(digits):
     """scale * closed form of the spec equals the expected constant to
     10^-(digits + 10) on every row, which pins each transcribed constant far
     past the 30 digits `examples` prints; for thm16-J1 this is the only deep
-    check, since its bound-mode run certifies only 0.02."""
+    check, since its bound-mode run certifies only 0.02.  The elementary
+    functions check no domain, so each constant must also be a real mpf (a
+    negative sqrt gives an mpc) and close to a finite value (a log of 0 gives
+    -inf)."""
     ctx = make_context(digits)
     with ctx.workprec():
         for row in list_examples("all"):
+            want = evaluate(row.expected, ctx)
+            assert isinstance(want, mpf), row.id
             got = x_real(row.scale, ctx) * closed_value(row.spec, ctx)
-            assert abs(got - evaluate(row.expected, ctx)) <= mpf(10) ** -(digits + 10), row.id
+            assert abs(got - want) <= mpf(10) ** -(digits + 10), row.id
 
 
 def test_spot_values():
