@@ -23,7 +23,8 @@ proven error components:
   omitted term.
 
 :func:`sum_adaptive` sums up to the least N whose ``tail_bound`` fits the
-target, found before summing by a secant search on log2 ``tail_bound`` (see
+target, found before summing: read off ``tail_bound``'s formula in floats and
+certified by two ``tail_bound`` calls, at N and N - 1 (see
 :func:`_stop_index`).  Where the terms alternate, directly or in pairs, and
 their magnitudes are a moment sequence (C, H, F1-F4, T1-T4), it sums by
 certified CVZ instead wherever that is cheaper, and on the domain boundary,
@@ -54,9 +55,6 @@ DEFAULT_MAX_TERMS = 10_000_000
 _BOUND_PAD = "1.00000001"
 # the stop-index search reports "more than 2^64" past this index
 _SEARCH_LIMIT = 2**64
-# model-guided stop-index probes before the search falls back to galloping and
-# bisection
-_MODEL_PROBES = 16
 
 
 class UncertifiedError(Exception):
@@ -256,8 +254,8 @@ def _ratio(spec: FamilySpec) -> _Ratio:
 
 @lru_cache(maxsize=64)  # sized as _ratio's memo
 def _constants(spec: FamilySpec, ctx: PrecisionContext) -> Tuple[Real, Real, Real]:
-    """(q, c, pad) of ``spec`` at ``ctx``'s working precision,
-    formed once per (spec, ctx), as the stop-index search reads them at each probe.
+    """(q, c, pad) of ``spec`` at ``ctx``'s working precision, formed once
+    per (spec, ctx), as every ``tail_bound`` call and the stop-index model read them.
 
     q is the term-ratio majorant, valid for every index: the factors a n + b
     of the term ratio (see :func:`_kernel`) pair up with equal leading
@@ -522,71 +520,126 @@ def _log2(x: Real) -> float:
     return math.log2(man / (1 << bits)) + (exp + bits)
 
 
-def _model_guess(points, low: int, high: int) -> int:
-    """The least n in [low, high] where the model through ``points`` fits, else high.
+@lru_cache(maxsize=64)  # sized as _ratio's memo
+def _log2_tail(spec: FamilySpec, ctx: PrecisionContext):
+    """(log2 q, f) with f(N) log2 :func:`tail_bound` at a real N >= 0, in floats.
 
-    ``points`` are (M, log2(tail_bound(M - 1)/budget)), oldest first.  The
-    model is a + b M + c log2 M: through three points it fits b and c; through
-    two, c = 0 (a secant); through one, b = -1 (q = 1/2).
+    f is the formula that tail_bound evaluates, as log2 pad + log2 c +
+    M log2 q - log2(pi k/2)/2 - log2 d(M) + log2 shape(q, M), with its pieces
+    taken from :func:`_constants` through :func:`_log2`; for J1, as log2 pad
+    + 1 + log2(ln N + 4) - log2(2 pi N)/2.  log2 q and log2(1 - q) come from
+    the mpf 1 - q, so that a q within 10^-16 of 1 keeps its distance.  None
+    where tail_bound refuses (q not below 1 off C).
     """
-    m2, f2 = points[-1]
-    b, c = -1.0, 0.0
-    if len(points) > 1:
-        m1, f1 = points[-2]
-        b = (f1 - f2) / (m1 - m2)
-    if len(points) == 3:
-        (m0, f0), (m1, f1) = points[:2]
-        l0, l1 = math.log2(m0 / m2), math.log2(m1 / m2)
-        det = (m0 - m2) * l1 - (m1 - m2) * l0
-        if det:
-            b = ((f0 - f2) * l1 - (f1 - f2) * l0) / det
-            c = ((m0 - m2) * (f1 - f2) - (m1 - m2) * (f0 - f2)) / det
+    row = FAMILIES[spec.family]
+    q, c, pad = _constants(spec, ctx)
+    lpad = _log2(pad)
+    if row.weight == "harmonic":
+        at0 = lpad + math.log2(9 / 32 + 8 / math.sqrt(2 * math.pi))
+        return 0.0, lambda N: (lpad + 1 + math.log2(math.log(N) + 4)
+                               - math.log2(2 * math.pi * N) / 2 if N >= 1 else at0)
+    if not (q and c):
+        return -math.inf, lambda N: -math.inf
+    alternating = row.group == "C"
+    if not (alternating or q < 1):
+        return None
+    with ctx.workprec():
+        d = 1 - q
+    lq = math.log1p(-float(d)) / math.log(2) if d < 0.5 else _log2(q)
+    a, b = row.index
+    base = lpad + _log2(c)
+    if not alternating:
+        base -= _log2(d) * (2 if row.weight == "linear" else 1)
+    df, qf = float(d), float(q)
 
-    def fits(n: int) -> bool:
-        return f2 + b * (n + 1 - m2) + c * math.log2((n + 1) / m2) <= 0
+    def f(N: float) -> float:
+        M = N + 1
+        k = a * M + b
+        v = base + M * lq - math.log2(math.pi * k / 2) / 2
+        if row.weight == "recip":
+            v -= math.log2(k + 1)
+        elif row.weight == "linear":
+            v += math.log2(M * df + qf)
+        return v
 
-    if fits(low):
-        return low
-    # gallop up from low, which does not fit, to an index that does; then bisect
-    step, top = 1, min(low + 1, high)
-    while not fits(top):
-        if top == high:
-            return high
-        low, step = top, 2 * step
-        top = min(low + step, high)
-    while top - low > 1:
-        mid = (low + top) // 2
-        if fits(mid):
-            top = mid
+    return lq, f
+
+
+def _model_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext) -> int:
+    """The least N >= ``Family.first`` where the float model of
+    :func:`_log2_tail` fits log2 ``budget``; ``_SEARCH_LIMIT`` where it does
+    not fit there, and ``Family.first`` where there is no model.
+
+    Where q < 1 the model is M log2 q plus terms that change slowly, so the
+    root, in N, starts from the closed form M0 = (log2 budget - rest)/log2 q
+    with the rest held at its value at ``first``; the power laws (J1, C at
+    |x| = 1/2) are solved in log2 M from the ends of [first, 2^64].  Secant
+    steps follow, bisecting where one leaves the bracket.
+    """
+    first = FAMILIES[spec.family].first
+    model = _log2_tail(spec, ctx)
+    if model is None:
+        return first
+    lq, f = model
+    target = _log2(budget)
+    g0, g_end = f(first) - target, f(_SEARCH_LIMIT) - target
+    if g0 <= 0:
+        return first
+    if g_end > 0:
+        return _SEARCH_LIMIT
+    if lq < 0:
+        to_n, lo, hi = float, float(first), float(_SEARCH_LIMIT)
+        t1 = lo - g0 / lq
+    else:
+        def to_n(t: float) -> float:
+            return 2.0**t - 1
+        lo, hi = math.log2(first + 1), 64.0
+        t1 = lo - g0 * (hi - lo) / (g_end - g0)
+    t0 = lo
+    for _ in range(64):
+        if not lo < t1 < hi:
+            t1 = (lo + hi) / 2
+        g1 = f(to_n(t1)) - target
+        if g1 > 0:
+            lo = t1
         else:
-            low = mid
-    return top
+            hi = t1
+        t2 = t1 - g1 * (t1 - t0) / (g1 - g0) if g1 != g0 else t1
+        if not lo <= t2 <= hi:
+            t2 = (lo + hi) / 2
+        if abs(to_n(t2) - to_n(t1)) <= 0.01 or abs(t2 - t1) <= 1e-9 * abs(t1):
+            break
+        t0, g0, t1 = t1, g1, t2
+    else:
+        t2 = hi
+    N = min(max(math.ceil(to_n(t2)), first), _SEARCH_LIMIT)
+    if f(N) > target:
+        N += 1
+    elif N > first and f(N - 1) <= target:
+        N -= 1
+    return N
 
 
 def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
     """(N, tail_bound(N)) for the least N >= ``Family.first`` with tail_bound(N) <= budget.
 
-    Every tail model makes log2 tail_bound(N) close to a + b M + c log2 M in
-    M = N + 1: b = log2 q for the geometric models, c from their sqrt(M),
-    (2M + 1) or M factors, and b = 0 for J1 and for C at |x| = 1/2.  So each
-    probe goes where that model, fitted through the last three probes (a
-    secant through the last two at first), puts the least index that fits.
-    Probes keep a bracket lo < N <= hi and always land strictly inside it;
-    after ``_MODEL_PROBES`` probes the search gallops up from lo and bisects
-    instead, so it terminates.  It ends on the certificate tail_bound(N) <=
-    budget < tail_bound(N - 1), or N = ``Family.first``, which makes N the least
-    such index because the bound falls as N grows.  Over 665 searches (the
-    registry rows at 30 digits, the sweep40 and deep1000 bench workloads at
-    seeds 1-3) it made 4.64 ``tail_bound`` calls on average and at most 5.
-    Returns (None, None) when tail_bound(_SEARCH_LIMIT) > budget; it probes
-    there only when the model or the gallop points past it.
+    N is read off the float model of :func:`_model_index` and certified in
+    mpf: tail_bound(N) <= budget < tail_bound(N - 1), or N = ``Family.first``,
+    makes N the least such index because the bound falls as N grows.  So a
+    search takes two ``tail_bound`` calls, one where N = ``Family.first``, and
+    one at ``_SEARCH_LIMIT`` where the model puts N past it.  Where the
+    certificate fails, the search gallops away from the model's index and
+    bisects.  Over 3,611 searches (the adaptive registry rows at 30, 40 and
+    100 digits, the four bench workloads at seeds 1-3 and 3,000 random
+    points at 10-1000 digits) it made 1.999 calls on average; the 12 that
+    made 4-8 have q within 10^-11 of 1 and N past 10^14, which a float
+    cannot resolve to 1.  Returns (None, None) when tail_bound(_SEARCH_LIMIT)
+    exceeds the budget.
     """
     lo, hi, bound = FAMILIES[spec.family].first - 1, None, None
-    points = []
-    n, probes, step = lo + 1, 0, 1
+    n, step = _model_index(spec, budget, ctx), 1
     while True:
         b = tail_bound(spec, n, ctx)
-        probes += 1
         if b <= budget:
             hi, bound = n, b
         elif n >= _SEARCH_LIMIT:
@@ -595,13 +648,14 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
             lo = n
         if hi == lo + 1:
             return hi, bound
-        if b > 0:
-            points = (points + [(n + 1, _log2(b / budget))])[-3:]
-        if probes < _MODEL_PROBES:
-            n = _model_guess(points, lo + 1, _SEARCH_LIMIT if hi is None else hi - 1)
-        else:  # gallop up from lo, bisecting once the steps pass mid-bracket
-            n = min(lo + step, _SEARCH_LIMIT if hi is None else (lo + hi) // 2)
-            step *= 2
+        # gallop away from the model's index, bisecting once the steps pass mid-bracket
+        if hi is None:
+            n = min(lo + step, _SEARCH_LIMIT)
+        elif b <= budget:
+            n = max(hi - step, (lo + hi) // 2)
+        else:
+            n = min(lo + step, (lo + hi) // 2)
+        step *= 2
 
 
 def _alternation(spec: FamilySpec) -> Optional[int]:
@@ -662,8 +716,17 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
         B          120   220   430   755  1090  3420
         CVZ step     -  1.08  2.18  2.70  3.07  5.30   max(1, sqrt(B/110))
         search       -   426   468     -   383   453   400
+        search now 253   260   267   244   239   365
         split cold  25    16    11   9.3    11    15   max(10, sqrt(B/16))
         split warm  11   7.7   6.9   6.4   7.9    11
+
+    "search" timed the earlier secant fit (about 5 ``tail_bound`` calls);
+    "search now" the float model and its two-call certificate, medians of 6
+    over the same five series with q, c and the model memoised (384-558
+    where they are formed anew), against 516-904 for the earlier search on
+    the same machine.  The rule keeps 400: a lower figure moves the
+    CVZ/kernel choice, and so ``terms_used`` and the bounds, at some points,
+    which a change with its own census of those points should make.
 
     Weights on [0, 13/16] (2.34 B bits) cost 1.83 times those on [0, 1] at
     300 and 1000 digits, and on [0, 3/4] (1.56 B bits) 1.3 to 2 times; the

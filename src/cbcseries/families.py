@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt, log10
 from typing import NamedTuple, Optional, Tuple, Union
 
 from mpmath import mp
@@ -285,6 +285,19 @@ def four_alpha_pow_cmp(p: Fraction, m: int) -> int:
     return -1 if lhs < rhs else (1 if lhs > rhs else 0)
 
 
+def _four_alpha_pow_text(m: int) -> str:
+    """4 alpha^|m| to 6 significant digits, as a float prints it where it fits
+    one, else as a mantissa and an exponent read off its log10."""
+    e = abs(m) * log10(1.618033988749895) + log10(4)
+    if e < 300:
+        return f"{4 * 1.618033988749895 ** abs(m):.6g}"
+    exponent = floor(e)
+    mantissa = round(10 ** (e - exponent), 5)
+    if mantissa >= 10:
+        mantissa, exponent = mantissa / 10, exponent + 1
+    return f"{mantissa:.6g}e+{exponent}"
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """One series from the catalog plus its parameters.
@@ -350,10 +363,8 @@ class FamilySpec:
             if not isinstance(self.p, Fraction):
                 raise UsageError(f"{fam}: p must be an exact rational")
             if four_alpha_pow_cmp(self.p, self.m) < 0:
-                raise UsageError(
-                    f"{fam}: requires p >= 4*alpha^|m| "
-                    f"(~{float(4 * 1.618033988749895 ** abs(self.m)):.6g}), got p = {self.p}"
-                )
+                raise UsageError(f"{fam}: requires p >= 4*alpha^|m| "
+                                 f"(~{_four_alpha_pow_text(self.m)}), got p = {self.p}")
         elif group == "H":
             if not isinstance(self.x, Fraction):
                 raise UsageError(f"{fam}: x must be an exact rational")

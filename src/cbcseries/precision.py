@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import mpmath
@@ -105,6 +106,8 @@ class Constants:
     pi: Real
 
 
+# one entry per precision; a Constants is frozen, so every caller may share it
+@lru_cache(maxsize=16)
 def constants(ctx: PrecisionContext) -> Constants:
     with ctx.workprec():
         sqrt5 = mp.sqrt(5)

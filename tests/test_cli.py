@@ -16,7 +16,7 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import cbcseries
 import cbcseries.cli as cli
@@ -249,6 +249,20 @@ def test_extreme_precision_and_indices_exit_2_fast(capsys):
             cbcseries.FamilySpec("G1", p=Fraction(8), **kwargs)
     with pytest.raises(cbcseries.UsageError, match="index limit"):
         cbcseries.FamilySpec("I2", r=MAX_INDEX + 2)
+
+
+@pytest.mark.parametrize("m, figure", [(1473, "2.75965e+308"), (1475, "7.22486e+308"),
+                                       (10**6, "1.74707e+208988")])
+def test_g_refusal_past_the_float_range_prints_a_finite_figure(capsys, m, figure):
+    """4 alpha^|m| overflows a float from |m| = 1473 on; the refusal still
+    names it, to the 6 digits that mpmath gives."""
+    code, out, err = run(capsys, "eval", "--family", "G1", f"--m={m}", "--s", "0", "--p", "9")
+    assert code == 2
+    assert out == ""
+    assert f"requires p >= 4*alpha^|m| (~{figure}), got p = 9" in err
+    assert "inf" not in err and "Traceback" not in err
+    with mp.workdps(30):
+        assert mp.nstr(4 * mp.phi**m, 6) == figure
 
 
 def test_negative_tolerance_exits_2(capsys):

@@ -328,7 +328,7 @@ def counting_tail_bound(monkeypatch):
 
 
 def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
-    """N comes from a handful of tail_bound calls and is the least index that fits."""
+    """N comes from two tail_bound calls, its certificate, and is the least index that fits."""
     real_tail_bound = engine.tail_bound
     calls = counting_tail_bound(monkeypatch)
     for spec, ctx, target in ((FamilySpec("F5", x=Fraction(1, 2)), CTX40, Fraction(1, 10**42)),
@@ -338,7 +338,7 @@ def test_sum_adaptive_stop_index_is_least_with_few_tail_calls(monkeypatch):
         calls.clear()
         res = sum_adaptive(spec, target, ctx)
         assert res.converged
-        assert len(calls) <= 8
+        assert len(calls) <= 2
         # terms_used counts from the first nonzero index: 1 for F5, G10 and H3
         N = res.terms_used - 1 + FAMILIES[spec.family].first
         with ctx.workprec():
@@ -538,7 +538,7 @@ def test_counted_rounding_bound_holds_for_irrational_tan(family, k, N):
 
 
 def reference_stop_index(spec, budget, ctx):
-    """The doubling-and-bisection stop-index search that the model-guided one replaced."""
+    """The doubling-and-bisection stop-index search that the model-read one replaced."""
     lo = FAMILIES[spec.family].first - 1
     hi = lo + 1
     while True:
@@ -560,7 +560,7 @@ def reference_stop_index(spec, budget, ctx):
 
 def reference_capped_at_the_search_limit(spec, budget, ctx):
     """The reference, except that a least N past _SEARCH_LIMIT (which its doubling
-    reports up to 2^65 - 1) reads "more than 2^64" like the model-guided search."""
+    reports up to 2^65 - 1) reads "more than 2^64" like the model-read search."""
     N, bound = reference_stop_index(spec, budget, ctx)
     if N is not None and N > engine._SEARCH_LIMIT:
         return None, None
@@ -570,8 +570,8 @@ def reference_capped_at_the_search_limit(spec, budget, ctx):
 @pytest.mark.parametrize("digits", [30, 40])
 def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, digits):
     """Every adaptive registry row off the boundary (where no tail model
-    exists) gets the reference's (N, bound) from at most 8 calls, and from
-    under 5 on average (the reference took 15)."""
+    exists) gets the reference's (N, bound) from at most 2 calls, the
+    certificate at N and N - 1 (the reference took 15)."""
     ctx = make_context(digits)
     rows = [row for row in list_examples()
             if row.mode == "adaptive" and not row.spec.at_certification_boundary()]
@@ -585,11 +585,11 @@ def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, dig
             got = engine._stop_index(row.spec, budget, ctx)
             monkeypatch.undo()
         assert got == want, row.id
-        assert len(calls) <= 8, (row.id, calls)
+        assert len(calls) <= 2, (row.id, calls)
         total += len(calls)
         N = got[0]
         assert N in calls and (N == FAMILIES[row.spec.family].first or N - 1 in calls), row.id
-    assert total < 5 * len(rows)
+    assert total <= 2 * len(rows)
 
 
 @pytest.mark.parametrize("digits", [40, 1000])
@@ -598,12 +598,10 @@ def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, dig
                          ids=["J1", "C1-1/2", "C2--1/2"])
 def test_j1_refusal_takes_a_handful_of_tail_calls(monkeypatch, spec, digits):
     """The power-law tails (J1, C at |x| = 1/2) need far more than 2^64 terms
-    (J1 ~10^84 at 40 digits): the search probes the search limit once the
-    model points past it (66 calls by doubling), and the J1 refusal makes one
-    more call at the cap.  The log2 M term of the model keeps this to 7-10
-    calls; a secant alone takes 14 at J1 and about 80 at C1/C2 at 40 digits.
-    sum_adaptive sums C at |x| = 1/2 by CVZ (tests/test_cvz.py), so for C the
-    search is called directly."""
+    (J1 ~10^84 at 40 digits): the float model puts N past the search limit,
+    one call there certifies it (66 calls by doubling), and the J1 refusal
+    makes one more call at the cap.  sum_adaptive sums C at |x| = 1/2 by CVZ
+    (tests/test_cvz.py), so for C the search is called directly."""
     calls = counting_tail_bound(monkeypatch)
     ctx, target = make_context(digits), Fraction(1, 10 ** (digits + 2))
     if spec.family == "J1":
@@ -615,7 +613,7 @@ def test_j1_refusal_takes_a_handful_of_tail_calls(monkeypatch, spec, digits):
         with ctx.workprec():
             budget = ctx.real(target) * (1 - mpf(2) ** -16)
             assert engine._stop_index(spec, budget, ctx) == (None, None)
-    assert len(calls) <= 11
+    assert len(calls) <= 2
     assert calls.count(engine._SEARCH_LIMIT) == 1
 
 
@@ -634,9 +632,22 @@ def t_specs(draw):
     return FamilySpec(family, phi=PhiValue(Fraction(k, 97), times_pi=True))
 
 
+@st.composite
+def near_one_specs(draw):
+    """I1 at r <= 12, and G at |m| <= 3 with |s| up to 10^4 and p just above
+    4 alpha^|m|, where q lies within 10^-8 of 1 and the stop index is huge."""
+    if draw(st.booleans()):
+        return FamilySpec("I1", r=2 * draw(st.integers(0, 6)))
+    m = draw(st.integers(-3, 3))
+    den = 10 ** draw(st.integers(1, 8))
+    low = math.ceil(4 * _ALPHA ** abs(m) * den) + 1
+    p = Fraction(draw(st.integers(low, low + 10)), den)
+    return FamilySpec(draw(st.sampled_from(G_FAMILIES)), m=m, s=draw(st.integers(-10**4, 10**4)), p=p)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(rational_specs(), t_specs()), st.integers(20, 200), st.integers(-10, 10),
-       st.integers(1, 99), st.sampled_from([1, 50, 2000]))
+@given(st.one_of(rational_specs(), t_specs(), near_one_specs()), st.integers(20, 1000),
+       st.integers(-10, 10), st.integers(1, 99), st.sampled_from([1, 50, 2000]))
 def test_stop_index_matches_the_reference_on_a_sample(spec, digits, shift, mantissa, cap):
     """Same (N, bound), and so the same sum, bounds or refusal message, as the reference."""
     ctx = make_context(digits)
@@ -645,6 +656,34 @@ def test_stop_index_matches_the_reference_on_a_sample(spec, digits, shift, manti
     with mock.patch.object(engine, "_stop_index", reference_capped_at_the_search_limit):
         want = outcome(spec, target, ctx, cap)
     assert got == want
+
+
+@pytest.mark.parametrize("spec, digits, target", [
+    (F3_HALF, 30, Fraction(1, 10**32)),
+    (FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(2))), 40, Fraction(1, 10**42)),
+    (FamilySpec("T5", phi=PhiValue(Fraction(1, 5), True)), 30, Fraction(1, 10**32)),
+    (FamilySpec("C2", x=Fraction(-1, 3)), 100, Fraction(1, 10**102)),
+    (FamilySpec("G10", m=2, s=3, p=Fraction(11)), 30, Fraction(1, 10**32)),
+    (FamilySpec("H2", x=Fraction(99, 100)), 40, Fraction(1, 10**42)),
+    (J1, 10, Fraction(1, 10**5)),
+    (FamilySpec("C1", x=Fraction(1, 2)), 40, Fraction(1, 10**42)),
+], ids=["geometric", "recip-surd", "linear-T", "alternating", "F/L", "H-near-1", "J1", "C-power"])
+@pytest.mark.parametrize("miss", [-1000, -1, 1, 1000, "past"])
+def test_stop_index_recovers_from_a_wrong_model_index(monkeypatch, spec, digits, target, miss):
+    """With the float model's index moved by +-1, +-1000 or past 2^64, the
+    mpf search from it still returns the reference's (N, bound); unmoved,
+    the model reads N itself."""
+    ctx = make_context(digits)
+    first = FAMILIES[spec.family].first
+    with ctx.workprec():
+        budget = ctx.real(target) * (1 - mpf(2) ** -16)
+        want = reference_capped_at_the_search_limit(spec, budget, ctx)
+        N = engine._SEARCH_LIMIT if want[0] is None else want[0]
+        assert engine._model_index(spec, budget, ctx) == N
+        guess = engine._SEARCH_LIMIT if miss == "past" else min(max(N + miss, first),
+                                                                 engine._SEARCH_LIMIT)
+        monkeypatch.setattr(engine, "_model_index", lambda *args: guess)
+        assert engine._stop_index(spec, budget, ctx) == want
 
 
 def test_ratio_is_formed_once_per_search():

@@ -50,6 +50,18 @@ def test_known_constants():
         assert abs(cs.alpha + cs.beta - 1) < tol
 
 
+def test_constants_are_formed_once_per_precision():
+    """Every caller at one precision shares one frozen Constants, equal to a fresh one."""
+    ctx = make_context(30)
+    cs = constants(ctx)
+    assert constants(make_context(30)) is cs
+    fresh = constants.__wrapped__(ctx)
+    assert fresh == cs and fresh is not cs
+    with pytest.raises(AttributeError):
+        cs.pi = 3
+    assert constants(make_context(31)).pi != cs.pi
+
+
 def test_artanh_against_higher_precision():
     """200 random points, low-precision result within 10 units of
     10^-(working_digits - 1) of a 3x context."""
