@@ -6,7 +6,7 @@ terms at a point, :func:`_ratio`.  The tail bound, its ratio q and the
 summation kernel read those two descriptions; only :func:`term_fraction`,
 the exact oracle, spells each family out.
 
-Each sum runs one of three paths, which :func:`_plan` chooses before any
+Each sum runs one of four paths, which :func:`_plan` chooses before any
 term is stepped, by one measured cost rule; it also raises every refusal
 known before summing.  :func:`_sum` runs the plan.  Each result carries two
 proven error components:
@@ -29,8 +29,10 @@ certified by two ``tail_bound`` calls, at N and N - 1 (see
 their magnitudes are a moment sequence (C, H, F1-F4, T1-T4), it sums by
 certified CVZ instead wherever that is cheaper, and on the domain boundary,
 where no tail model exists; ``truncation_bound`` is then the CVZ error.
-``term`` and ``term_fraction`` compute single summands directly and are the
-independent checks of the driver.
+J1 it sums to a stop index N0 and adds a certified enclosure of the tail
+after N0 (:func:`moments.j1_tail`); ``truncation_bound`` is then the
+enclosure's half-width.  ``term`` and ``term_fraction`` compute single
+summands directly and are the independent checks of the driver.
 """
 
 from __future__ import annotations
@@ -526,18 +528,13 @@ def _log2_tail(spec: FamilySpec, ctx: PrecisionContext):
 
     f is the formula that tail_bound evaluates, as log2 pad + log2 c +
     M log2 q - log2(pi k/2)/2 - log2 d(M) + log2 shape(q, M), with its pieces
-    taken from :func:`_constants` through :func:`_log2`; for J1, as log2 pad
-    + 1 + log2(ln N + 4) - log2(2 pi N)/2.  log2 q and log2(1 - q) come from
-    the mpf 1 - q, so that a q within 10^-16 of 1 keeps its distance.  None
-    where tail_bound refuses (q not below 1 off C).
+    taken from :func:`_constants` through :func:`_log2`.  log2 q and
+    log2(1 - q) come from the mpf 1 - q, so that a q within 10^-16 of 1
+    keeps its distance.  None where tail_bound refuses or uses another
+    formula (q not below 1 off C, J1 among them).
     """
     row = FAMILIES[spec.family]
     q, c, pad = _constants(spec, ctx)
-    lpad = _log2(pad)
-    if row.weight == "harmonic":
-        at0 = lpad + math.log2(9 / 32 + 8 / math.sqrt(2 * math.pi))
-        return 0.0, lambda N: (lpad + 1 + math.log2(math.log(N) + 4)
-                               - math.log2(2 * math.pi * N) / 2 if N >= 1 else at0)
     if not (q and c):
         return -math.inf, lambda N: -math.inf
     alternating = row.group == "C"
@@ -547,7 +544,7 @@ def _log2_tail(spec: FamilySpec, ctx: PrecisionContext):
         d = 1 - q
     lq = math.log1p(-float(d)) / math.log(2) if d < 0.5 else _log2(q)
     a, b = row.index
-    base = lpad + _log2(c)
+    base = _log2(pad) + _log2(c)
     if not alternating:
         base -= _log2(d) * (2 if row.weight == "linear" else 1)
     df, qf = float(d), float(q)
@@ -572,8 +569,8 @@ def _model_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext) -> int:
 
     Where q < 1 the model is M log2 q plus terms that change slowly, so the
     root, in N, starts from the closed form M0 = (log2 budget - rest)/log2 q
-    with the rest held at its value at ``first``; the power laws (J1, C at
-    |x| = 1/2) are solved in log2 M from the ends of [first, 2^64].  Secant
+    with the rest held at its value at ``first``; the power law of C at
+    |x| = 1/2 is solved in log2 M from the ends of [first, 2^64].  Secant
     steps follow, bisecting where one leaves the bracket.
     """
     first = FAMILIES[spec.family].first
@@ -628,18 +625,23 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
     makes N the least such index because the bound falls as N grows.  So a
     search takes two ``tail_bound`` calls, one where N = ``Family.first``, and
     one at ``_SEARCH_LIMIT`` where the model puts N past it.  Where the
-    certificate fails, the search gallops away from the model's index and
+    certificate fails, the search takes one secant step in mpf through its
+    two calls, which lie one index apart, then gallops away from there and
     bisects.  Over 3,611 searches (the adaptive registry rows at 30, 40 and
     100 digits, the four bench workloads at seeds 1-3 and 3,000 random
-    points at 10-1000 digits) it made 1.999 calls on average; the 12 that
-    made 4-8 have q within 10^-11 of 1 and N past 10^14, which a float
-    cannot resolve to 1.  Returns (None, None) when tail_bound(_SEARCH_LIMIT)
-    exceeds the budget.
+    points at 10-1000 digits) it made 1.999 calls on average; those that
+    made more have q within 10^-11 of 1 and N past 10^14, which a float
+    cannot resolve to 1.  There the secant lands on N: log2 of the bound
+    falls by log2 q a step plus the share of its slow factors, which the two
+    calls measure too (at x = 1 - 10^-17 that share is 0.5% of log2 q for H2,
+    which misses by 9 over the 1,709 indices from the float model's N).
+    Returns (None, None) when tail_bound(_SEARCH_LIMIT) exceeds the budget.
     """
     lo, hi, bound = FAMILIES[spec.family].first - 1, None, None
-    n, step = _model_index(spec, budget, ctx), 1
+    n, step, calls = _model_index(spec, budget, ctx), 1, []
     while True:
         b = tail_bound(spec, n, ctx)
+        calls.append((n, b))
         if b <= budget:
             hi, bound = n, b
         elif n >= _SEARCH_LIMIT:
@@ -648,6 +650,13 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
             lo = n
         if hi == lo + 1:
             return hi, bound
+        if len(calls) == 2:
+            (n1, b1), (n2, b2) = calls
+            slope = mp.log(b2 / b1) / (n2 - n1) if b1 and b2 else 0
+            if slope < 0:
+                n = int(mp.ceil(n2 - mp.log(b2 / budget) / slope))
+                n, step = min(max(n, lo + 1), _SEARCH_LIMIT if hi is None else hi - 1), 1
+                continue
         # gallop away from the model's index, bisecting once the steps pass mid-bracket
         if hi is None:
             n = min(lo + step, _SEARCH_LIMIT)
@@ -678,7 +687,9 @@ class _Plan(NamedTuple):
     """How one sum runs, by ``kernel`` at scale 2^B, up to index ``last``:
     ``path`` "kernel" (``trunc``, its tail bound in adaptive mode), "cvz" (n
     weights on [0, q], in pairs of sign ``pair`` if not 0, with A_0 <= hn/hd
-    sqrt(radicand) for ``head`` = (hn, hd)) or "split" (n weights on [0, 1])."""
+    sqrt(radicand) for ``head`` = (hn, hd)), "split" (n weights on [0, 1])
+    or "j1" (the ends ``tail`` of the order-n enclosure of J1's tail after
+    ``last``, and ``trunc`` its half-width)."""
 
     path: str
     last: int
@@ -689,6 +700,7 @@ class _Plan(NamedTuple):
     pair: int = 0
     trunc: Optional[Real] = None
     head: Tuple[int, int] = (0, 1)
+    tail: Tuple[Real, Real] = (0, 0)
 
 
 def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
@@ -752,6 +764,8 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
             "parameter on the domain boundary; use sum_fixed for an uncertified partial sum"))
     if not target > 0:
         raise UsageError("sum_adaptive: target_abs_error must be > 0")
+    if row.weight == "harmonic":
+        return _j1_plan(spec, ctx, target, max_terms)
     if pair is not None and r.z != 0:  # at x = 0 the kernel sums the one nonzero term
         # A_0 <= hn/hd sqrt(radicand) (2 a_first for + pairs; tan(phi) is not
         # in a T head, as first = 0); ratio the kernel's q, and the magnitudes'
@@ -803,10 +817,76 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
         ctx, last)
 
 
+# the highest order of J1's tail enclosure: its expansion takes about 0.1 s
+# to form, once per process
+_J1_MAX_ORDER = 64
+
+
+def _j1_index(e: moments.J1Expansion, log2_budget: float, last: int) -> int:
+    """The least N >= ``e.first`` where the float model of the radius of
+    :func:`moments.j1_tail` fits 2^log2_budget, or some N > ``last``.  The
+    radius is N^-(K+3/2) times terms that change slowly, so a few
+    fixed-point steps in log2 N come within an index or two of it."""
+    def radius(N: float) -> float:
+        return moments.j1_log2_radius(e, N)
+
+    x = math.log2(e.first)
+    for _ in range(8):
+        x = max(math.log2(e.first), x + (radius(2.0**x) - log2_budget) / (e.order + 1.5))
+    N = max(e.first, math.ceil(2.0**x))
+    while N <= last and radius(N) > log2_budget:
+        N += 1
+    while e.first < N <= last and radius(N - 1) <= log2_budget:
+        N -= 1
+    return N
+
+
+def _j1_plan(spec: FamilySpec, ctx: PrecisionContext, target: Real, max_terms: int) -> _Plan:
+    """The adaptive J1 plan: the kernel steps the terms 0..N0, and the
+    order-K enclosure of the tail after N0 (:func:`moments.j1_tail`) adds
+    the rest, with N0 the least index where the enclosure's float model fits
+    the target within 2^-8.
+
+    K follows from the target's bits by a measured rule, K = bits/12 within
+    [2, 64].  Forming the expansion, once per order and process, takes about
+    1.5 ms at K <= 5, 5-8 ms at 12, 28 ms at 26 and 35-67 ms at 40, and a
+    kernel step 0.4-1.3 us at 1-200 digits; their sum for a first request
+    was least at K = 3, 3-5, 6, 8, 12, 14-20, 27 and 39 at 1, 10, 20, 30,
+    40, 60, 100 and 150 digits (best of 5, CPython 3.11.7, mpmath 1.3.0's
+    pure-Python backend).  The rule gives N0 = 13, 476, 1087, 1256, 4169 and
+    9880 at 1, 10, 30, 40, 100 and 200 digits.  Where N0 passes
+    ``max_terms`` it takes the highest order that holds at the cap instead,
+    and refuses when that one does not fit there either.
+    """
+    budget = target * (1 - mpf(2) ** -16)
+    last = max_terms - 1
+    log2_budget = _log2(budget) - 2**-8
+    e = moments.j1_expansion(min(_J1_MAX_ORDER, max(2, round(-log2_budget / 12))))
+    N = _j1_index(e, log2_budget, last)
+    if N > last:
+        e = moments.j1_expansion(max(1, min(_J1_MAX_ORDER, moments.j1_highest_order(last))))
+        if e.first > last:
+            raise ConvergenceError(spec, target, (
+                f"the J1 tail enclosure holds from N0 = {e.first}, past the cap of {max_terms} "
+                "terms"), ctx, last)
+        N = min(last, _j1_index(e, log2_budget, last))
+    order, B = e.order, _scale_bits(N, ctx)
+    lo, hi = _ends(moments.j1_tail(N, e, B + 16))
+    trunc = mp.ldexp(mp.fsub(hi, lo, rounding="u"), -1)
+    if trunc > budget:
+        raise ConvergenceError(spec, target, (
+            f"the J1 tail enclosure of order {order} at N0 = {N} has half-width "
+            f"{mp.nstr(trunc, 8)}, with a cap of {max_terms} terms"), ctx, N)
+    k = _kernel(spec, N, B)
+    err = _kernel_error(k, N) + 1
+    floor = _finish(k, -err, err, B)[1]
+    if floor > target - trunc:
+        raise ConvergenceError(spec, target, _floor_reason(N, floor, trunc), ctx, N)
+    return _Plan("j1", N, B, k, order, trunc=trunc, tail=(lo, hi))
+
+
 def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
     row = FAMILIES[spec.family]
-    if row.weight == "harmonic":
-        return "the J1 integral-comparison tail model"
     q = _constants(spec, ctx)[0]
     # a q below 1 that reads 1.0 at 8 digits shows its distance from 1
     q = f"1 - {mp.nstr(1 - q, 2)}" if q < 1 and mp.nstr(q, 8) == "1.0" else mp.nstr(q, 8)
@@ -822,10 +902,6 @@ def _floor_reason(N: int, rounding: Real, trunc: Real) -> str:
 
 # ---------------------------------------------------------------------------
 # the runner, and the drivers: plan, run, wrap
-
-
-def _iv_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / q.denominator
 
 
 def _ends(v) -> Tuple[Real, Real]:
@@ -852,6 +928,8 @@ def _sum(spec: FamilySpec, plan: _Plan) -> Tuple[Real, Optional[Real], Real]:
     brackets its scaled sum between two integers, which :func:`_finish` rounds.
 
     * "kernel": :func:`_run` within :func:`_kernel_error` units.
+    * "j1": the same, plus the midpoint of the tail's enclosure ``plan.tail``
+      at 2^B, rounded outward; its half-width is the truncation bound.
     * "cvz": the magnitudes A_j (terms or pairs) are moments of a positive
       measure on [0, q'], pairs because a_2k +- a_2k+1 = int t^2k (1 +- t)
       dmu, so the n weights err by at most A_0 qn^n/d, which rounds up
@@ -880,8 +958,8 @@ def _sum(spec: FamilySpec, plan: _Plan) -> Tuple[Real, Optional[Real], Real]:
         saved = iv.prec
         try:
             iv.prec = B + 32
-            head = _iv_fraction(Fraction(*_head(row, ratio, ratio.z)))  # a_0
-            tail_head = (_iv_fraction(ratio.kappa) * _iv_fraction(ratio.z) ** M
+            head = moments.iv_fraction(Fraction(*_head(row, ratio, ratio.z)))  # a_0
+            tail_head = (moments.iv_fraction(ratio.kappa) * moments.iv_fraction(ratio.z) ** M
                          * moments.central_binomial_enclosure(a * M + b, B + 8) / (a * M + b + 1))
             scale = iv.ldexp(iv.mpf(d), B)
             slack = iv.ldexp(iv.mpf([-units, units]), -B)
@@ -892,9 +970,12 @@ def _sum(spec: FamilySpec, plan: _Plan) -> Tuple[Real, Optional[Real], Real]:
         ends = _ends(total)
         B = -min(v._mpf_[2] for v in ends)  # the lowest bit's exponent
         lo, hi = sorted(ratio.flip * int(mp.ldexp(v, B)) for v in ends)
-    elif plan.path == "kernel":
+    elif plan.path in ("kernel", "j1"):
         total, err = _run(k, N), _kernel_error(k, N)
         lo, hi = total - err, total + err
+        if plan.path == "j1":
+            mid = mp.ldexp(mp.fadd(*plan.tail, exact=True), B - 1)
+            lo, hi = lo + int(mp.floor(mid)), hi + int(mp.ceil(mid))
     else:
         q, (hn, hd) = plan.q, plan.head
         d, weights = moments.weights(n, q)
@@ -944,8 +1025,9 @@ def sum_adaptive(
     (1 - 2^-16) of the target (the rest is left for rounding), computed once
     before summing.  Alternating moment sequences are summed by certified
     CVZ instead where :func:`_plan` finds that cheaper or no tail model
-    exists.  ``terms_used`` counts the terms stepped, from the first nonzero
-    index (``Family.first``) to N, both terms of each CVZ pair, and
+    exists, and J1 to an N0 past which it adds the enclosure of its tail.
+    ``terms_used`` counts the terms stepped, from the first nonzero index
+    (``Family.first``) to N or N0, both terms of each CVZ pair, and
     ``max_terms`` caps that count.  Raises :class:`UncertifiedError` at
     parameter points with neither (the n-weighted shapes on the boundary,
     where they diverge), :class:`ConvergenceError` when N or the CVZ terms

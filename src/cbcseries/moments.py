@@ -25,20 +25,30 @@ t) dmu, again moments, on [0, q^2].
   index, the first term a_(N+1) of T(N), from the Stirling series of
   ln Gamma, which envelops for real arguments (DLMF 5.11(ii)): the
   remainder lies between 0 and the first omitted term.
+* :func:`j1_expansion` and :func:`j1_tail` enclose the tail of J1 after N
+  from the same Stirling coefficients, the enveloping series of H_n and
+  Euler-Maclaurin sums, to an order K in 1/N; ``engine.sum_adaptive`` adds
+  that enclosure to J1's partial sum.
 
 The module holds only this mathematics; ``engine`` chooses when to run it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 from mpmath import iv, mp
 
 from cbcseries.precision import UsageError
+
+
+def iv_fraction(q: Fraction):
+    """An ``mpmath.iv`` interval holding the Fraction q."""
+    return iv.mpf(q.numerator) / q.denominator
 
 
 @lru_cache(maxsize=4)
@@ -218,3 +228,190 @@ def cvz(num, den, u: int, first: int, weights: Iterable[int], pair: int = 0) -> 
         r, r1, r2 = r + r1, r1 + r2, r2 + r3
         s, s1, s2 = s + s1, s1 + s2, s2 + s3
     return total
+
+
+# ---------------------------------------------------------------------------
+# the tail of J1
+
+# gamma = 0.5772156649... lies below this
+_EULER_ABOVE = Fraction(57722, 100000)
+
+
+class J1Expansion(NamedTuple):
+    """The tail T(N) = sum_(n>N) c_4n H_(n+1)/(n+1) of J1 to ``order`` K in 1/N.
+
+    For every N >= ``first``, sqrt(2 pi N) T(N) lies within N^-(K+1) sum_j
+    N^-j (rlog_j ln N + rplain_j) of sum_i N^-i (log_i ln N + plain_i +
+    euler_i gamma); every coefficient is an exact rational.
+    """
+
+    order: int
+    first: int
+    log: Tuple[Fraction, ...]
+    plain: Tuple[Fraction, ...]
+    euler: Tuple[Fraction, ...]
+    rlog: Tuple[Fraction, ...]
+    rplain: Tuple[Fraction, ...]
+
+
+def _upper(v) -> Fraction:
+    """The upper end of an iv interval, as the Fraction it stands for."""
+    sign, man, exp, _ = v._mpi_[1]
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _cauchy_radius(E: Sequence[Fraction], K: int, u0: Fraction) -> Fraction:
+    """r > u0 near the least of e^Ehat(r)/r^(K+1), Ehat the polynomial with
+    coefficients |E_i|: where r Ehat'(r) = K + 1, found by bisection in ln r."""
+    lo, hi = math.log(2 * u0), math.log(16 * (K + 1))  # |E_1| = 1/16
+    ie = [(i, i * float(abs(e))) for i, e in enumerate(E) if e]
+    for _ in range(30):
+        t = (lo + hi) / 2
+        if sum(c * math.exp(i * t) for i, c in ie) < K + 1:
+            lo = t
+        else:
+            hi = t
+    return Fraction(math.exp(lo))
+
+
+def j1_highest_order(N: int) -> int:
+    """The highest order K whose expansion holds at N, N >= 2K + 9."""
+    return (N - 9) // 2
+
+
+@lru_cache(maxsize=4)
+def j1_expansion(K: int) -> J1Expansion:
+    """The order-K expansion of J1's tail, for K >= 1, valid from N = 2K + 9.
+
+    With u = 1/n <= u0 = 1/(2K + 10) for n > N, t_n sqrt(2 pi) n^(3/2) =
+    A(u) (ln n + gamma + h(u)), A = G/(1 + u):
+
+    * ln G = ln(c_4n sqrt(2 pi n)) = ln Gamma(4n) - 2 ln Gamma(2n) + ... =
+      sum_(j<J) b_j (4^(1-2j) - 2^(2-2j)) u^(2j-1) + eps, with b_j the
+      Stirling coefficients; each Stirling remainder R(z) lies between 0 and
+      b_J z^(1-2J) (DLMF 5.11(ii)), so |eps| <= |b_J| 2^(2-2J) u^(2J-1),
+      and 2J - 1 >= K + 1.
+    * G to order K is exp of that polynomial E to order K.  exp(E) is
+      entire, so by Cauchy's estimate on |u| = r its coefficients past K sum
+      to at most e^Ehat(r) (u/r)^(K+1)/(1 - u0/r), Ehat with the |E_i|; and
+      |e^eps - 1| <= |eps| e^|eps|.  A = G/(1 + u) to order K has a_m = g_m
+      - a_(m-1), and |A - A_K| <= alpha u^(K+1), alpha = |a_K| + the two.
+    * h(u) = u/2 + u/(1 + u) - sum_(k<P) B_2k/(2k) u^2k + R_H, the
+      enveloping series of H_n plus 1/(n + 1), |R_H| <= |B_2P/(2P)| u^2P
+      (DLMF 5.11(ii)), 2P >= K + 1.  So t_n sqrt(2 pi) n^(3/2) = sum_(m<=K)
+      u^m (a_m ln n + gamma a_m + w_m) + rho, w = A_K h_K to order K, with
+      |rho| <= u^(K+1) (alpha ln n + beta) from the bounds of the pieces on
+      (0, u0].
+    * Summed over n > N: n^-s and n^-s ln n, s = m + 3/2, by Euler-Maclaurin
+      from N (DLMF 2.10.1) less the term at N, to order K + 2 in 1/N.  The
+      remainder is at most twice the first omitted term, because the
+      (2p)-th derivative keeps one sign on [N, inf): for n^-s ln n that
+      needs ln N >= sum_(i<2p) 1/(s + i) <= ln((s + 2p - 1)/(s - 1)), which
+      N >= 2K + 9 gives.  The sum of the bound on |rho| n^(-3/2) is at most
+      its integral from N, as it decreases.
+    """
+    if K < 1:
+        raise UsageError(f"j1_expansion: the order must be >= 1, got {K}")
+    P, J, first = K // 2 + 1, (K + 3) // 2, 2 * K + 9
+    u0 = Fraction(1, first + 1)
+    b = _stirling_coefficients(K // 2 + 2)
+    E = [Fraction(0)] * (K + 1)
+    for j in range(1, J):
+        E[2 * j - 1] = b[j - 1] * (Fraction(1, 4 ** (2 * j - 1)) - Fraction(1, 4 ** (j - 1)))
+    eta = abs(b[J - 1]) / 4 ** (J - 1)
+    g = [Fraction(1)]
+    for m in range(1, K + 1):
+        g.append(sum(i * E[i] * g[m - i] for i in range(1, m + 1, 2)) / m)
+    a = list(itertools.accumulate(g, lambda prev, gm: gm - prev))
+    # B_2k/(2k) = b_k (2k - 1)
+    h = [Fraction(0), Fraction(3, 2)] + [
+        (-1) ** (i + 1) - (b[i // 2 - 1] * (i - 1) if i % 2 == 0 else 0) for i in range(2, K + 1)]
+    w = [sum(a[i] * h[m - i] for i in range(m + 1)) for m in range(K + 1)]
+
+    def majorant(c, x):  # sum |c_i| x^i
+        return sum(abs(ci) * x ** i for i, ci in enumerate(c))
+
+    r = _cauchy_radius(E, K, u0)
+    dh = 1 + abs(b[P - 1]) * (2 * P - 1) * u0 ** (2 * P - K - 1)
+    saved = iv.prec
+    try:
+        iv.prec = 64
+        cauchy = iv.exp(iv_fraction(majorant(E, r))) / iv_fraction(r ** (K + 1) * (1 - u0 / r))
+        eps = (iv.exp(iv_fraction(majorant(E, u0) + eta * u0 ** (2 * J - 1)))
+               * iv_fraction(eta * u0 ** (2 * J - 2 - K)))
+        alpha = iv_fraction(abs(a[K])) + cauchy + eps
+        hmax = majorant(h, u0) + dh * u0 ** (K + 1)
+        # sum over i + j > K of |a_i h_j| u0^(i+j-K-1), from the suffix sums of |h_j| u0^j
+        hs = list(itertools.accumulate(abs(h[j]) * u0 ** j for j in range(K, -1, -1)))[::-1]
+        high = sum(abs(a[i]) * u0 ** i * hs[K + 1 - i] for i in range(1, K + 1)) / u0 ** (K + 1)
+        beta = _upper(alpha * iv_fraction(_EULER_ABOVE + hmax)
+                      + iv_fraction(majorant(a, u0) * dh + high))
+        alpha = _upper(alpha)
+    finally:
+        iv.prec = saved
+    size = K + 5
+    log, plain, euler, rlog, rplain = ([Fraction(0)] * size for _ in range(5))
+    for m in range(K + 1):
+        s, am, wm = m + Fraction(3, 2), a[m], w[m]
+        # the integrals from N, then - f(N)/2
+        log[m] += am / (s - 1)
+        plain[m] += am / (s - 1) ** 2 + wm / (s - 1)
+        euler[m] += am / (s - 1)
+        log[m + 1] -= am / 2
+        plain[m + 1] -= wm / 2
+        euler[m + 1] -= am / 2
+        # B_2k/(2k)! (s)_(2k-1) N^-(s+2k-1) (ln N - the s-derivative of ln (s)_(2k-1))
+        p = (K + 4 - m) // 2
+        rising, slope = s, Fraction(1)  # (s)_(2k-1) and its derivative in s
+        for k in range(1, p + 1):
+            for j in (2 * k - 3, 2 * k - 2) if k > 1 else ():
+                slope, rising = slope * (s + j) + rising, rising * (s + j)
+            c = b[k - 1] / math.factorial(2 * k - 2)
+            if k < p:
+                log[m + 2 * k] += am * c * rising
+                plain[m + 2 * k] += c * (wm * rising - am * slope)
+                euler[m + 2 * k] += am * c * rising
+            else:
+                rlog[m + 2 * k] += 2 * abs(am * c) * rising
+                rplain[m + 2 * k] += 2 * abs(c) * rising * (_EULER_ABOVE * abs(am) + abs(wm))
+    rlog[K + 1] += alpha / (K + Fraction(3, 2))
+    rplain[K + 1] += alpha / (K + Fraction(3, 2)) ** 2 + beta / (K + Fraction(3, 2))
+    return J1Expansion(K, first, tuple(log[:K + 3]), tuple(plain[:K + 3]), tuple(euler[:K + 3]),
+                       tuple(rlog[K + 1:]), tuple(rplain[K + 1:]))
+
+
+def _horner(coefficients: Sequence[Fraction], N: int, P: int):
+    """An iv interval holding sum_i c_i N^-i: by Horner's rule on integers
+    scaled by 2^P, each of whose 2 floors per coefficient costs less than a unit."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = (c.numerator << P) // c.denominator + acc // N
+    return iv.ldexp(iv.mpf([acc, acc + 2 * len(coefficients)]), -P)
+
+
+def j1_tail(N: int, e: J1Expansion, bits: int):
+    """An ``mpmath.iv`` interval containing T(N) for N >= ``e.first``, from
+    the expansion ``e`` evaluated at iv precision ``bits``."""
+    if N < e.first:
+        raise UsageError(
+            f"j1_tail: the order-{e.order} expansion holds from N = {e.first}, got {N}")
+    saved = iv.prec
+    try:
+        iv.prec = bits
+        ln = iv.log(N)
+        value = ln * _horner(e.log, N, bits) + _horner(e.plain, N, bits) + iv.euler * _horner(
+            e.euler, N, bits)
+        radius = (ln * _horner(e.rlog, N, bits) + _horner(e.rplain, N, bits)) / iv.mpf(N) ** (
+            e.order + 1)
+        return (value + iv.mpf([-radius.b, radius.b])) / iv.sqrt(2 * iv.pi * N)
+    finally:
+        iv.prec = saved
+
+
+def j1_log2_radius(e: J1Expansion, N: float) -> float:
+    """log2 of the radius of :func:`j1_tail` at a real N >= ``e.first``, in floats."""
+    ln = math.log(N)
+    poly = sum(N ** -j * (float(rl) * ln + float(rp))
+               for j, (rl, rp) in enumerate(zip(e.rlog, e.rplain)))
+    return math.log2(poly) - (e.order + 1.5) * math.log2(N) - math.log2(2 * math.pi) / 2

@@ -154,10 +154,15 @@ def test_readme_transcripts_are_current(capsys):
 
 
 def test_compare_j1_capped_exits_3(capsys):
+    """Below the index where the tail enclosure meets the target, the refusal
+    names the enclosure, its order, N0 and the half-width it reached."""
     code, out, err = run(
-        capsys, "compare", "--family", "J1", "--max-terms", "2000"
+        capsys, "compare", "--family", "J1", "--max-terms", "30"
     )
     assert code == 3
+    assert err == ("numeric failure: J1: cannot certify target 1.0e-32: the J1 tail enclosure "
+                   "of order 10 at N0 = 29 has half-width 1.1399036e-17, with a cap of 30 "
+                   "terms\n")
 
 
 def test_constants_json(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import cbcseries.closedforms as closedforms
 import cbcseries.engine as engine
 from cbcseries.engine import (
     ConvergenceError,
@@ -214,6 +216,43 @@ def test_tail_bound_j1_levels():
         assert tail_bound(J1, 10, CTX) < b0
     with pytest.raises(UsageError):
         tail_bound(J1, -1, CTX)
+
+
+@pytest.mark.parametrize("digits, max_terms", [
+    (1, engine.DEFAULT_MAX_TERMS), (10, engine.DEFAULT_MAX_TERMS), (30, engine.DEFAULT_MAX_TERMS),
+    (40, engine.DEFAULT_MAX_TERMS), (100, engine.DEFAULT_MAX_TERMS), (40, 2000)])
+def test_sum_adaptive_certifies_j1_by_its_tail_enclosure(digits, max_terms):
+    """terms_used is N0 + 1 and truncation_bound the enclosure's half-width;
+    the value lies within error_bound of the closed form 20 digits deeper."""
+    ctx, target = make_context(digits), Fraction(1, 10 ** (digits + 2))
+    res = sum_adaptive(J1, target, ctx, max_terms)
+    with ctx.workprec():
+        plan = engine._plan(J1, ctx, target=ctx.real(target), max_terms=max_terms)
+        assert res.converged and res.error_bound() <= ctx.real(target)
+    assert plan.path == "j1"
+    assert (res.terms_used, res.truncation_bound) == (plan.last + 1, plan.trunc)
+    assert res.terms_used <= max_terms
+    deep = make_context(digits + 20)
+    with deep.workprec():
+        assert abs(res.value - closed_value(J1, deep)) <= res.error_bound()
+
+
+def test_sum_adaptive_j1_reads_no_closed_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closed form entered the sum")
+
+    monkeypatch.setattr(closedforms, "closed_value", refuse)
+    assert sum_adaptive(J1, Fraction(1, 10**42), CTX40, max_terms=2000).converged
+
+
+def test_sum_adaptive_j1_at_40_digits_under_a_cap_of_2000_takes_under_10_ms():
+    sum_adaptive(J1, Fraction(1, 10**42), CTX40, max_terms=2000)
+    best = math.inf
+    for _ in range(7):
+        start = time.perf_counter()
+        sum_adaptive(J1, Fraction(1, 10**42), CTX40, max_terms=2000)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.010
 
 
 def test_tail_bound_uncertified_at_boundary():
@@ -597,24 +636,41 @@ def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, dig
                                   FamilySpec("C2", x=Fraction(-1, 2))],
                          ids=["J1", "C1-1/2", "C2--1/2"])
 def test_j1_refusal_takes_a_handful_of_tail_calls(monkeypatch, spec, digits):
-    """The power-law tails (J1, C at |x| = 1/2) need far more than 2^64 terms
-    (J1 ~10^84 at 40 digits): the float model puts N past the search limit,
-    one call there certifies it (66 calls by doubling), and the J1 refusal
-    makes one more call at the cap.  sum_adaptive sums C at |x| = 1/2 by CVZ
-    (tests/test_cvz.py), so for C the search is called directly."""
+    """The power-law tail of C at |x| = 1/2 needs far more than 2^64 terms:
+    the float model puts N past the search limit, and one call there
+    certifies it (66 calls by doubling).  sum_adaptive sums C at |x| = 1/2
+    by CVZ (tests/test_cvz.py), so the search is called directly.  J1 runs
+    no search: its adaptive sums take the tail enclosure, whose refusal
+    under a cap of 30 terms calls no tail_bound at all."""
     calls = counting_tail_bound(monkeypatch)
     ctx, target = make_context(digits), Fraction(1, 10 ** (digits + 2))
     if spec.family == "J1":
-        with pytest.raises(ConvergenceError) as info:
-            sum_adaptive(spec, target, ctx, max_terms=2000)
-        assert "predicts N = more than 2^64, past the cap of 2000 terms" in str(info.value)
-        assert calls.pop() == 1999
-    else:
-        with ctx.workprec():
-            budget = ctx.real(target) * (1 - mpf(2) ** -16)
-            assert engine._stop_index(spec, budget, ctx) == (None, None)
+        with pytest.raises(ConvergenceError, match="the J1 tail enclosure of order"):
+            sum_adaptive(spec, target, ctx, max_terms=30)
+        assert calls == []
+        return
+    with ctx.workprec():
+        budget = ctx.real(target) * (1 - mpf(2) ** -16)
+        assert engine._stop_index(spec, budget, ctx) == (None, None)
     assert len(calls) <= 2
     assert calls.count(engine._SEARCH_LIMIT) == 1
+
+
+@pytest.mark.parametrize("digits", [30, 40])
+@pytest.mark.parametrize("family", ["H2", "F3", "F5"])
+def test_stop_index_within_1e_17_of_q_1_takes_four_calls(monkeypatch, family, digits):
+    """At x = 1 - 10^-17 the stop index is about 10^19, past what the float
+    model resolves (it reads 1,709 too low for H2 at 30 digits); the secant
+    step through the two certificate calls lands on N, which two more
+    calls certify."""
+    spec, ctx = FamilySpec(family, x=1 - Fraction(1, 10**17)), make_context(digits)
+    with ctx.workprec():
+        budget = ctx.real(Fraction(1, 10 ** (digits + 2))) * (1 - mpf(2) ** -16)
+        want = reference_stop_index(spec, budget, ctx)
+        calls = counting_tail_bound(monkeypatch)
+        assert engine._stop_index(spec, budget, ctx) == want
+    assert want[0] > 10**18
+    assert len(calls) <= 4
 
 
 def outcome(spec, target, ctx, cap):
@@ -665,9 +721,9 @@ def test_stop_index_matches_the_reference_on_a_sample(spec, digits, shift, manti
     (FamilySpec("C2", x=Fraction(-1, 3)), 100, Fraction(1, 10**102)),
     (FamilySpec("G10", m=2, s=3, p=Fraction(11)), 30, Fraction(1, 10**32)),
     (FamilySpec("H2", x=Fraction(99, 100)), 40, Fraction(1, 10**42)),
-    (J1, 10, Fraction(1, 10**5)),
+    (FamilySpec("I1", r=8), 40, Fraction(1, 10**42)),
     (FamilySpec("C1", x=Fraction(1, 2)), 40, Fraction(1, 10**42)),
-], ids=["geometric", "recip-surd", "linear-T", "alternating", "F/L", "H-near-1", "J1", "C-power"])
+], ids=["geometric", "recip-surd", "linear-T", "alternating", "F/L", "H-near-1", "I1-r8", "C-power"])
 @pytest.mark.parametrize("miss", [-1000, -1, 1, 1000, "past"])
 def test_stop_index_recovers_from_a_wrong_model_index(monkeypatch, spec, digits, target, miss):
     """With the float model's index moved by +-1, +-1000 or past 2^64, the

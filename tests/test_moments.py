@@ -136,3 +136,55 @@ def test_partial_sum_is_zero_at_zero():
     for family in ("C1", "C2"):
         res = sum_fixed(FamilySpec(family, x=Fraction(0)), N, ctx)
         assert res.value == 0 and res.rounding_bound == 0
+
+
+def j1_orders(digits):
+    """The orders the adaptive J1 plan takes at ``digits``: the rule's, and the
+    highest, which it takes where the cap binds."""
+    ctx = make_context(digits)
+    with ctx.workprec():
+        plan = engine._plan(FamilySpec("J1"), ctx, target=ctx.real(Fraction(1, 10 ** (digits + 2))))
+    return plan, (plan.n, engine._J1_MAX_ORDER)
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+def test_j1_tail_encloses_the_closed_form_less_the_partial_sum(digits):
+    """From the smallest N0 each order holds at (2K + 9) to 10^5, the
+    enclosure holds closed_value - S_N, both 20 digits deeper, and its upper
+    end lies below tail_bound, the integral comparison."""
+    spec, ctx, deep = FamilySpec("J1"), make_context(digits), make_context(digits + 20)
+    plan, orders = j1_orders(digits)
+    closed = closed_value(spec, deep)
+    for order in orders:
+        e = moments.j1_expansion(order)
+        for N in sorted({e.first, e.first + 1, plan.last, 2000, 10**5}):
+            with deep.workprec():
+                want = exact(closed - sum_fixed(spec, N, deep).value)
+            low, high = engine._ends(moments.j1_tail(N, e, engine._scale_bits(N, ctx) + 16))
+            assert exact(low) <= want <= exact(high), (order, N)
+            with ctx.workprec():
+                assert high < tail_bound(spec, N, ctx), (order, N)
+
+
+def test_j1_tail_is_tight_where_the_plan_stops():
+    """At the plan's N0 the enclosure fits the target, and the midpoint
+    misses the tail by more than 10^-4 of the half-width: the bound is not
+    orders of magnitude above what it bounds."""
+    spec, deep = FamilySpec("J1"), make_context(60)
+    plan, _ = j1_orders(40)
+    with deep.workprec():
+        want = closed_value(spec, deep) - sum_fixed(spec, plan.last, deep).value
+        low, high = plan.tail
+        assert plan.trunc <= mpmath.mpf(10) ** -42
+        assert abs(want - (low + high) / 2) > plan.trunc / 10**4
+
+
+def test_j1_expansion_holds_from_its_first_index():
+    e = moments.j1_expansion(3)
+    assert (e.order, e.first) == (3, 15)
+    assert moments.j1_highest_order(e.first) == 3
+    assert moments.j1_highest_order(e.first - 1) == 2
+    with pytest.raises(UsageError):
+        moments.j1_tail(e.first - 1, e, 100)
+    with pytest.raises(UsageError):
+        moments.j1_expansion(0)

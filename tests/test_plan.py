@@ -66,8 +66,16 @@ def test_divergent_boundary_refuses_before_summing(spec):
                                   FamilySpec("H2", x=Fraction(99, 100))],
                          ids=lambda spec: spec.describe())
 def test_capped_compares_refuse_before_summing(spec):
-    with pytest.raises(ConvergenceError, match=f"past the cap of {CAP} terms"):
-        adaptive_plan(spec, 40, CAP)
+    # J1 certifies under the cap by its tail enclosure, which holds from N0 = 11
+    cap = 11 if spec.family == "J1" else CAP
+    with pytest.raises(ConvergenceError, match=f"past the cap of {cap} terms"):
+        adaptive_plan(spec, 40, cap)
+
+
+def test_j1_takes_its_tail_enclosure_under_the_cap():
+    plan = adaptive_plan(FamilySpec("J1"), 40, CAP)
+    assert (plan.path, plan.n, plan.last) == ("j1", 12, 1256)
+    assert adaptive_plan(FamilySpec("J1"), 40, 200).path == "j1"
 
 
 def test_bound_mode_endpoints():
