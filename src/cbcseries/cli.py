@@ -37,6 +37,7 @@ from cbcseries.identities import (
     check_harmonic_integral,
     check_lemma1,
     check_lemma2,
+    check_lemma_digits,
     check_sign_split,
     check_weighted_convolution,
 )
@@ -277,6 +278,8 @@ def _cmd_identity(args: argparse.Namespace):
         )
     ctx = make_context(args.digits)
     selected = list(_IDENTITY_CHECKS) if ident == "all" else [ident]
+    if any(_IDENTITY_CHECKS[name][0] is None for name in selected):
+        check_lemma_digits(ctx)  # the lemma checks, before the first sweep runs
     rows = []
     ok = True
     for name in selected:

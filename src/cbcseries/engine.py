@@ -345,7 +345,8 @@ class _Kernel(NamedTuple):
       with the divisor 2 inside den.  The scaled total is out . (S_F, S_L).
     * the "harmonic" weight (J1, terms a_n H_{n+1}): by Abel summation the
       total is H_{N+1} A_N - sum_{n<N} A_n/(n+2) over the partial sums A_n
-      of a_n, so a step adds two divisions by the small n+2.
+      of a_n, so a step adds one division by the small n+2, and H_{N+1}
+      comes once, from :func:`moments.harmonic_enclosure`.
 
     Every step truncates below one unit and multiplies earlier errors by at
     most 1 in modulus (for ``step``, on the eigenvectors (1, +-sqrt5) of the
@@ -353,9 +354,10 @@ class _Kernel(NamedTuple):
     "linear" weight folds (n+1)/n into the ratio.  So the scaled total errs
     by at most ``units`` x steps x spread (:func:`_kernel_error`), where
     spread is the number of steps, or N (1 + log2 N) >= n H_n for the linear
-    weight.  The value is the scaled total times the spec's sqrt(radicand)
-    times 2^-B; ``root`` = r, with r <= sqrt(radicand) 2^B < r + 1, carries
-    that factor as the tan(phi) of T is carried (None for radicand 1).
+    weight; J1's Abel total has a count of its own there.  The value is the
+    scaled total times the spec's sqrt(radicand) times 2^-B; ``root`` = r,
+    with r <= sqrt(radicand) 2^B < r + 1, carries that factor as the
+    tan(phi) of T is carried (None for radicand 1).
     """
 
     first: int
@@ -435,10 +437,6 @@ def _kernel(spec: FamilySpec, N: int, B: int) -> _Kernel:
         step = fib_lucas(r.stride)
         head = tuple((v * hn << B) // hd for v in fib_lucas(r.stride * row.first))
         units = 2 * abs(r.out[0]) + 4 * abs(r.out[1])
-    if row.weight == "harmonic":
-        # J1: A_n errs by at most n(n+1)/2 units and A_N, H_{N+1} <= 1 + log2(N+1),
-        # so the Abel total errs by less than (2 + log2(N+1)) (N+1)^2 units
-        units = 2 + (N + 1).bit_length()
     d = r.radicand
     root = None if d == 1 else math.isqrt((d.numerator << 2 * B) // d.denominator)
     return _Kernel(row.first, head, num, den, _signs(row, r, z < 0), step, r.out, row.weight,
@@ -455,18 +453,19 @@ def _run(k: _Kernel, N: int) -> int:
     r, r1, r2, r3 = moments.differences(k.num, k.first)
     s, s1, s2, s3 = moments.differences(k.den, k.first)
     neg = k.neg
-    if k.weight == "harmonic":  # J1: first = 0, so m = n + 2
-        one = a = k.head[0]
+    if k.weight == "harmonic":  # J1: first = 0, so m = n + 2; num and den are quadratics
+        a = k.head[0]  # a_0 = 1, so 2^B exactly
+        B = a.bit_length() - 1
         partial = lower = 0
-        h = one  # H_{n+1}
         for m in range(2, N + 2):
             partial += a
             lower += partial // m
-            h += one // m
             a = a * r // s
-            r, r1, r2 = r + r1, r1 + r2, r2 + r3
-            s, s1, s2 = s + s1, s1 + s2, s2 + s3
-        return h * (partial + a) // one - lower
+            r, r1 = r + r1, r1 + r2
+            s, s1 = s + s1, s1 + s2
+        # H_{N+1} 2^B within one unit: the enclosure at 2^(B+2) spans at most 2 of its units
+        h = moments.harmonic_enclosure(N + 1, B + 2)[1] >> 2
+        return (h * (partial + a) >> B) - lower
     if k.step is None:
         (u,) = k.head
         total = 0
@@ -503,6 +502,15 @@ def _scale_bits(N: int, ctx: PrecisionContext) -> int:
 
 def _kernel_error(k: _Kernel, N: int) -> int:
     """The count of units within which ``_run(k, N)`` is exact."""
+    if k.weight == "harmonic":
+        # J1: a_n lies within n units below its exact value and A_n within
+        # n(n+1)/2, so ``lower`` lies less than sum_(n<N) (n/2 + 1) below its
+        # own.  h lies within one unit of H_{N+1} 2^B and A_N < 1.85 2^B (a_0
+        # = 1, and a_n <= 1/((n + 1) sqrt(2 pi n)), as C(4n, 2n)/16^n <=
+        # 1/sqrt(2 pi n), sum to less than 0.85 from n = 1), so h A_N 2^-B
+        # lies within H_{N+1} N(N+1)/2 + 1.85 of its own, and H_n <=
+        # n.bit_length(); the final floor adds less than 1
+        return (N + 1).bit_length() * N * (N + 1) // 2 + 3
     steps = max(0, N - k.first + 1)
     # a truncation at step j reaches term n multiplied by at most 1, or by
     # n/j for the linear weight: sum_j n/j <= N (1 + log2 N)

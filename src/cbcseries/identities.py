@@ -34,6 +34,10 @@ CONVOLUTION_N_LIMIT = 2000
 TRANSFORM_N_LIMIT = 1000
 SIGN_SPLIT_N_LIMIT = 2000
 HARMONIC_V_LIMIT = 1000
+# Largest --digits of the two numeric lemma checks, whose time grows about
+# as digits^2: at this limit 1.8 s (arcsin-split) and 2.9 s
+# (derivative-forms), and at 100,000 digits each runs past two minutes.
+LEMMA_DIGITS_LIMIT = 5000
 # sequence length bound of the sign-split check when none is given
 SIGN_SPLIT_N_DEFAULT = 63
 
@@ -79,6 +83,11 @@ def _check_range(name: str, value: int, low: int, high: int) -> None:
     """Refuse a sweep bound outside [low, high] before any work is done."""
     if not low <= value <= high:
         raise UsageError(f"{name} must be in [{low}, {high}], got {value}")
+
+
+def check_lemma_digits(ctx: PrecisionContext) -> None:
+    """Refuse a lemma check past ``LEMMA_DIGITS_LIMIT`` before any work is done."""
+    _check_range("digits of the lemma checks", ctx.digits, 1, LEMMA_DIGITS_LIMIT)
 
 
 def _pair_products(c: Sequence[int], n: int) -> List[int]:
@@ -299,6 +308,7 @@ def check_lemma1(x_samples: Sequence, ctx: PrecisionContext) -> IdentityReport:
 
     to 10^(3 - digits).
     """
+    check_lemma_digits(ctx)
     samples = list(x_samples)
     failures: List[Failure] = []
     with ctx.workprec():
@@ -345,6 +355,7 @@ def check_lemma2(x_samples: Sequence, ctx: PrecisionContext) -> IdentityReport:
     2. the exact products F' G' = 1 / (2 (1 + x^4)) and
        F'' G'' = x^2 (3 x^4 - 1) / (2 (1 + x^4)^3), to 10^(5 - digits).
     """
+    check_lemma_digits(ctx)
     samples = list(x_samples)
     failures: List[Failure] = []
     with ctx.workprec():

@@ -25,6 +25,9 @@ t) dmu, again moments, on [0, q^2].
   index, the first term a_(N+1) of T(N), from the Stirling series of
   ln Gamma, which envelops for real arguments (DLMF 5.11(ii)): the
   remainder lies between 0 and the first omitted term.
+* :func:`harmonic_enclosure` encloses H_n from the enveloping series of the
+  harmonic numbers, shifted down as the central binomial is;
+  ``engine._run`` takes J1's H_(N+1) from it.
 * :func:`j1_expansion` and :func:`j1_tail` enclose the tail of J1 after N
   from the same Stirling coefficients, the enveloping series of H_n and
   Euler-Maclaurin sums, to an order K in 1/N; ``engine.sum_adaptive`` adds
@@ -49,6 +52,13 @@ from cbcseries.precision import UsageError
 def iv_fraction(q: Fraction):
     """An ``mpmath.iv`` interval holding the Fraction q."""
     return iv.mpf(q.numerator) / q.denominator
+
+
+def _end(v, i: int) -> Fraction:
+    """End i (0 lower, 1 upper) of an iv interval, as the Fraction it stands for."""
+    sign, man, exp, _ = v._mpi_[i]
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 @lru_cache(maxsize=4)
@@ -130,6 +140,44 @@ def _stirling_enclosure(m: int, bits: int):
     coefficients = _stirling_coefficients(_stirling_terms(m + 1, g))
     return iv.exp(_ln_gamma(2 * m + 1, g, coefficients) - 2 * _ln_gamma(m + 1, g, coefficients)
                   - 2 * m * iv.log(2))
+
+
+def harmonic_enclosure(n: int, bits: int) -> Tuple[int, int]:
+    """Integers lo <= H_n 2^bits <= hi with hi - lo <= 2, for n >= 0 and bits >= 1.
+
+    H_m = ln m + gamma + 1/(2m) - sum_(k<P) B_2k/(2k m^2k) + R, where R lies
+    between 0 and the first omitted term (DLMF 5.11(ii)), taken below
+    2^-(bits+4) at m = max(n, bits), where a few terms get there; H_n = H_m
+    less the exact 1/j for n < j <= m, as :func:`central_binomial_enclosure`
+    shifts its index.  On integers scaled by 2^G, G = bits + g, the ends of
+    ln m + gamma, rounded outward, lie within 2 units of each other, the
+    1/(2m) and Horner terms within 2P of their exact sum, the m - n shifts
+    within m - n below theirs and R within 2^(g-4), so 2^g > 2 (4P + m - n
+    + 3) keeps the span under 2^g (1/2 + 1/8), and rounding outward to
+    2^bits adds less than 2.
+    """
+    if n < 0 or bits < 1:
+        raise UsageError(f"harmonic_enclosure: needs n >= 0 and bits >= 1, got {n}, {bits}")
+    m = max(n, bits)
+    P = 1  # the first omitted term, B_2P/(2P m^2P) = b_P (2P - 1)/m^2P
+    while _log2_stirling_term(P, m) + math.log2((2 * P - 1) / m) >= -bits - 4:
+        P += 1
+    G = bits + (4 * P + m - n + 3).bit_length() + 1
+    b, acc = _stirling_coefficients(P - 1), 0
+    for k in range(P - 1, 0, -1):  # B_2k/(2k) = b_k (2k - 1)
+        c = b[k - 1] * (2 * k - 1)
+        acc = (c.numerator << G) // c.denominator + acc // (m * m)
+    s = (1 << G) // (2 * m) - acc // (m * m) - sum((1 << G) // j for j in range(n + 1, m + 1))
+    saved = iv.prec
+    try:
+        iv.prec = G + m.bit_length().bit_length() + 8
+        log = iv.ldexp(iv.log(m) + iv.euler, G)
+    finally:
+        iv.prec = saved
+    slack = 2 * P + (1 << G - bits - 4)
+    lo = math.floor(_end(log, 0)) + s - (m - n) - slack
+    hi = math.ceil(_end(log, 1)) + s + slack
+    return lo >> G - bits, -(-hi >> G - bits)
 
 
 def chebyshev(n: int, q: Fraction) -> int:
@@ -254,13 +302,6 @@ class J1Expansion(NamedTuple):
     rplain: Tuple[Fraction, ...]
 
 
-def _upper(v) -> Fraction:
-    """The upper end of an iv interval, as the Fraction it stands for."""
-    sign, man, exp, _ = v._mpi_[1]
-    man = -int(man) if sign else int(man)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
 def _cauchy_radius(E: Sequence[Fraction], K: int, u0: Fraction) -> Fraction:
     """r > u0 near the least of e^Ehat(r)/r^(K+1), Ehat the polynomial with
     coefficients |E_i|: where r Ehat'(r) = K + 1, found by bisection in ln r."""
@@ -345,9 +386,9 @@ def j1_expansion(K: int) -> J1Expansion:
         # sum over i + j > K of |a_i h_j| u0^(i+j-K-1), from the suffix sums of |h_j| u0^j
         hs = list(itertools.accumulate(abs(h[j]) * u0 ** j for j in range(K, -1, -1)))[::-1]
         high = sum(abs(a[i]) * u0 ** i * hs[K + 1 - i] for i in range(1, K + 1)) / u0 ** (K + 1)
-        beta = _upper(alpha * iv_fraction(_EULER_ABOVE + hmax)
-                      + iv_fraction(majorant(a, u0) * dh + high))
-        alpha = _upper(alpha)
+        beta = _end(alpha * iv_fraction(_EULER_ABOVE + hmax)
+                    + iv_fraction(majorant(a, u0) * dh + high), 1)
+        alpha = _end(alpha, 1)
     finally:
         iv.prec = saved
     size = K + 5

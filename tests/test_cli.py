@@ -225,6 +225,22 @@ def test_identity_huge_n_max_fails_fast(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+def test_identity_huge_digits_fails_fast(capsys, monkeypatch):
+    """The lemma checks refuse past their digits limit; for "all" before the
+    first sweep runs."""
+    def first_sweep(n):
+        raise AssertionError("the convolution sweep ran before the refusal")
+
+    monkeypatch.setattr(cli, "check_convolution", first_sweep)
+    for ident in ("arcsin-split", "derivative-forms", "all"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "identity", "--id", ident, "--digits", "100000")
+        assert code == 2
+        assert out == ""
+        assert "digits of the lemma checks must be in [1, 5000], got 100000" in err
+        assert time.perf_counter() - start < 1.0
+
+
 def test_extreme_precision_and_indices_exit_2_fast(capsys):
     """Requests far past the digits or index limits would run for minutes; they
     are refused before any work."""

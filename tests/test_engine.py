@@ -1031,15 +1031,46 @@ def kernel_zoo():
 
 def test_kernel_matches_the_horner_reference_on_every_family():
     """Stepping num and den by forward differences gives the very integers of
-    evaluating them at each n."""
+    evaluating them at each n.  J1, whose H_{N+1} is no longer stepped, has
+    tests of its own below."""
     specs = kernel_zoo()
     assert {spec.family for spec in specs} == set(ALL_FAMILIES)
     for spec in specs:
+        if spec == J1:
+            continue
         first = FAMILIES[spec.family].first
         for N, B in itertools.product(sorted({first, first + 1, first + 2, 7, 50, 777}),
                                       (80, 239, 3400)):
             k = engine._kernel(spec, N, B)
             assert engine._run(k, N) == reference_run(k, N), (spec.describe(), N, B)
+
+
+def reference_j1_error(N):
+    """The count of the reference loop, whose h steps H_{n+1} and so errs by
+    up to N + 1 units."""
+    return (2 + (N + 1).bit_length()) * (N + 1) ** 2
+
+
+def test_j1_kernel_brackets_the_exact_sum():
+    """_run +- _kernel_error holds the exact partial sum of J1 at scale 2^B."""
+    Ns = (0, 1, 2, 7, 50, 777)
+    sums = list(itertools.accumulate(term_fraction(J1, n) for n in range(Ns[-1] + 1)))
+    for N, B in itertools.product(Ns, (80, 239, 3400)):
+        k = engine._kernel(J1, N, B)
+        total, err = engine._run(k, N), engine._kernel_error(k, N)
+        assert err <= reference_j1_error(N)
+        want = sums[N] * 2**B
+        assert total - err <= want <= total + err, (N, B)
+
+
+def test_j1_kernel_matches_the_horner_reference_past_50000_terms():
+    """The reference loop steps h = H_{n+1}; the two totals lie within the sum
+    of their counts."""
+    N = 60_000
+    B = math.ceil(CTX40.working_digits * 3.3219280948873626) + 2 * (N + 1).bit_length() + 16
+    k = engine._kernel(J1, N, B)
+    gap = abs(engine._run(k, N) - reference_run(k, N))
+    assert gap <= engine._kernel_error(k, N) + reference_j1_error(N)
 
 
 def test_kernel_matches_the_horner_reference_past_50000_terms():

@@ -10,6 +10,7 @@ import cbcseries.identities as identities
 from cbcseries.exact import central_binomials
 from cbcseries.families import SignPattern
 from cbcseries.identities import (
+    LEMMA_DIGITS_LIMIT,
     IdentityReport,
     check_binomial_transform,
     check_convolution,
@@ -112,6 +113,13 @@ def test_lemma1_spot_value():
 def test_lemma1_rejects_out_of_range():
     with pytest.raises(UsageError):
         check_lemma1([Fraction(3, 4)], CTX40)
+
+
+def test_lemma_checks_refuse_past_their_digits_limit():
+    ctx = make_context(LEMMA_DIGITS_LIMIT + 1)
+    for check in (check_lemma1, check_lemma2):
+        with pytest.raises(UsageError, match="digits of the lemma checks"):
+            check(LEMMA_SAMPLES, ctx)
 
 
 def test_lemma2_sweep():

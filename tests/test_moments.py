@@ -12,6 +12,7 @@ import cbcseries.engine as engine
 from cbcseries import moments
 from cbcseries.closedforms import closed_value
 from cbcseries.engine import sum_fixed, tail_bound, term_fraction
+from cbcseries.exact import harmonic
 from cbcseries.families import FamilySpec
 from cbcseries.precision import UsageError, make_context
 
@@ -69,6 +70,27 @@ def test_central_binomial_enclosure_rejects_odd_and_negative_indices():
     for k in (-2, 3):
         with pytest.raises(UsageError):
             moments.central_binomial_enclosure(k, 40)
+
+
+@pytest.mark.parametrize("bits", [80, 239, 3400])
+def test_harmonic_enclosure_contains_the_exact_value(bits):
+    """Below n = bits the enclosure is shifted down from H_bits by exact 1/j."""
+    for n in itertools.chain(range(61), (100, 777, 3000)):
+        low, high = moments.harmonic_enclosure(n, bits)
+        assert low <= harmonic(n) * 2**bits <= high, (n, bits)
+        assert high - low <= 2, (n, bits)
+
+
+def test_harmonic_enclosure_agrees_with_itself_at_twice_the_bits():
+    low, high = moments.harmonic_enclosure(10**6, 200)
+    deep_low, deep_high = moments.harmonic_enclosure(10**6, 400)
+    assert low <= deep_low >> 200 and -(-deep_high >> 200) <= high
+    assert high - low <= 2
+
+
+def test_harmonic_enclosure_rejects_negative_indices():
+    with pytest.raises(UsageError):
+        moments.harmonic_enclosure(-1, 80)
 
 
 def check_against_the_kernel(spec, N, ctx):
