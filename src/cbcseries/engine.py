@@ -59,6 +59,14 @@ _BOUND_PAD = "1.00000001"
 _SEARCH_LIMIT = 2**64
 
 
+def _figure(x: Real, digits: int = 8) -> str:
+    """x to ``digits`` digits for a message, from its rounding to 64 bits:
+    mpmath's pure-Python backend turns the whole mantissa into a decimal
+    string, which Python refuses past 4,300 digits."""
+    with mp.workprec(64):
+        return mp.nstr(mpf(x), digits)
+
+
 class UncertifiedError(Exception):
     """No proven tail bound exists at the requested parameter point."""
 
@@ -86,7 +94,7 @@ class ConvergenceError(Exception):
         self._ctx = ctx
         self._partial = partial
         super().__init__(
-            f"{spec.describe()}: cannot certify target {mp.nstr(mpf(target), 8)}: {reason}"
+            f"{spec.describe()}: cannot certify target {_figure(target)}: {reason}"
         )
 
     @property
@@ -570,59 +578,54 @@ def _log2_tail(spec: FamilySpec, ctx: PrecisionContext):
     return lq, f
 
 
-def _model_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext) -> int:
-    """The least N >= ``Family.first`` where the float model of
-    :func:`_log2_tail` fits log2 ``budget``; ``_SEARCH_LIMIT`` where it does
-    not fit there, and ``Family.first`` where there is no model.
+def _least_index(f, target: float, first: int, last: int, slope: float, log: bool) -> int:
+    """The least N in [first, last] with f(N) <= target, or ``last`` where
+    f(last) > target, for a float model f that falls by about ``slope`` a
+    unit of t, with t = N, or t = log2(N + 1) for a power law (``log``).
 
-    Where q < 1 the model is M log2 q plus terms that change slowly, so the
-    root, in N, starts from the closed form M0 = (log2 budget - rest)/log2 q
-    with the rest held at its value at ``first``; the power law of C at
-    |x| = 1/2 is solved in log2 M from the ends of [first, 2^64].  Secant
-    steps follow, bisecting where one leaves the bracket.
+    Constant-slope steps t <- t + (f(N) - target)/slope from t at ``first``,
+    clamped to [first, last], stop once one moves N by less than half an
+    index, or after 8; one +-1 check settles N.  Near ``first`` the slowly
+    changing terms of f can make it fall more than twice as fast as
+    ``slope``; where a step crosses the root and lands no nearer to it in f,
+    the slope becomes that of f across the step.
     """
-    first = FAMILIES[spec.family].first
-    model = _log2_tail(spec, ctx)
-    if model is None:
-        return first
-    lq, f = model
-    target = _log2(budget)
-    g0, g_end = f(first) - target, f(_SEARCH_LIMIT) - target
-    if g0 <= 0:
-        return first
-    if g_end > 0:
-        return _SEARCH_LIMIT
-    if lq < 0:
-        to_n, lo, hi = float, float(first), float(_SEARCH_LIMIT)
-        t1 = lo - g0 / lq
-    else:
-        def to_n(t: float) -> float:
-            return 2.0**t - 1
-        lo, hi = math.log2(first + 1), 64.0
-        t1 = lo - g0 * (hi - lo) / (g_end - g0)
-    t0 = lo
-    for _ in range(64):
-        if not lo < t1 < hi:
-            t1 = (lo + hi) / 2
-        g1 = f(to_n(t1)) - target
-        if g1 > 0:
-            lo = t1
-        else:
-            hi = t1
-        t2 = t1 - g1 * (t1 - t0) / (g1 - g0) if g1 != g0 else t1
-        if not lo <= t2 <= hi:
-            t2 = (lo + hi) / 2
-        if abs(to_n(t2) - to_n(t1)) <= 0.01 or abs(t2 - t1) <= 1e-9 * abs(t1):
+    def index(t: float) -> float:
+        return 2.0**t - 1 if log else t
+
+    lo, hi = (math.log2(first + 1), math.log2(last + 1)) if log else (first, last)
+    t, n, t0, g0 = lo, float(first), lo, 0.0
+    for _ in range(8):
+        g = f(n) - target
+        if g * g0 < 0 and abs(g) >= abs(g0):
+            slope = (g0 - g) / (t - t0)
+        t, t0, g0 = min(max(t + g / slope, lo), hi), t, g
+        n, prev = index(t), n
+        if abs(n - prev) < 0.5:
             break
-        t0, g0, t1 = t1, g1, t2
-    else:
-        t2 = hi
-    N = min(max(math.ceil(to_n(t2)), first), _SEARCH_LIMIT)
+    N = min(max(math.ceil(n), first), last)
     if f(N) > target:
-        N += 1
+        N = min(N + 1, last)
     elif N > first and f(N - 1) <= target:
         N -= 1
     return N
+
+
+def _model_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext) -> int:
+    """The least N >= ``Family.first`` where the float model of
+    :func:`_log2_tail` fits log2 ``budget``; ``_SEARCH_LIMIT`` where it does
+    not fit there, and ``Family.first`` where there is no model or no tail.
+
+    Where q < 1 the model falls by -log2 q an index plus terms that change
+    slowly; the power law of C at |x| = 1/2 falls by 3/2 a unit of log2 M.
+    :func:`_least_index` solves either.
+    """
+    first = FAMILIES[spec.family].first
+    model = _log2_tail(spec, ctx)
+    if model is None or model[0] == -math.inf:
+        return first
+    lq, f = model
+    return _least_index(f, _log2(budget), first, _SEARCH_LIMIT, -lq if lq < 0 else 1.5, lq >= 0)
 
 
 def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
@@ -635,14 +638,14 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
     one at ``_SEARCH_LIMIT`` where the model puts N past it.  Where the
     certificate fails, the search takes one secant step in mpf through its
     two calls, which lie one index apart, then gallops away from there and
-    bisects.  Over 3,611 searches (the adaptive registry rows at 30, 40 and
-    100 digits, the four bench workloads at seeds 1-3 and 3,000 random
-    points at 10-1000 digits) it made 1.999 calls on average; those that
-    made more have q within 10^-11 of 1 and N past 10^14, which a float
-    cannot resolve to 1.  There the secant lands on N: log2 of the bound
-    falls by log2 q a step plus the share of its slow factors, which the two
-    calls measure too (at x = 1 - 10^-17 that share is 0.5% of log2 q for H2,
-    which misses by 9 over the 1,709 indices from the float model's N).
+    bisects.  Over 10,092 searches (the adaptive registry rows at 10, 30,
+    40, 100 and 1000 digits and three targets, the four bench workloads at
+    seeds 1-3 and 9,000 random points of every family but J1 at 10-1000
+    digits) it made 1.996 calls on average; the 9 that made more (4 each)
+    have q within 10^-17 of 1 and N near 10^19, which a float cannot
+    resolve to 1.  There the secant lands on N: log2 of the bound falls by
+    log2 q a step plus the share of its slow factors, which the two calls
+    measure too (at x = 1 - 10^-17 that share is 0.5% of log2 q for H2).
     Returns (None, None) when tail_bound(_SEARCH_LIMIT) exceeds the budget.
     """
     lo, hi, bound = FAMILIES[spec.family].first - 1, None, None
@@ -818,7 +821,7 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
             if floor > target - trunc:
                 raise ConvergenceError(spec, target, _floor_reason(N, floor, trunc), ctx, N)
             return _Plan("kernel", N, B, k, trunc=trunc)
-        at_cap = f"tail_bound at N = {last} is {mp.nstr(tail_bound(spec, last, ctx), 8)}"
+        at_cap = f"tail_bound at N = {last} is {_figure(tail_bound(spec, last, ctx))}"
     raise ConvergenceError(
         spec, target, f"{_tail_model(spec, ctx)} predicts N = "
         f"{'more than 2^64' if N is None else N}, past the cap of {max_terms} terms ({at_cap})",
@@ -830,30 +833,13 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
 _J1_MAX_ORDER = 64
 
 
-def _j1_index(e: moments.J1Expansion, log2_budget: float, last: int) -> int:
-    """The least N >= ``e.first`` where the float model of the radius of
-    :func:`moments.j1_tail` fits 2^log2_budget, or some N > ``last``.  The
-    radius is N^-(K+3/2) times terms that change slowly, so a few
-    fixed-point steps in log2 N come within an index or two of it."""
-    def radius(N: float) -> float:
-        return moments.j1_log2_radius(e, N)
-
-    x = math.log2(e.first)
-    for _ in range(8):
-        x = max(math.log2(e.first), x + (radius(2.0**x) - log2_budget) / (e.order + 1.5))
-    N = max(e.first, math.ceil(2.0**x))
-    while N <= last and radius(N) > log2_budget:
-        N += 1
-    while e.first < N <= last and radius(N - 1) <= log2_budget:
-        N -= 1
-    return N
-
-
 def _j1_plan(spec: FamilySpec, ctx: PrecisionContext, target: Real, max_terms: int) -> _Plan:
     """The adaptive J1 plan: the kernel steps the terms 0..N0, and the
     order-K enclosure of the tail after N0 (:func:`moments.j1_tail`) adds
-    the rest, with N0 the least index where the enclosure's float model fits
-    the target within 2^-8.
+    the rest, with N0 the least index where the float model of the
+    enclosure's radius (:func:`moments.j1_log2_radius`) fits the target
+    within 2^-8, from :func:`_least_index` at the radius's slope K + 3/2 in
+    log2 N.
 
     K follows from the target's bits by a measured rule, K = bits/12 within
     [2, 64].  Forming the expansion, once per order and process, takes about
@@ -864,27 +850,45 @@ def _j1_plan(spec: FamilySpec, ctx: PrecisionContext, target: Real, max_terms: i
     pure-Python backend).  The rule gives N0 = 13, 476, 1087, 1256, 4169 and
     9880 at 1, 10, 30, 40, 100 and 200 digits.  Where N0 passes
     ``max_terms`` it takes the highest order that holds at the cap instead,
-    and refuses when that one does not fit there either.
+    and refuses when that one does not fit there either.  Where the model
+    says so, the enclosure is first evaluated at 64 bits past its radius,
+    enough for the half-width the refusal prints: at B + 16 bits the
+    refusal took 7.6 s at 25,000 digits and 131 s at 100,000, most of it in
+    ``iv.euler``.
     """
     budget = target * (1 - mpf(2) ** -16)
     last = max_terms - 1
     log2_budget = _log2(budget) - 2**-8
+
+    def index(e: moments.J1Expansion) -> int:  # past ``last`` where it does not fit there
+        return _least_index(lambda N: moments.j1_log2_radius(e, N), log2_budget, e.first,
+                            last + 1, e.order + 1.5, True)
+
+    def enclosure(bits: int) -> Tuple[Real, Real, Real]:
+        lo, hi = _ends(moments.j1_tail(N, e, bits))
+        return lo, hi, mp.ldexp(mp.fsub(hi, lo, rounding="u"), -1)
+
     e = moments.j1_expansion(min(_J1_MAX_ORDER, max(2, round(-log2_budget / 12))))
-    N = _j1_index(e, log2_budget, last)
+    N = index(e)
     if N > last:
         e = moments.j1_expansion(max(1, min(_J1_MAX_ORDER, moments.j1_highest_order(last))))
         if e.first > last:
             raise ConvergenceError(spec, target, (
                 f"the J1 tail enclosure holds from N0 = {e.first}, past the cap of {max_terms} "
                 "terms"), ctx, last)
-        N = min(last, _j1_index(e, log2_budget, last))
+        N = min(last, index(e))
     order, B = e.order, _scale_bits(N, ctx)
-    lo, hi = _ends(moments.j1_tail(N, e, B + 16))
-    trunc = mp.ldexp(mp.fsub(hi, lo, rounding="u"), -1)
+    # where the model says the enclosure cannot fit, 64 bits past its radius
+    # show the half-width that the refusal prints; a plan keeps B + 16 bits
+    radius = moments.j1_log2_radius(e, N)
+    bits = B + 16 if radius <= log2_budget else min(B + 16, 64 - math.floor(radius))
+    lo, hi, trunc = enclosure(bits)
+    if trunc <= budget and bits < B + 16:  # it fits after all
+        lo, hi, trunc = enclosure(B + 16)
     if trunc > budget:
         raise ConvergenceError(spec, target, (
             f"the J1 tail enclosure of order {order} at N0 = {N} has half-width "
-            f"{mp.nstr(trunc, 8)}, with a cap of {max_terms} terms"), ctx, N)
+            f"{_figure(trunc)}, with a cap of {max_terms} terms"), ctx, N)
     k = _kernel(spec, N, B)
     err = _kernel_error(k, N) + 1
     floor = _finish(k, -err, err, B)[1]
@@ -897,15 +901,15 @@ def _tail_model(spec: FamilySpec, ctx: PrecisionContext) -> str:
     row = FAMILIES[spec.family]
     q = _constants(spec, ctx)[0]
     # a q below 1 that reads 1.0 at 8 digits shows its distance from 1
-    q = f"1 - {mp.nstr(1 - q, 2)}" if q < 1 and mp.nstr(q, 8) == "1.0" else mp.nstr(q, 8)
+    q = f"1 - {_figure(1 - q, 2)}" if q < 1 and _figure(q) == "1.0" else _figure(q)
     if row.group == "C":
         return f"the alternating tail model (q = 16x^4 = {q})"
     return f"the geometric tail model (q = {q})"
 
 
 def _floor_reason(N: int, rounding: Real, trunc: Real) -> str:
-    return (f"at the predicted N = {N} the rounding bound {mp.nstr(rounding, 8)} leaves "
-            f"no room for it (truncation {mp.nstr(trunc, 8)}); it needs more working digits")
+    return (f"at the predicted N = {N} the rounding bound {_figure(rounding)} leaves "
+            f"no room for it (truncation {_figure(trunc)}); it needs more working digits")
 
 
 # ---------------------------------------------------------------------------
@@ -1058,6 +1062,6 @@ def sum_adaptive(
         if converged:
             return result
         reason = (f"CVZ with {plan.n} weights on [0, {plan.q}] leaves truncation "
-                  f"{mp.nstr(trunc, 8)} and rounding {mp.nstr(rounding, 8)}"
+                  f"{_figure(trunc)} and rounding {_figure(rounding)}"
                   if plan.path == "cvz" else _floor_reason(plan.last, rounding, trunc))
         raise ConvergenceError(spec, target, reason, ctx, plan.last, result)

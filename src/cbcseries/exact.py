@@ -70,10 +70,8 @@ def harmonic(n: int) -> Fraction:
     """H_n = 1 + 1/2 + ... + 1/n as an exact Fraction (H_0 = 0)."""
     if n < 0:
         raise UsageError(f"harmonic: n must be >= 0, got {n}")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction(1, k)
-    return total
+    L = math.lcm(*range(1, n + 1))  # one common denominator, one reduction
+    return Fraction(sum(L // k for k in range(1, n + 1)), L)
 
 
 def harmonic_stream() -> Iterator[Fraction]:

@@ -527,6 +527,49 @@ def test_compare_past_the_cap_fails_fast(capsys):
     assert "past the cap of 10000000 terms (tail_bound at N = 9999999 is 0.0057274734)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "F3", "--x", "1/2", "--digits", "5000", "--max-terms", "10"),
+    ("compare", "--family", "I1", "--r", "12", "--digits", "4400"),
+    ("eval", "--family", "H2", "--x", "999999/1000000", "--digits", "4400"),
+    ("compare", "--family", "F1", "--x", "1", "--digits", "4400", "--max-terms", "10"),
+    ("eval", "--family", "T3", "--phi", "pi/4", "--digits", "4400", "--max-terms", "10"),
+    ("eval", "--family", "J1", "--digits", "5000"),
+], ids=["F3-cap", "I1-model", "H2-model", "F1-cvz-cap", "T3-cvz-cap", "J1"])
+def test_refusals_past_4300_digits_exit_3(capsys, argv):
+    """A refusal prints its figures to 8 digits, which Python's int-to-str
+    limit must not reach from the mantissa of a 4,300-digit target."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ") and "cannot certify target 1.0e-" in err
+
+
+@pytest.mark.parametrize("digits", [25000, 100000])
+def test_j1_past_the_cap_at_huge_digits_exits_3_fast(capsys, digits):
+    """The order-64 enclosure at the cap misses the target by thousands of
+    bits; the refusal reads its half-width from 64 bits past the radius, not
+    from an evaluation at the full working precision."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--family", "J1", "--digits", str(digits))
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert err == (f"numeric failure: J1: cannot certify target 1.0e-{digits + 2}: the J1 tail "
+                   "enclosure of order 64 at N0 = 9999999 has half-width 1.1662055e-424, with "
+                   "a cap of 10000000 terms\n")
+
+
+@pytest.mark.parametrize("digits, predicts", [(10, "13548289"), (40, "more than 2^64")])
+def test_c_at_one_half_past_the_cap_solves_the_power_law(capsys, digits, predicts):
+    """Below the CVZ step count the cap refuses C at |x| = 1/2, and the
+    message reads N off the power-law model of the tail (q = 1)."""
+    code, out, err = run(capsys, "compare", "--family", "C1", "--x", "1/2", "--digits",
+                         str(digits), "--max-terms", "3")
+    assert code == 3
+    assert err == (f"numeric failure: C1 x=1/2: cannot certify target 1.0e-{digits + 2}: the "
+                   f"alternating tail model (q = 16x^4 = 1.0) predicts N = {predicts}, past the "
+                   "cap of 3 terms (tail_bound at N = 2 is 0.0088588244)\n")
+
+
 def test_ratio_rounding_to_one_exits_3_naming_the_model(capsys):
     """Inside the domain, a ratio majorant that rounds to 1 is a term-cap refusal."""
     near_four_alpha = f"{2 * 10**60 + math.isqrt(20 * 10**120) + 1}/{10**60}"

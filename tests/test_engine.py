@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 
 import cbcseries.closedforms as closedforms
 import cbcseries.engine as engine
+import cbcseries.moments as moments
 from cbcseries.engine import (
     ConvergenceError,
     UncertifiedError,
@@ -235,6 +236,24 @@ def test_sum_adaptive_certifies_j1_by_its_tail_enclosure(digits, max_terms):
     deep = make_context(digits + 20)
     with deep.workprec():
         assert abs(res.value - closed_value(J1, deep)) <= res.error_bound()
+
+
+def test_j1_plan_that_fits_only_past_the_model_margin_keeps_full_bits(monkeypatch):
+    """At a cap of 100 terms the float model misses this target by less than
+    its 2^-8 margin, so the enclosure meant for the refusal, at 64 bits past
+    the radius, fits after all; the plan then evaluates it again at B + 16
+    bits, as every plan does."""
+    e = moments.j1_expansion(moments.j1_highest_order(99))
+    target = Fraction(2 ** (moments.j1_log2_radius(e, 99) + 2**-9))
+    ctx, bits, real = make_context(100), [], moments.j1_tail
+    monkeypatch.setattr(moments, "j1_tail", lambda N, e, b: bits.append(b) or real(N, e, b))
+    res = sum_adaptive(J1, target, ctx, max_terms=100)
+    full = engine._scale_bits(99, ctx) + 16
+    assert res.converged and res.terms_used == 100
+    assert bits[0] < full and bits[1:] == [full]
+    with ctx.workprec():
+        lo, hi = engine._ends(real(99, e, full))
+        assert res.truncation_bound == mp.ldexp(mp.fsub(hi, lo, rounding="u"), -1)
 
 
 def test_sum_adaptive_j1_reads_no_closed_form(monkeypatch):
@@ -740,6 +759,21 @@ def test_stop_index_recovers_from_a_wrong_model_index(monkeypatch, spec, digits,
                                                                  engine._SEARCH_LIMIT)
         monkeypatch.setattr(engine, "_model_index", lambda *args: guess)
         assert engine._stop_index(spec, budget, ctx) == want
+
+
+def test_model_index_where_the_model_falls_faster_than_its_slope(monkeypatch):
+    """F2 at x = 6/7 with a budget of 0.05: near N = 0 the model falls by
+    1.2-1.7 an index against -log2 q = 0.44, so steps at the constant slope
+    would swing between N = 0 and 7; the slope across the first step lands
+    on the reference's N = 3, which the two certificate calls confirm."""
+    spec, ctx = FamilySpec("F2", x=Fraction(6, 7)), make_context(10)
+    with ctx.workprec():
+        budget = ctx.real(Fraction(1, 20))
+        want = reference_stop_index(spec, budget, ctx)
+        assert want[0] == engine._model_index(spec, budget, ctx) == 3
+        calls = counting_tail_bound(monkeypatch)
+        assert engine._stop_index(spec, budget, ctx) == want
+    assert calls == [3, 2]
 
 
 def test_ratio_is_formed_once_per_search():
