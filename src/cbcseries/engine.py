@@ -724,8 +724,11 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
     :func:`_stop_index`.  Raises the refusals known before summing, in this
     order: :class:`UncertifiedError` on the boundary without CVZ,
     :class:`UsageError` for a target not above 0, :class:`ConvergenceError`
-    past the cap, where q rounds to 1, or where the kernel's counted error
-    alone leaves the target out of reach (the rounding floor).
+    past the cap (by CVZ's term count where CVZ was priced and the kernel's
+    N passes the cap too), where q rounds to 1, or where the kernel's
+    counted error alone leaves the target out of reach (the rounding floor).
+    Where the kernel's N passes the cap and a priced CVZ fits under it, CVZ
+    sums, whatever the cost rule preferred.
 
     Costs are in kernel steps at scale 2^B, a step of C1 at x = 1/2, whose
     state keeps all B bits (0.42-0.81 us at 40 digits, 2.4-4.0 us at 1000).
@@ -777,6 +780,9 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
         raise UsageError("sum_adaptive: target_abs_error must be > 0")
     if row.weight == "harmonic":
         return _j1_plan(spec, ctx, target, max_terms)
+    # where CVZ was priced: its plan (kernel formed once chosen) within the
+    # cap, or its refusal past it
+    cvz_fits = cvz_past_cap = None
     if pair is not None and r.z != 0:  # at x = 0 the kernel sums the one nonzero term
         # A_0 <= hn/hd sqrt(radicand) (2 a_first for + pairs; tan(phi) is not
         # in a T head, as first = 0); ratio the kernel's q, and the magnitudes'
@@ -798,13 +804,14 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
         # weights on [0, qn/16] have about B + n log2(qn) bits
         kernel = bits / -log_q + 400 if log_q < 0 else math.inf
         cvz = steps * max(1, math.sqrt(B / 110)) * ((B + n * math.log2(q.numerator)) / B) ** 0.7
-        if boundary or (steps <= max_terms and cvz < kernel):
-            if steps > max_terms:
-                raise ConvergenceError(
-                    spec, target, f"CVZ on [0, {q}] needs {steps} terms, past the cap of "
-                    f"{max_terms} terms", ctx, first + max_terms - 1)
-            last = first + steps - 1
-            return _Plan("cvz", last, B, _kernel(spec, last, B), n, q, pair, head=(hn, hd))
+        if steps > max_terms:
+            cvz_past_cap = f"CVZ on [0, {q}] needs {steps} terms, past the cap of {max_terms} terms"
+        else:
+            cvz_fits = _Plan("cvz", first + steps - 1, B, None, n, q, pair, head=(hn, hd))
+        if boundary and cvz_past_cap:
+            raise ConvergenceError(spec, target, cvz_past_cap, ctx, first + max_terms - 1)
+        if cvz_fits and (boundary or cvz < kernel):
+            return cvz_fits._replace(kernel=_kernel(spec, cvz_fits.last, B))
     last = first + max_terms - 1
     try:
         N, trunc = _stop_index(spec, target * (1 - mpf(2) ** -16), ctx)
@@ -822,6 +829,10 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
                 raise ConvergenceError(spec, target, _floor_reason(N, floor, trunc), ctx, N)
             return _Plan("kernel", N, B, k, trunc=trunc)
         at_cap = f"tail_bound at N = {last} is {_figure(tail_bound(spec, last, ctx))}"
+    if cvz_fits:  # the kernel's N passes the cap and CVZ's count does not
+        return cvz_fits._replace(kernel=_kernel(spec, cvz_fits.last, cvz_fits.B))
+    if cvz_past_cap:  # past the cap both ways: CVZ's count names a cap that works
+        raise ConvergenceError(spec, target, cvz_past_cap, ctx, last)
     raise ConvergenceError(
         spec, target, f"{_tail_model(spec, ctx)} predicts N = "
         f"{'more than 2^64' if N is None else N}, past the cap of {max_terms} terms ({at_cap})",

@@ -1,12 +1,16 @@
-"""Brute-force verification of the finite identities behind the series catalog.
+"""Exact proofs and checks of the finite identities behind the series catalog.
 
-Every check in this module returns an :class:`IdentityReport`.  Exact checks
-(convolutions, transforms, the sign-split rearrangement, the logarithmic
-moment sum) run entirely over ``int``/``Fraction``, so a reported failure is a
-genuine counterexample and never a rounding artifact.  The two analytic
-checks (``check_lemma1``, ``check_lemma2``) compare high-precision numeric
-evaluations under an explicit :class:`~cbcseries.precision.PrecisionContext`
-and quote their tolerances in the report id.
+Every check in this module returns an :class:`IdentityReport`.  The
+central-binomial self-convolutions are proven for every n, by WZ
+certificates checked as polynomial identities over the integers plus their
+boundary terms and base cases (:func:`_prove`); their ``n_max`` only labels
+the range.  The other exact checks (the binomial transform, the sign-split
+rearrangement, the logarithmic moment sum) sweep their range over
+``int``/``Fraction``.  Either way a reported failure is exact, never a
+rounding artifact.  The two analytic checks (``check_lemma1``,
+``check_lemma2``) compare high-precision numeric evaluations under an
+explicit :class:`~cbcseries.precision.PrecisionContext` and quote their
+tolerances in the report id.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from operator import add, mul, sub
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mp
 
@@ -28,8 +32,10 @@ Failure = Tuple[dict, object, object]
 
 # Largest sweep bounds accepted.  The integers of a sweep grow with its
 # bound and its time grows about as the cube, so an unbounded request would
-# run for hours or exhaust memory; each check at its limit takes 2-4 s
-# (Python 3.11, one Xeon core) and is refused at once above it.
+# run for hours or exhaust memory; each sweep at its limit takes 2-4 s
+# (Python 3.11, one Xeon core) and is refused at once above it.  The two
+# convolution checks are proofs for every n and take a few milliseconds at
+# any bound; their limit stays so that a larger --n-max still exits 2.
 CONVOLUTION_N_LIMIT = 2000
 TRANSFORM_N_LIMIT = 1000
 SIGN_SPLIT_N_LIMIT = 2000
@@ -97,38 +103,262 @@ def _pair_products(c: Sequence[int], n: int) -> List[int]:
     return half + half[: (n + 1) // 2][::-1]
 
 
-def check_convolution(n_max: int) -> IdentityReport:
-    """Check the plain and alternating central-binomial self-convolutions.
+class _Poly:
+    """An exact polynomial in n and k, held as {(i, j): coefficient of
+    n^i k^j} without zero coefficients: just the algebra the WZ
+    certificates below need."""
 
-    For 0 <= n <= n_max, over exact integers:
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[Tuple[int, int], int]):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @staticmethod
+    def of(value) -> "_Poly":
+        return value if isinstance(value, _Poly) else _Poly({(0, 0): value})
+
+    def __add__(self, other) -> "_Poly":
+        terms = dict(self.terms)
+        for e, c in _Poly.of(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return _Poly(terms)
+
+    def __neg__(self) -> "_Poly":
+        return _Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "_Poly":
+        return self + -_Poly.of(other)
+
+    def __mul__(self, other) -> "_Poly":
+        terms: Dict[Tuple[int, int], int] = {}
+        for (i, j), c in self.terms.items():
+            for (a, b), d in _Poly.of(other).terms.items():
+                terms[i + a, j + b] = terms.get((i + a, j + b), 0) + c * d
+        return _Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "_Poly":
+        return _product([self] * e)
+
+    def __eq__(self, other) -> bool:
+        return self.terms == _Poly.of(other).terms
+
+    def __call__(self, n, k) -> "_Poly":
+        """This polynomial at n and k, each a polynomial or an int."""
+        out, n_pow, k_pow = _Poly({}), [_ONE], [_ONE]
+        for (i, j), c in self.terms.items():
+            while len(n_pow) <= i:
+                n_pow.append(n_pow[-1] * n)
+            while len(k_pow) <= j:
+                k_pow.append(k_pow[-1] * k)
+            out += c * n_pow[i] * k_pow[j]
+        return out
+
+    def at(self, n: int, k: int) -> int:
+        return sum(c * n**i * k**j for (i, j), c in self.terms.items())
+
+    def __str__(self) -> str:
+        out = ""
+        for (i, j), c in sorted(self.terms.items(), reverse=True):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("n", i), ("k", j)) if e)
+            factor = str(abs(c)) if abs(c) != 1 or not mono else ""
+            out += (" - " if c < 0 else " + ") + "*".join(filter(None, (factor, mono)))
+        text = out[3:] if out else "0"
+        return "-" + text if out.startswith(" - ") else text
+
+
+_ONE = _Poly({(0, 0): 1})
+_N = _Poly({(1, 0): 1})
+_K = _Poly({(0, 1): 1})
+
+
+def _product(factors: Iterable[_Poly]) -> _Poly:
+    out = _ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+class _ConvolutionSum(NamedTuple):
+    """sum_k sign^k w(n, k) c_k c_(L-k) = r(n) 4^n c_n^central / den over
+    0 <= k <= L = step n, with c_k = C(2k, k): the even-n alternating sum
+    is written in m = n/2, with step 2."""
+
+    label: str
+    weight: _Poly
+    rhs: _Poly = _ONE
+    den: int = 1
+    sign: int = 1
+    step: int = 1
+    central: int = 0
+
+
+class _Certificate(NamedTuple):
+    """A WZ certificate z = numer / prod(denom), valid from n = start, for a
+    sum whose n-difference vanishes below k = low."""
+
+    start: int
+    low: int
+    numer: _Poly
+    denom: Tuple[_Poly, ...]
+
+
+# The certificates come from sympy's gosper_term of F(n+1,k) - F(n,k) in k
+# (after gammasimp), F the summand over its right side; sympy is not a
+# dependency and nothing here imports it, as the checks below prove each
+# certificate afresh.  The k(n-k)-weighted sum has one too,
+# (k-1)(2k-2n-1)/(4k-3n-1), but its pole lies inside the support (n = 5,
+# k = 4), so that sum is n S1 - S2 instead.
+_PLAIN = _ConvolutionSum("plain", _ONE)
+_PLAIN_Z = _Certificate(0, 0, _K * (2 * _N - 2 * _K + 1), (_N + 1,))
+_ALTERNATING = _ConvolutionSum("alternating", _ONE, sign=-1, step=2, central=1)
+_ALTERNATING_Z = _Certificate(
+    0, 0, _K * (4 * _N - 2 * _K + 1), (_Poly.of(2), 2 * _K**2 - 4 * _K * _N - 2 * _K - _N - 1)
+)
+_K1 = _ConvolutionSum("k", _K, _N, 2)
+_K2 = _ConvolutionSum("k^2", _K**2, _N * (3 * _N + 1), 8)
+_K2_Z = _Certificate(
+    1, 1, (_K - 1) * (2 * _K - 2 * _N - 1) * (3 * _K * _N + 2 * _K - _N - 1),
+    (_K, 12 * _K * _N + 8 * _K - 15 * _N**2 - 21 * _N - 8),
+)
+_KN = _ConvolutionSum("k(n-k)", _K * (_N - _K), _N * (_N - 1), 8)
+_ALTERNATING_KN = _ConvolutionSum("alternating k(n-k)", _K * (_N - _K), _Poly({}), sign=-1)
+
+
+def _sign(f: _Poly, start: int) -> int:
+    """+1 or -1 where every coefficient of f(start + t), a polynomial in t
+    alone, has that sign, so f has it at every integer n >= start; 0 where
+    this test proves no sign."""
+    coeffs = f(_N + start, _K).terms
+    for s in (1, -1):
+        if s * coeffs.get((0, 0), 0) > 0 and all(s * c > 0 for c in coeffs.values()):
+            return s
+    return 0
+
+
+def _nonzero_between(f: _Poly, start: int, low, high) -> bool:
+    """Whether f(n, k) != 0 for n >= start and low(n) <= k <= high(n) is
+    proven (low and high polynomials in n, or ints): f affine in k with one
+    sign at both ends, or convex (concave) in k and negative (positive) at
+    both ends."""
+    ends = {_sign(f(_N, low), start), _sign(f(_N, high), start)}
+    degree = max((j for _, j in f.terms), default=0)
+    if degree <= 1:
+        return ends in ({1}, {-1})
+    lead = _sign(_Poly({(i, 0): c for (i, j), c in f.terms.items() if j == 2}), start)
+    return degree == 2 and lead != 0 and ends == {-lead}
+
+
+def _prove(s: _ConvolutionSum, z: _Certificate) -> List[Failure]:
+    """Prove the sum ``s`` for every n >= z.start by a WZ certificate.
+
+    With F(n, k) the summand over the right side (0 off 0 <= k <= L),
+    f(n, k) = F(n+1, k) - F(n, k) and G = z f on low <= k <= H = L + step
+    (0 elsewhere), G(n, k+1) - G(n, k) = f(n, k) at every k telescopes to
+    sum_k F(n+1, k) = sum_k F(n, k), and the base sum makes that 1.  On
+    0 <= k <= H, f = h p / (v 2^step) with p below and the nonzero
+    hypergeometric term h = sign^k c_k c_(H-k) / (rhs(n+1) prod_j (2L+2j-2k-1)),
+    j = 1..step, whose ratio h(n, k+1)/h(n, k) is a/b with
+    b = (k+1)(2L-2k-1) != 0; u/v = rhs(n+1)/rhs(n).  The obligations:
+
+    * right side: r(n) keeps one sign, so F is defined;
+    * support: p(n, k) = 0 for 0 <= k < low, so f vanishes there;
+    * denominator: no factor of z's denominator vanishes on low <= k <= H;
+    * lower end: numer(n, low) p(n, low) = 0, so G(n, low) = 0;
+    * upper end: (numer(n, H) + denom(n, H)) p(n, H) = 0, so
+      G(n, H+1) - G(n, H) = f(n, H);
+    * interior: for low <= k < H the identity divided by h(n, k)/(v 2^step)
+      and multiplied by b denom(k) denom(k+1), in Z[n, k];
+    * base: the sum at n = start over the integers.
+
+    Each failure names the sum and the obligation, with the two sides that
+    differ (the interior's difference against 0), or the polynomial of no
+    proven sign and "nonzero".
+    """
+    failures: List[Failure] = []
+
+    def require(obligation, lhs, rhs):
+        if lhs != rhs:
+            failures.append(({"identity": s.label, "obligation": obligation}, lhs, rhs))
+
+    L, H, j = s.step * _N, s.step * _N + s.step, range(1, s.step + 1)
+    u = 4 * s.rhs(_N + 1, _K) * (4 * _N + 2) ** s.central
+    v = s.rhs * (_N + 1) ** s.central
+    p = (v * 2**s.step * s.weight(_N + 1, _K) * _product(2 * L + 2 * i - 2 * _K - 1 for i in j)
+         - u * s.weight * _product(L + i - _K for i in j))
+    a, b = s.sign * (2 * _K + 1) * (H - _K), (_K + 1) * (2 * L - 2 * _K - 1)
+    if not _sign(s.rhs, z.start):
+        failures.append(({"identity": s.label, "obligation": "right side"}, s.rhs, "nonzero"))
+    for k in range(z.low):
+        require("support", p(_N, k), 0)
+    for f in z.denom:  # on low <= k < H, and at H alone, where a convex factor may turn
+        if not (_nonzero_between(f, z.start, z.low, H - 1) and _sign(f(_N, H), z.start)):
+            failures.append(({"identity": s.label, "obligation": "denominator"}, f, "nonzero"))
+    q = _product(z.denom)
+    require("lower end", z.numer(_N, z.low) * p(_N, z.low), 0)
+    require("upper end", (z.numer(_N, H) + q(_N, H)) * p(_N, H), 0)
+    q1, p1 = q(_N, _K + 1), p(_N, _K + 1)
+    require("interior", z.numer(_N, _K + 1) * p1 * a * q - (z.numer + q) * p * b * q1, 0)
+    c = [comb(2 * i, i) for i in range(s.step * z.start + 1)]
+    n, top = z.start, s.step * z.start
+    lhs = sum(s.sign**k * s.weight.at(n, k) * c[k] * c[top - k] for k in range(top + 1))
+    require("base", lhs, Fraction(s.rhs.at(n, 0) * 4**n * c[n] ** s.central, s.den))
+    return failures
+
+
+def _derive(s: _ConvolutionSum, scale: int, sources, rule: str) -> List[Failure]:
+    """Derive scale * (sum s) = sum of coef(n) * (sum source) over
+    ``sources``, sums of the same c_k c_(n-k) with plain signs: each side's
+    weight plus its mirror k -> n-k agree, since c_k c_(n-k) is symmetric,
+    and so do the right sides over the common 4^n."""
+    def mirrored(w):
+        return w + w(_N, _N - _K)
+
+    den = lcm(s.den, *(t.den for _, t in sources))
+    failures: List[Failure] = []
+    for part, lhs, rhs in (
+        ("weights", scale * mirrored(s.weight),
+         sum((coef * mirrored(t.weight) for coef, t in sources), _Poly({}))),
+        ("right side", scale * s.rhs * (den // s.den),
+         sum((coef * t.rhs * (den // t.den) for coef, t in sources), _Poly({}))),
+    ):
+        if lhs != rhs:
+            failures.append(({"identity": s.label, "obligation": f"{rule}: {part}"}, lhs, rhs))
+    return failures
+
+
+def _vanishes_at_odd_n(s: _ConvolutionSum) -> List[Failure]:
+    """sum_k (-1)^k w(n, k) c_k c_(n-k) = 0 for odd n, since k -> n-k flips
+    (-1)^k and keeps w(n, k) c_k c_(n-k), once w is symmetric."""
+    mirror = s.weight(_N, _N - _K)
+    if mirror != s.weight:
+        return [({"identity": s.label, "obligation": "k <-> n-k"}, mirror, s.weight)]
+    return []
+
+
+def check_convolution(n_max: int) -> IdentityReport:
+    """Prove the plain and alternating central-binomial self-convolutions.
+
+    For every n >= 0, over the integers:
 
     * sum_k C(2k,k) C(2(n-k),n-k) = 4^n
     * sum_k (-1)^k C(2k,k) C(2(n-k),n-k) = (1+(-1)^n)/2 * C(n, n/2) * 2^n
 
-    The alternating right side vanishes for odd n and equals the middle
-    binomial coefficient times 2^n for even n.  With E and O the sums over
-    even and odd k, the left sides are E + O and E - O.
+    The plain sum and the alternating sum at even n = 2m (C(2m,m) 4^m)
+    by WZ certificates (:func:`_prove`); at odd n the alternating sum
+    vanishes by the symmetry k -> n-k.  ``n_max`` only labels the range.
     """
     _check_range("n_max", n_max, 0, CONVOLUTION_N_LIMIT)
-    c = _central_prefix(n_max)
-    failures: List[Failure] = []
-    for n in range(n_max + 1):
-        p = _pair_products(c, n)
-        even, odd = sum(p[0::2]), sum(p[1::2])
-        plain = even + odd
-        if plain != 1 << 2 * n:
-            failures.append(({"identity": "plain", "n": n}, plain, 1 << 2 * n))
-        alt = even - odd
-        want = 0 if n % 2 else comb(n, n // 2) << n
-        if alt != want:
-            failures.append(({"identity": "alternating", "n": n}, alt, want))
+    failures = (_prove(_PLAIN, _PLAIN_Z) + _prove(_ALTERNATING, _ALTERNATING_Z)
+                + _vanishes_at_odd_n(_ALTERNATING))
     return IdentityReport("central-convolution", f"0 <= n <= {n_max}", failures)
 
 
 def check_weighted_convolution(n_max: int) -> IdentityReport:
-    """Check the weighted self-convolutions with weights k(n-k), k and k^2.
+    """Prove the weighted self-convolutions with weights k(n-k), k and k^2.
 
-    For 1 <= n <= n_max, over exact integers:
+    For every n >= 1, over the integers:
 
     * sum_k k(n-k) C(2k,k) C(2(n-k),n-k) = n(n-1) 2^(2n-3)
     * sum_k (-1)^k k(n-k) C(2k,k) C(2(n-k),n-k) = 0 for odd n
@@ -138,34 +368,20 @@ def check_weighted_convolution(n_max: int) -> IdentityReport:
     All sums run over the full range 0 <= k <= n.  For the k^2-weighted sum
     this full range is the convention that actually holds; stopping at
     k = n - 1 drops the nonzero term n^2 C(2n,n) and fails for every n >= 1
-    (the unit tests pin that down).  The k- and k^2-weighted sums S1, S2
-    are taken over even and odd k apart; k(n-k) weights give n S1 - S2.
+    (the unit tests pin that down).  The k^2 sum S2 has a WZ certificate;
+    the k sum S1 is n/2 times the plain sum (proven again here), by the
+    symmetry k -> n-k; the k(n-k) sum is n S1 - S2, and its alternating
+    sum vanishes at odd n by the same symmetry.  ``n_max`` only labels the
+    range.
     """
     _check_range("n_max", n_max, 1, CONVOLUTION_N_LIMIT)
-    c = _central_prefix(n_max)
-    squares = [k * k for k in range(n_max + 1)]
-    failures: List[Failure] = []
-    for n in range(1, n_max + 1):
-        p = _pair_products(c, n)
-        k1_even = sum(map(mul, range(0, n + 1, 2), p[0::2]))
-        k1_odd = sum(map(mul, range(1, n + 1, 2), p[1::2]))
-        k2_even = sum(map(mul, squares[0 : n + 1 : 2], p[0::2]))
-        k2_odd = sum(map(mul, squares[1 : n + 1 : 2], p[1::2]))
-        k1, k2 = k1_even + k1_odd, k2_even + k2_odd
-        kn = n * k1 - k2
-        want_kn = n * (n - 1) * 4**n // 8
-        if kn != want_kn:
-            failures.append(({"identity": "k(n-k)", "n": n}, kn, want_kn))
-        if n % 2:
-            alt = n * (k1_even - k1_odd) - (k2_even - k2_odd)
-            if alt != 0:
-                failures.append(({"identity": "alternating k(n-k)", "n": n}, alt, 0))
-        want_k1 = n * 4**n // 2
-        if k1 != want_k1:
-            failures.append(({"identity": "k", "n": n}, k1, want_k1))
-        want_k2 = n * (3 * n + 1) * 4**n // 8
-        if k2 != want_k2:
-            failures.append(({"identity": "k^2", "n": n}, k2, want_k2))
+    failures = (
+        _prove(_K2, _K2_Z)
+        + _prove(_PLAIN, _PLAIN_Z)
+        + _derive(_K1, 2, ((_N, _PLAIN),), "2 S1 = n S0")
+        + _derive(_KN, 1, ((_N, _K1), (-1, _K2)), "n S1 - S2")
+        + _vanishes_at_odd_n(_ALTERNATING_KN)
+    )
     return IdentityReport("weighted-convolution", f"1 <= n <= {n_max}", failures)
 
 

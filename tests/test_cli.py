@@ -20,6 +20,7 @@ from mpmath import mp, mpf
 
 import cbcseries
 import cbcseries.cli as cli
+import cbcseries.engine as engine
 import cbcseries.registry as registry
 from cbcseries.closedforms import closed_value
 from cbcseries.families import MAX_INDEX, FamilySpec
@@ -558,16 +559,25 @@ def test_j1_past_the_cap_at_huge_digits_exits_3_fast(capsys, digits):
                    "a cap of 10000000 terms\n")
 
 
-@pytest.mark.parametrize("digits, predicts", [(10, "13548289"), (40, "more than 2^64")])
-def test_c_at_one_half_past_the_cap_solves_the_power_law(capsys, digits, predicts):
-    """Below the CVZ step count the cap refuses C at |x| = 1/2, and the
-    message reads N off the power-law model of the tail (q = 1)."""
+@pytest.mark.parametrize("digits, cap, steps", [(10, 3, 16), (10, 14, 16), (40, 3, 55)])
+def test_c_at_one_half_past_the_cap_names_the_cvz_count(capsys, digits, cap, steps):
+    """Below the CVZ step count the cap refuses C at |x| = 1/2 by that count,
+    a cap that works, and not by the power-law model's N (13,548,289 terms at
+    10 digits, which the search still solves), and CVZ certifies at it."""
     code, out, err = run(capsys, "compare", "--family", "C1", "--x", "1/2", "--digits",
-                         str(digits), "--max-terms", "3")
+                         str(digits), "--max-terms", str(cap))
     assert code == 3
-    assert err == (f"numeric failure: C1 x=1/2: cannot certify target 1.0e-{digits + 2}: the "
-                   f"alternating tail model (q = 16x^4 = 1.0) predicts N = {predicts}, past the "
-                   "cap of 3 terms (tail_bound at N = 2 is 0.0088588244)\n")
+    assert err == (f"numeric failure: C1 x=1/2: cannot certify target 1.0e-{digits + 2}: CVZ on "
+                   f"[0, 1] needs {steps} terms, past the cap of {cap} terms\n")
+    ctx = make_context(digits)
+    with ctx.workprec():
+        budget = ctx.real(Fraction(1, 10 ** (digits + 2))) * (1 - mpf(2) ** -16)
+        N = engine._stop_index(FamilySpec("C1", x=Fraction(1, 2)), budget, ctx)[0]
+    assert N == (13548289 if digits == 10 else None)
+    code, out, err = run(capsys, "compare", "--family", "C1", "--x", "1/2", "--digits",
+                         str(digits), "--max-terms", str(steps))
+    assert code == 0, err
+    assert re.search(rf"terms_used\s+{steps}\n", out)
 
 
 def test_ratio_rounding_to_one_exits_3_naming_the_model(capsys):

@@ -100,3 +100,20 @@ def test_each_side_of_each_rule_at_1000_digits():
 def test_divergent_boundary_refuses_before_the_target_check():
     with pytest.raises(UncertifiedError, match="diverges"):
         engine.sum_adaptive(FamilySpec("F5", x=Fraction(1)), 0, make_context(20))
+
+
+def test_cvz_sums_where_the_kernel_passes_the_cap_and_cvz_does_not():
+    """At 300 digits the cost rule prefers the kernel for F3 at x = -1/2
+    (N = 998), but under a cap between CVZ's 484 terms and that N CVZ sums,
+    where the cap alone used to refuse; below CVZ's count the refusal names it."""
+    spec, ctx = FamilySpec("F3", x=Fraction(-1, 2)), make_context(300)
+    assert adaptive_plan(spec, 300).path == "kernel"
+    plan = adaptive_plan(spec, 300, 484)
+    assert (plan.path, plan.last) == ("cvz", 483)
+    with ctx.workprec():
+        target = ctx.real(adaptive_target(ctx))
+    result = engine.sum_adaptive(spec, target, ctx, max_terms=484)
+    assert result.terms_used == 484 and result.error_bound() <= target
+    with pytest.raises(ConvergenceError, match=r"CVZ on \[0, 1/4\] needs 484 terms, past the "
+                                               r"cap of 483 terms$"):
+        adaptive_plan(spec, 300, 483)
