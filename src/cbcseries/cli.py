@@ -404,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
                    help="term cap (default 10^7)")
 
-    p = sub.add_parser("identity", help="brute-force identity sweeps")
+    p = sub.add_parser("identity",
+                       help="identity checks: proofs for every n, exact sweeps, numeric lemmas")
     p.add_argument("--id", choices=IDENTITY_IDS, default="all",
                    help="which check to run (default all)")
     p.add_argument("--n-max", type=int, help="override the sweep range")

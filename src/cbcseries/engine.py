@@ -678,6 +678,17 @@ def _stop_index(spec: FamilySpec, budget: Real, ctx: PrecisionContext):
         step *= 2
 
 
+def _at_boundary(spec: FamilySpec) -> bool:
+    """Whether the term ratio of ``spec`` reaches 1, so that no tail model
+    exists: F at |x| = 1, T at |phi| = pi/4 and G at p = 4 alpha^|m|, which
+    a rational p reaches only at m = 0.  C has its alternating model on the
+    whole domain and J1 its integral bound; F1-F4 and T1-T4 still certify
+    there, by CVZ, and F5/F6 and T5/T6 diverge."""
+    r = _ratio(spec)
+    return (FAMILIES[spec.family].group not in ("C", "J") and r.z is not None
+            and abs(r.z) == 1 and not r.stride)
+
+
 def _alternation(spec: FamilySpec) -> Optional[int]:
     """How the terms of ``spec`` alternate, when their magnitudes are a moment
     sequence: 0 term by term, 1 or -1 (the sign of t_(2k+1)/t_(2k)) in pairs
@@ -724,8 +735,8 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
     :func:`_stop_index`.  Raises the refusals known before summing, in this
     order: :class:`UncertifiedError` on the boundary without CVZ,
     :class:`UsageError` for a target not above 0, :class:`ConvergenceError`
-    past the cap (by CVZ's term count where CVZ was priced and the kernel's
-    N passes the cap too), where q rounds to 1, or where the kernel's
+    past the cap (by the smaller of CVZ's term count and the kernel's, where
+    CVZ was priced and both pass the cap), where q rounds to 1, or where the kernel's
     counted error alone leaves the target out of reach (the rounding floor).
     Where the kernel's N passes the cap and a priced CVZ fits under it, CVZ
     sums, whatever the cost rule preferred.
@@ -770,7 +781,7 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
         if row.group == "C" and max(10, math.sqrt(B / 16)) * n <= N:
             return _Plan("split", N, B, _kernel(spec, N, B), n)
         return _Plan("kernel", N, B, _kernel(spec, N, B))
-    pair, boundary, r = _alternation(spec), spec.at_certification_boundary(), _ratio(spec)
+    pair, boundary, r = _alternation(spec), _at_boundary(spec), _ratio(spec)
     if boundary and pair is None:
         raise UncertifiedError(spec, (
             "the terms grow like sqrt(n) on the domain boundary, so the series diverges; use "
@@ -831,7 +842,8 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
         at_cap = f"tail_bound at N = {last} is {_figure(tail_bound(spec, last, ctx))}"
     if cvz_fits:  # the kernel's N passes the cap and CVZ's count does not
         return cvz_fits._replace(kernel=_kernel(spec, cvz_fits.last, cvz_fits.B))
-    if cvz_past_cap:  # past the cap both ways: CVZ's count names a cap that works
+    if cvz_past_cap and (N is None or N + 1 - first >= steps):
+        # past the cap both ways: the smaller count names the least cap that works
         raise ConvergenceError(spec, target, cvz_past_cap, ctx, last)
     raise ConvergenceError(
         spec, target, f"{_tail_model(spec, ctx)} predicts N = "

@@ -254,12 +254,6 @@ def _abs_le(x: XValue, bound: Fraction) -> bool:
     return abs(x) <= bound
 
 
-def _abs_eq(x: XValue, bound: Fraction) -> bool:
-    if isinstance(x, SurdValue):
-        return x.squared() == bound * bound
-    return abs(x) == bound
-
-
 def _check_index(fam: str, name: str, value: int) -> None:
     """Refuse a Fibonacci/Lucas index with |value| past MAX_INDEX."""
     if abs(value) > MAX_INDEX:
@@ -377,26 +371,6 @@ class FamilySpec:
             _check_index(fam, "r", self.r)
 
     # -- structural helpers used by the engine and the CLI -------------------
-
-    def at_certification_boundary(self) -> bool:
-        """True when the parameter sits where the term ratio reaches 1, so that
-        no tail model exists.
-
-        F families at |x| = 1; T families at |phi| = pi/4; G families at
-        p = 4 alpha^|m| (unreachable for rational p); I1 at no r (the ratio
-        alpha^r/L_r < 1 for all even r >= 0).  C families have the
-        alternating-term model on their whole domain, J1 its integral
-        bound, H families are strict-interior by validation.  F1-F4 and
-        T1-T4 still certify there, by CVZ; F5/F6 and T5/T6 diverge.
-        """
-        group = FAMILIES[self.family].group
-        if group == "F":
-            return _abs_eq(self.x, Fraction(1))
-        if group == "T":
-            return self.phi.times_pi and abs(self.phi.coeff) == Fraction(1, 4)
-        if group == "G":
-            return four_alpha_pow_cmp(self.p, self.m) == 0
-        return False
 
     def describe(self) -> str:
         parts = [self.family]

@@ -22,16 +22,20 @@ t) dmu, again moments, on [0, q^2].
   forms a C1/C2 partial sum in bound mode as S_N = S - T(N), two calls of
   the loop, where that is cheaper than the kernel.
 * :func:`central_binomial_enclosure` encloses C(k, k/2)/2^k at any even
-  index, the first term a_(N+1) of T(N), from the Stirling series of
-  ln Gamma, which envelops for real arguments (DLMF 5.11(ii)): the
-  remainder lies between 0 and the first omitted term.
+  index, the first term a_(N+1) of T(N), from one series in 1/m,
+  ln(C(2m, m)/4^m sqrt(pi m)) (:func:`_central_stirling`), the Stirling
+  series of ln(2m)! - 2 ln m!, which envelops for real arguments (DLMF
+  5.11(ii)): each remainder lies between 0 and the first omitted term.
 * :func:`harmonic_enclosure` encloses H_n from the enveloping series of the
   harmonic numbers, shifted down as the central binomial is;
   ``engine._run`` takes J1's H_(N+1) from it.
 * :func:`j1_expansion` and :func:`j1_tail` enclose the tail of J1 after N
-  from the same Stirling coefficients, the enveloping series of H_n and
+  from the same series at m = 2n, the enveloping series of H_n and
   Euler-Maclaurin sums, to an order K in 1/N; ``engine.sum_adaptive`` adds
   that enclosure to J1's partial sum.
+
+Each of these sums its rational coefficients by :func:`_horner`, one loop
+on integers scaled by 2^P.
 
 The module holds only this mathematics; ``engine`` chooses when to run it.
 """
@@ -93,53 +97,64 @@ def _stirling_terms(x: int, bits: int) -> int:
     return J
 
 
-def _ln_gamma(x: int, bits: int, coefficients: Tuple[Fraction, ...]):
-    """An iv enclosure of ln Gamma(x) for an integer x >= bits/2, within 2 2^-bits.
+def _horner(coefficients: Sequence[Fraction], y: int, P: int) -> int:
+    """sum_i c_i y^-i for an integer y >= 1, scaled by 2^P and below its exact
+    value by less than 2 len(coefficients) units: by Horner's rule on
+    integers, each of whose 2 floors per coefficient costs less than a unit."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = (c.numerator << P) // c.denominator + acc // y
+    return acc
 
-    The Stirling series stops before J, its first term below 2^-bits, which
-    bounds the remainder; ``coefficients`` holds at least the J - 1 kept
-    ones.  They sum by Horner's rule in 1/x^2 on integers scaled by 2^P,
-    each of the 2J floors costing less than one unit.
+
+@lru_cache(maxsize=8)
+def _central_stirling(J: int) -> Tuple[Tuple[Fraction, ...], Fraction]:
+    """(e_1, ..., e_(J-1)) and eta with ln(c_2m sqrt(pi m)) = sum_(j<J) e_j
+    m^(1-2j) + R and |R| <= eta m^(1-2J), for c_2m = C(2m, m)/4^m and m >= 1.
+
+    ln(2m)! - 2 ln m! - 2m ln 2 by the Stirling series of ln z! gives e_j =
+    b_j (2^(1-2j) - 2) for the Stirling coefficients b_j.  Each remainder
+    R(z) lies between 0 and b_J z^(1-2J) (DLMF 5.11(ii)), and R(2m) and -2
+    R(m) have opposite signs, so eta = 2 |b_J|.
     """
-    J = _stirling_terms(x, bits)
-    P = bits + (2 * J).bit_length()
-    s = 0
-    for c in reversed(coefficients[:J - 1]):
-        s = (c.numerator << P) // c.denominator + s // (x * x)
-    series = iv.ldexp(iv.mpf([s // x - 2 * J, s // x + 2 * J]), -P)
-    remainder = iv.ldexp(iv.mpf([-1, 1]), -bits)
-    return (x - iv.mpf(0.5)) * iv.log(x) - x + iv.log(2 * iv.pi) / 2 + series + remainder
+    b = _stirling_coefficients(J)
+    return tuple(b[j - 1] * (Fraction(2, 4**j) - 2) for j in range(1, J)), 2 * abs(b[J - 1])
 
 
 def central_binomial_enclosure(k: int, bits: int):
     """An ``mpmath.iv`` interval containing C(k, k/2)/2^k, of relative width
     at most 2^-bits, for an even k >= 0.
 
-    The smallest Stirling term at x is about e^(-2 pi x), so below k/2 =
+    The smallest Stirling term at m is about e^(-2 pi m), so below k/2 =
     bits/2 the index moves up to K = 2 (bits // 2) by c_k = c_K prod
     (j + 2)/(j + 1) over j = k, k + 2, ..., K - 2.
     """
     if k < 0 or k % 2:
         raise UsageError(f"central_binomial_enclosure: k must be even and >= 0, got {k}")
-    m = max(k // 2, bits // 2)
+    m = max(k // 2, bits // 2, 1)
     saved = iv.prec
     try:
-        iv.prec = bits + 2 * m.bit_length() + 16
-        return (_stirling_enclosure(m, bits) * math.prod(range(k + 2, 2 * m + 1, 2))
+        iv.prec = bits + 16
+        return (_central_enclosure(m, bits) * math.prod(range(k + 2, 2 * m + 1, 2))
                 / math.prod(range(k + 1, 2 * m, 2)))
     finally:
         iv.prec = saved
 
 
 @lru_cache(maxsize=4)
-def _stirling_enclosure(m: int, bits: int):
-    """c_2m = exp(ln Gamma(2m + 1) - 2 ln Gamma(m + 1) - 2m ln 2) for m >= bits/2,
-    at the current ``iv.prec``; memoised, as every k/2 below bits/2 shares it."""
+def _central_enclosure(m: int, bits: int):
+    """c_2m for m >= bits/2 from :func:`_central_stirling`, memoised, as every
+    k/2 below bits/2 shares it; ``iv.prec`` is bits + 16, as the one caller
+    sets it.  The series stops before J, where |b_J| m^(1-2J) < 2^-(g+1), so
+    |R| < 2^-g; on integers scaled by 2^P it lies within 2J units above the
+    floor s."""
     g = bits + 8
-    # the smaller argument needs the most terms
-    coefficients = _stirling_coefficients(_stirling_terms(m + 1, g))
-    return iv.exp(_ln_gamma(2 * m + 1, g, coefficients) - 2 * _ln_gamma(m + 1, g, coefficients)
-                  - 2 * m * iv.log(2))
+    J = _stirling_terms(m, g + 1)
+    e = _central_stirling(J)[0]
+    P = g + (2 * J).bit_length()
+    s = _horner(e, m * m, P) // m
+    series = iv.ldexp(iv.mpf([s, s + 2 * J]), -P) + iv.ldexp(iv.mpf([-1, 1]), -g)
+    return iv.exp(series) / iv.sqrt(iv.pi * m)
 
 
 def harmonic_enclosure(n: int, bits: int) -> Tuple[int, int]:
@@ -163,10 +178,8 @@ def harmonic_enclosure(n: int, bits: int) -> Tuple[int, int]:
     while _log2_stirling_term(P, m) + math.log2((2 * P - 1) / m) >= -bits - 4:
         P += 1
     G = bits + (4 * P + m - n + 3).bit_length() + 1
-    b, acc = _stirling_coefficients(P - 1), 0
-    for k in range(P - 1, 0, -1):  # B_2k/(2k) = b_k (2k - 1)
-        c = b[k - 1] * (2 * k - 1)
-        acc = (c.numerator << G) // c.denominator + acc // (m * m)
+    b = _stirling_coefficients(P - 1)  # B_2k/(2k) = b_k (2k - 1)
+    acc = _horner([c * (2 * k - 1) for k, c in enumerate(b, start=1)], m * m, G)
     s = (1 << G) // (2 * m) - acc // (m * m) - sum((1 << G) // j for j in range(n + 1, m + 1))
     saved = iv.prec
     try:
@@ -328,11 +341,9 @@ def j1_expansion(K: int) -> J1Expansion:
     With u = 1/n <= u0 = 1/(2K + 10) for n > N, t_n sqrt(2 pi) n^(3/2) =
     A(u) (ln n + gamma + h(u)), A = G/(1 + u):
 
-    * ln G = ln(c_4n sqrt(2 pi n)) = ln Gamma(4n) - 2 ln Gamma(2n) + ... =
-      sum_(j<J) b_j (4^(1-2j) - 2^(2-2j)) u^(2j-1) + eps, with b_j the
-      Stirling coefficients; each Stirling remainder R(z) lies between 0 and
-      b_J z^(1-2J) (DLMF 5.11(ii)), so |eps| <= |b_J| 2^(2-2J) u^(2J-1),
-      and 2J - 1 >= K + 1.
+    * ln G = ln(c_4n sqrt(2 pi n)) is :func:`_central_stirling`'s series at
+      m = 2n: sum_(j<J) E_(2j-1) u^(2j-1) + eps with E_(2j-1) = 2^(1-2j) e_j,
+      and |eps| <= eta 2^(1-2J) u^(2J-1), 2J - 1 >= K + 1.
     * G to order K is exp of that polynomial E to order K.  exp(E) is
       entire, so by Cauchy's estimate on |u| = r its coefficients past K sum
       to at most e^Ehat(r) (u/r)^(K+1)/(1 - u0/r), Ehat with the |E_i|; and
@@ -357,10 +368,11 @@ def j1_expansion(K: int) -> J1Expansion:
     P, J, first = K // 2 + 1, (K + 3) // 2, 2 * K + 9
     u0 = Fraction(1, first + 1)
     b = _stirling_coefficients(K // 2 + 2)
+    e, eta = _central_stirling(J)
+    eta /= 2 ** (2 * J - 1)
     E = [Fraction(0)] * (K + 1)
-    for j in range(1, J):
-        E[2 * j - 1] = b[j - 1] * (Fraction(1, 4 ** (2 * j - 1)) - Fraction(1, 4 ** (j - 1)))
-    eta = abs(b[J - 1]) / 4 ** (J - 1)
+    for j, ej in enumerate(e, start=1):
+        E[2 * j - 1] = ej / 2 ** (2 * j - 1)
     g = [Fraction(1)]
     for m in range(1, K + 1):
         g.append(sum(i * E[i] * g[m - i] for i in range(1, m + 1, 2)) / m)
@@ -422,15 +434,6 @@ def j1_expansion(K: int) -> J1Expansion:
                        tuple(rlog[K + 1:]), tuple(rplain[K + 1:]))
 
 
-def _horner(coefficients: Sequence[Fraction], N: int, P: int):
-    """An iv interval holding sum_i c_i N^-i: by Horner's rule on integers
-    scaled by 2^P, each of whose 2 floors per coefficient costs less than a unit."""
-    acc = 0
-    for c in reversed(coefficients):
-        acc = (c.numerator << P) // c.denominator + acc // N
-    return iv.ldexp(iv.mpf([acc, acc + 2 * len(coefficients)]), -P)
-
-
 def j1_tail(N: int, e: J1Expansion, bits: int):
     """An ``mpmath.iv`` interval containing T(N) for N >= ``e.first``, from
     the expansion ``e`` evaluated at iv precision ``bits``."""
@@ -440,11 +443,14 @@ def j1_tail(N: int, e: J1Expansion, bits: int):
     saved = iv.prec
     try:
         iv.prec = bits
+
+        def poly(c):  # sum_i c_i N^-i
+            h = _horner(c, N, bits)
+            return iv.ldexp(iv.mpf([h, h + 2 * len(c)]), -bits)
+
         ln = iv.log(N)
-        value = ln * _horner(e.log, N, bits) + _horner(e.plain, N, bits) + iv.euler * _horner(
-            e.euler, N, bits)
-        radius = (ln * _horner(e.rlog, N, bits) + _horner(e.rplain, N, bits)) / iv.mpf(N) ** (
-            e.order + 1)
+        value = ln * poly(e.log) + poly(e.plain) + iv.euler * poly(e.euler)
+        radius = (ln * poly(e.rlog) + poly(e.rplain)) / iv.mpf(N) ** (e.order + 1)
         return (value + iv.mpf([-radius.b, radius.b])) / iv.sqrt(2 * iv.pi * N)
     finally:
         iv.prec = saved

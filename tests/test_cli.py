@@ -516,6 +516,19 @@ def test_list_families_json_is_unchanged(capsys):
     assert out == recorded.read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("examples", "--set", "all", "--digits", "30"), "examples_all_30.json"),
+    (("identity", "--id", "all"), "identity_all.json"),
+])
+def test_json_output_is_byte_identical_to_the_golden(capsys, argv, golden):
+    """Every registry row's digits, bounds, terms and verdict, and every
+    identity check's range and status, as recorded; a change that moves a
+    bound records the golden anew and names each string it moved."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert out == (Path(__file__).resolve().parent / "data" / golden).read_text()
+
+
 def test_compare_past_the_cap_fails_fast(capsys):
     """H2 at x = 0.999999 needs ~10^8 terms: refused before summing, naming the model."""
     start = time.perf_counter()
@@ -578,6 +591,24 @@ def test_c_at_one_half_past_the_cap_names_the_cvz_count(capsys, digits, cap, ste
                          str(digits), "--max-terms", str(steps))
     assert code == 0, err
     assert re.search(rf"terms_used\s+{steps}\n", out)
+
+
+@pytest.mark.parametrize("family, x, cap, model", [
+    ("F1", "17/64", 34, "the geometric tail model (q = 0.070556641)"),
+    ("C1", "1/10", 14, "the alternating tail model (q = 16x^4 = 0.0016)"),
+])
+def test_capped_refusal_names_the_smaller_of_the_two_counts(capsys, family, x, cap, model):
+    """Where CVZ's count (46 and 23 terms here) and the kernel's N both pass
+    the cap, the refusal names the kernel's N, the smaller: that cap
+    certifies, and one term less refuses."""
+    argv = ("compare", "--family", family, "--x", x, "--digits", "40", "--max-terms")
+    code, out, err = run(capsys, *argv, str(cap))
+    assert code == 0, err
+    assert re.search(rf"terms_used\s+{cap}\n", out)
+    code, out, err = run(capsys, *argv, str(cap - 1))
+    assert code == 3
+    assert f"{model} predicts N = {cap - 1}, past the cap of {cap - 1} terms" in err
+    assert "CVZ" not in err
 
 
 def test_ratio_rounding_to_one_exits_3_naming_the_model(capsys):

@@ -34,6 +34,7 @@ from cbcseries.families import (
     FamilySpec,
     PhiValue,
     SurdValue,
+    four_alpha_pow_cmp,
 )
 from cbcseries.precision import UsageError, make_context
 from cbcseries.registry import list_examples
@@ -100,6 +101,26 @@ def test_term_fraction_exact_values():
         term_fraction(FamilySpec("T3", phi=PhiValue(Fraction(1, 6), True)), 1)
     with pytest.raises(UsageError):
         term_fraction(FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(2))), 0)
+
+
+def test_surd_x_outside_f1_f2_is_a_usage_error():
+    """x^n of F3-F6 must be rational for every n, which an irrational surd is not."""
+    for family in ("F3", "F4", "F5", "F6"):
+        spec = FamilySpec(family, x=SurdValue(Fraction(1, 2), Fraction(2)))
+        for call in (lambda: sum_adaptive(spec, Fraction(1, 10**32), CTX),
+                     lambda: sum_fixed(spec, 10, CTX), lambda: term_fraction(spec, 3)):
+            with pytest.raises(UsageError, match="surd x is only representable for F1/F2"):
+                call()
+
+
+@pytest.mark.parametrize("family", ["F1", "F2", "C1", "C2"])
+def test_odd_series_vanish_at_x_zero(family):
+    """At x = 0 every term of the odd series is 0, and the 1/(2n+1) closed
+    form takes its y = 0 branch: both give exactly 0."""
+    spec = FamilySpec(family, x=Fraction(0))
+    res = sum_adaptive(spec, Fraction(1, 10**32), CTX)
+    assert res.converged and res.value == 0
+    assert closed_value(spec, CTX) == 0
 
 
 def test_term_matches_term_fraction():
@@ -371,6 +392,8 @@ def test_rounding_bound_scales_with_terms():
 def test_negative_n_rejected():
     with pytest.raises(UsageError):
         sum_fixed(F3_HALF, -1, CTX)
+    with pytest.raises(UsageError, match="n must be >= 0, got -1"):
+        term_fraction(F3_HALF, -1)
 
 
 def counting_tail_bound(monkeypatch):
@@ -632,7 +655,7 @@ def test_stop_index_matches_the_reference_on_every_registry_row(monkeypatch, dig
     certificate at N and N - 1 (the reference took 15)."""
     ctx = make_context(digits)
     rows = [row for row in list_examples()
-            if row.mode == "adaptive" and not row.spec.at_certification_boundary()]
+            if row.mode == "adaptive" and not engine._at_boundary(row.spec)]
     assert len(rows) >= 40
     total = 0
     for row in rows:
@@ -798,6 +821,67 @@ def test_tail_bound_does_not_depend_on_the_ratio_cache():
             assert cold == warm
 
 
+def catalog_boundary(spec) -> bool:
+    """The boundary by the catalog's group rule: F at |x| = 1, T at |phi| =
+    pi/4, G at p = 4 alpha^|m|, and no other family."""
+    group = FAMILIES[spec.family].group
+    if group == "F":
+        return (spec.x.squared() if isinstance(spec.x, SurdValue) else spec.x**2) == 1
+    if group == "T":
+        return spec.phi.times_pi and abs(spec.phi.coeff) == Fraction(1, 4)
+    return group == "G" and four_alpha_pow_cmp(spec.p, spec.m) == 0
+
+
+@st.composite
+def catalog_specs(draw):
+    """Every family on its domain, with the boundary drawn about half the time
+    where there is one; F3-F6 take only surds of rational value."""
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    group, edge = FAMILIES[family].group, draw(st.booleans())
+    sign = draw(st.sampled_from([1, -1]))
+    inner = Fraction(draw(st.integers(0, 99)), 100)
+    if group == "F":
+        d = draw(st.sampled_from([1, 2, 4, 5, 9] if family in ("F1", "F2") else [1, 4, 9]))
+        root = math.isqrt(d)
+        c = Fraction(1, root) if edge and root * root == d else inner / (root + 1)
+        return FamilySpec(family, x=sign * c if d == 1 else SurdValue(sign * c, Fraction(d)))
+    if group == "T":
+        coeff = Fraction(1, 4) if edge else Fraction(draw(st.integers(1, 99)), 400)
+        return FamilySpec(family, phi=PhiValue(sign * coeff, draw(st.booleans()) or edge))
+    if group == "C":
+        return FamilySpec(family, x=sign * (Fraction(1, 2) if edge else inner / 2))
+    if group == "G":
+        m = 0 if edge else draw(st.integers(-3, 3))
+        p = Fraction(math.ceil(4 * 1.6180339887498949 ** abs(m) * 4) + (m != 0), 4)
+        return FamilySpec(family, m=m, s=draw(st.integers(-5, 5)),
+                          p=p + Fraction(draw(st.integers(0, 8)), 4))
+    if group == "H":
+        return FamilySpec(family, x=sign * inner)
+    if family in ("I1", "I2"):
+        return FamilySpec(family, r=2 * draw(st.integers(0 if family == "I1" else 1, 10)))
+    return FamilySpec(family)
+
+
+def test_boundary_matches_the_catalog_rule_on_every_registry_row():
+    rows = list_examples()
+    assert sum(engine._at_boundary(row.spec) for row in rows) >= 4
+    for row in rows:
+        assert engine._at_boundary(row.spec) == catalog_boundary(row.spec), row.id
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalog_specs())
+@example(FamilySpec("F1", x=SurdValue(Fraction(-1, 3), Fraction(9))))
+@example(FamilySpec("F6", x=Fraction(-1)))
+@example(FamilySpec("T6", phi=PhiValue(Fraction(-1, 4), True)))
+@example(FamilySpec("G12", m=0, s=-4, p=Fraction(4)))
+@example(FamilySpec("C2", x=Fraction(-1, 2)))
+def test_boundary_matches_the_catalog_rule_on_a_sample(spec):
+    """The engine reads the boundary off the term ratio; the catalog's rule
+    decided it by family group.  They agree, on and off the boundary."""
+    assert engine._at_boundary(spec) == catalog_boundary(spec), spec.describe()
+
+
 _FOUR_ALPHA_PLUS = Fraction(2 * 10**60 + math.isqrt(20 * 10**120) + 1, 10**60)
 
 
@@ -809,7 +893,7 @@ _FOUR_ALPHA_PLUS = Fraction(2 * 10**60 + math.isqrt(20 * 10**120) + 1, 10**60)
 def test_ratio_rounding_to_one_is_a_convergence_error(monkeypatch, spec):
     """Inside the domain, a ratio majorant that rounds to 1 predicts more than
     2^64 terms; the refusal does not evaluate the tail bound at the cap."""
-    assert not spec.at_certification_boundary()
+    assert not engine._at_boundary(spec)
     calls = counting_tail_bound(monkeypatch)
     with pytest.raises(ConvergenceError) as info:
         sum_adaptive(spec, Fraction(1, 10**32), CTX, max_terms=1000)
@@ -928,7 +1012,7 @@ def assert_same_tail_bound(spec, N, ctx):
     q is tan(pi/4) rounded, which can land an ulp below 1 and give a finite
     bound, so only the refusal is checked there.
     """
-    if spec.at_certification_boundary():
+    if engine._at_boundary(spec):
         with pytest.raises(UncertifiedError):
             tail_bound(spec, N, ctx)
         if spec.phi is not None:

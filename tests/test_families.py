@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import cbcseries.cli as cli
-from cbcseries.engine import term, term_fraction
+from cbcseries.engine import _at_boundary, term, term_fraction
 from cbcseries.families import (
     ALL_FAMILIES,
     FAMILIES,
@@ -142,15 +142,19 @@ def test_shape_helpers():
 
 
 def test_certification_boundary():
-    assert FamilySpec("F3", x=Fraction(1)).at_certification_boundary()
-    assert FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(4))).at_certification_boundary()
-    assert not FamilySpec("F3", x=Fraction(9, 10)).at_certification_boundary()
-    assert FamilySpec("T4", phi=PhiValue(Fraction(1, 4), True)).at_certification_boundary()
-    assert not FamilySpec("T4", phi=PhiValue(Fraction(1, 8), True)).at_certification_boundary()
-    assert not FamilySpec("C1", x=Fraction(1, 2)).at_certification_boundary()
-    assert not FamilySpec("G1", m=1, s=0, p=Fraction(7)).at_certification_boundary()
-    assert not FamilySpec("I1", r=8).at_certification_boundary()
-    assert not FamilySpec("J1").at_certification_boundary()
+    """The engine reads the boundary off the term ratio: |z| = 1 with no F/L
+    stride, outside C and J1 (tests/test_engine.py checks it against the
+    catalog's rule on a sample)."""
+    assert _at_boundary(FamilySpec("F3", x=Fraction(1)))
+    assert _at_boundary(FamilySpec("F1", x=SurdValue(Fraction(1, 2), Fraction(4))))
+    assert not _at_boundary(FamilySpec("F3", x=Fraction(9, 10)))
+    assert _at_boundary(FamilySpec("T4", phi=PhiValue(Fraction(1, 4), True)))
+    assert not _at_boundary(FamilySpec("T4", phi=PhiValue(Fraction(1, 8), True)))
+    assert not _at_boundary(FamilySpec("C1", x=Fraction(1, 2)))
+    assert not _at_boundary(FamilySpec("G1", m=1, s=0, p=Fraction(7)))
+    assert _at_boundary(FamilySpec("G1", m=0, s=3, p=Fraction(4)))
+    assert not _at_boundary(FamilySpec("I1", r=8))
+    assert not _at_boundary(FamilySpec("J1"))
 
 
 def test_describe():

@@ -61,6 +61,20 @@ def test_central_binomial_enclosure_contains_the_exact_value(digits):
         assert (high - low) <= c / 2**bits, (k, bits)
 
 
+@pytest.mark.parametrize("digits", [40, 1000])
+@pytest.mark.parametrize("k", [4 * 10**6 + 4, 4 * 10**6 + 6])
+def test_central_binomial_enclosure_agrees_with_itself_at_twice_the_bits(digits, k):
+    """At the split's indices for N = 10^6 the enclosure at twice the bits
+    lies inside it, and each is as narrow as it claims."""
+    bits = math.ceil(digits * 3.3219280948873626)
+    low, high = (exact(v) for v in engine._ends(moments.central_binomial_enclosure(k, bits)))
+    deep_low, deep_high = (exact(v) for v in engine._ends(
+        moments.central_binomial_enclosure(k, 2 * bits)))
+    assert low <= deep_low <= deep_high <= high
+    assert high - low <= deep_low / 2**bits
+    assert deep_high - deep_low <= deep_low / 2 ** (2 * bits)
+
+
 def test_stirling_coefficients_are_the_bernoulli_ratios():
     for j, c in enumerate(moments._stirling_coefficients(64), start=1):
         assert c == Fraction(*mpmath.bernfrac(2 * j)) / (2 * j * (2 * j - 1))
