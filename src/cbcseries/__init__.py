@@ -4,10 +4,11 @@ The package sums a catalog of series built from central binomial
 coefficients (plain, trigonometric-argument, quarter-index, Fibonacci and
 Lucas weighted, harmonic-number weighted), evaluates their elementary closed
 forms, and compares the two with certified truncation and rounding error
-bounds at user-chosen precision.  Seven identities are checked: the two
-central-binomial convolutions are proved for every n by WZ certificates,
-three exact identities are swept over integer ranges, and two analytic
-lemmas are compared numerically at high precision.
+bounds at user-chosen precision.  Seven identities are checked: the five
+exact ones are proved for every n (the two central-binomial convolutions,
+the binomial transform and the harmonic log-moment sum by WZ and Gosper
+certificates, the sign split by its weights), and two analytic lemmas are
+compared numerically at high precision.
 """
 
 from cbcseries.precision import (

@@ -1,4 +1,4 @@
-"""Command-line surface: evaluation, comparison, identity sweeps, registry runs.
+"""Command-line surface: evaluation, comparison, identity checks, registry runs.
 
 Every subcommand writes one machine-readable record to stdout in the selected
 format (text table, CSV with header row, or a single JSON document) and keeps
@@ -6,8 +6,7 @@ diagnostics on stderr.  Exit codes: 0 success/pass, 1 verification failure,
 2 usage error, 3 numeric failure (uncertifiable point or term-cap overrun).
 
 The same command line always produces byte-identical stdout: all numeric
-output is rendered through the deterministic precision context, and the one
-randomized sweep (sign-split) runs from a fixed seed.
+output is rendered through the deterministic precision context.
 """
 
 from __future__ import annotations
@@ -279,7 +278,7 @@ def _cmd_identity(args: argparse.Namespace):
     ctx = make_context(args.digits)
     selected = list(_IDENTITY_CHECKS) if ident == "all" else [ident]
     if any(_IDENTITY_CHECKS[name][0] is None for name in selected):
-        check_lemma_digits(ctx)  # the lemma checks, before the first sweep runs
+        check_lemma_digits(ctx)  # the lemma checks, before the first check runs
     rows = []
     ok = True
     for name in selected:
@@ -405,10 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="term cap (default 10^7)")
 
     p = sub.add_parser("identity",
-                       help="identity checks: proofs for every n, exact sweeps, numeric lemmas")
+                       help="identity checks: proofs for every n, numeric lemmas")
     p.add_argument("--id", choices=IDENTITY_IDS, default="all",
                    help="which check to run (default all)")
-    p.add_argument("--n-max", type=int, help="override the sweep range")
+    p.add_argument("--n-max", type=int,
+                   help="override the range reported (the exact checks hold for every n)")
     _add_output_flags(p)
 
     p = sub.add_parser("examples", help="reproduce catalogued constants")

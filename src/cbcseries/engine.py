@@ -845,10 +845,11 @@ def _plan(spec: FamilySpec, ctx: PrecisionContext, N: Optional[int] = None,
     if cvz_past_cap and (N is None or N + 1 - first >= steps):
         # past the cap both ways: the smaller count names the least cap that works
         raise ConvergenceError(spec, target, cvz_past_cap, ctx, last)
+    # N counts from index 0 and the cap from ``first``, so name both
+    count = "more than 2^64" if N is None else f"{N} ({N + 1 - first} terms)"
     raise ConvergenceError(
-        spec, target, f"{_tail_model(spec, ctx)} predicts N = "
-        f"{'more than 2^64' if N is None else N}, past the cap of {max_terms} terms ({at_cap})",
-        ctx, last)
+        spec, target, f"{_tail_model(spec, ctx)} predicts N = {count}, past the cap of "
+        f"{max_terms} terms ({at_cap})", ctx, last)
 
 
 # the highest order of J1's tail enclosure: its expansion takes about 0.1 s

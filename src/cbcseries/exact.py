@@ -1,8 +1,7 @@
 """Exact integer and rational building blocks.
 
 Everything here is exact arithmetic: binomial coefficients, the incremental
-stream of central binomial coefficients C(2n, n) that the identity sweeps
-consume, Fibonacci/Lucas numbers at arbitrary (signed) index, and harmonic
+stream of central binomial coefficients C(2n, n), Fibonacci/Lucas numbers at arbitrary (signed) index, and harmonic
 numbers as Fractions.  No floating point enters this module.
 """
 

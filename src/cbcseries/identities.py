@@ -1,41 +1,36 @@
 """Exact proofs and checks of the finite identities behind the series catalog.
 
-Every check in this module returns an :class:`IdentityReport`.  The
-central-binomial self-convolutions are proven for every n, by WZ
-certificates checked as polynomial identities over the integers plus their
-boundary terms and base cases (:func:`_prove`); their ``n_max`` only labels
-the range.  The other exact checks (the binomial transform, the sign-split
-rearrangement, the logarithmic moment sum) sweep their range over
-``int``/``Fraction``.  Either way a reported failure is exact, never a
-rounding artifact.  The two analytic checks (``check_lemma1``,
-``check_lemma2``) compare high-precision numeric evaluations under an
-explicit :class:`~cbcseries.precision.PrecisionContext` and quote their
-tolerances in the report id.
+Every check in this module returns an :class:`IdentityReport`.  The five
+exact checks hold for every n.  The central-binomial self-convolutions, the
+binomial transform and the logarithmic moment sum are proven by WZ and
+Gosper certificates, checked as polynomial identities over the integers
+plus their boundary terms and base cases (:func:`_prove`) on every call.
+The sign-split rearrangement is linear in the sequence, so it is proven by
+comparing its integer weights.  Their ``n_max`` only labels the range, and a
+reported failure is exact, never a rounding artifact.  The two analytic
+checks (``check_lemma1``, ``check_lemma2``) compare high-precision numeric
+evaluations under an explicit :class:`~cbcseries.precision.PrecisionContext`
+and quote their tolerances in the report id.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from operator import add, mul, sub
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mp
 
-from .exact import central_binomials, harmonic_stream
 from .families import SignPattern, sign
 from .precision import PrecisionContext, UsageError
 
 Failure = Tuple[dict, object, object]
 
-# Largest sweep bounds accepted.  The integers of a sweep grow with its
-# bound and its time grows about as the cube, so an unbounded request would
-# run for hours or exhaust memory; each sweep at its limit takes 2-4 s
-# (Python 3.11, one Xeon core) and is refused at once above it.  The two
-# convolution checks are proofs for every n and take a few milliseconds at
-# any bound; their limit stays so that a larger --n-max still exits 2.
+# Largest range bounds accepted.  The exact checks are proofs for every n
+# and take a few milliseconds at any bound; the limits stay so that a
+# larger --n-max still exits 2, as it did when each check swept its range.
 CONVOLUTION_N_LIMIT = 2000
 TRANSFORM_N_LIMIT = 1000
 SIGN_SPLIT_N_LIMIT = 2000
@@ -50,11 +45,11 @@ SIGN_SPLIT_N_DEFAULT = 63
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one identity sweep.
+    """Outcome of one identity check.
 
     ``failures`` holds ``(parameters, lhs, rhs)`` triples for every parameter
-    choice where the two sides disagreed; ``status`` is ``"pass"`` exactly
-    when that list is empty.
+    choice or proof obligation where the two sides disagreed; ``status`` is
+    ``"pass"`` exactly when that list is empty.
     """
 
     id: str
@@ -76,17 +71,8 @@ class IdentityReport:
         return head
 
 
-def _central_prefix(n_max: int) -> List[int]:
-    """First ``n_max + 1`` central binomial coefficients C(2k, k)."""
-    out: List[int] = []
-    stream = central_binomials()
-    for _ in range(n_max + 1):
-        out.append(next(stream))
-    return out
-
-
 def _check_range(name: str, value: int, low: int, high: int) -> None:
-    """Refuse a sweep bound outside [low, high] before any work is done."""
+    """Refuse a range bound outside [low, high] before any work is done."""
     if not low <= value <= high:
         raise UsageError(f"{name} must be in [{low}, {high}], got {value}")
 
@@ -96,26 +82,19 @@ def check_lemma_digits(ctx: PrecisionContext) -> None:
     _check_range("digits of the lemma checks", ctx.digits, 1, LEMMA_DIGITS_LIMIT)
 
 
-def _pair_products(c: Sequence[int], n: int) -> List[int]:
-    """[c_k c_(n-k) for 0 <= k <= n]: each product is formed once, for
-    k <= n/2, and the list is mirrored, since p_k = p_(n-k)."""
-    half = list(map(mul, c[: n // 2 + 1], reversed(c[(n + 1) // 2 : n + 1])))
-    return half + half[: (n + 1) // 2][::-1]
-
-
 class _Poly:
-    """An exact polynomial in n and k, held as {(i, j): coefficient of
-    n^i k^j} without zero coefficients: just the algebra the WZ
+    """An exact polynomial in n, k and j, held as {(a, b, c): coefficient of
+    n^a k^b j^c} without zero coefficients: just the algebra the
     certificates below need."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Tuple[int, int], int]):
+    def __init__(self, terms: Dict[Tuple[int, int, int], int]):
         self.terms = {e: c for e, c in terms.items() if c}
 
     @staticmethod
     def of(value) -> "_Poly":
-        return value if isinstance(value, _Poly) else _Poly({(0, 0): value})
+        return value if isinstance(value, _Poly) else _Poly({(0, 0, 0): value})
 
     def __add__(self, other) -> "_Poly":
         terms = dict(self.terms)
@@ -130,10 +109,11 @@ class _Poly:
         return self + -_Poly.of(other)
 
     def __mul__(self, other) -> "_Poly":
-        terms: Dict[Tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            for (a, b), d in _Poly.of(other).terms.items():
-                terms[i + a, j + b] = terms.get((i + a, j + b), 0) + c * d
+        terms: Dict[Tuple[int, int, int], int] = {}
+        for (a, b, c), x in self.terms.items():
+            for (d, e, f), y in _Poly.of(other).terms.items():
+                key = (a + d, b + e, c + f)
+                terms[key] = terms.get(key, 0) + x * y
         return _Poly(terms)
 
     __rmul__ = __mul__
@@ -144,33 +124,38 @@ class _Poly:
     def __eq__(self, other) -> bool:
         return self.terms == _Poly.of(other).terms
 
-    def __call__(self, n, k) -> "_Poly":
-        """This polynomial at n and k, each a polynomial or an int."""
-        out, n_pow, k_pow = _Poly({}), [_ONE], [_ONE]
-        for (i, j), c in self.terms.items():
-            while len(n_pow) <= i:
-                n_pow.append(n_pow[-1] * n)
-            while len(k_pow) <= j:
-                k_pow.append(k_pow[-1] * k)
-            out += c * n_pow[i] * k_pow[j]
+    def __call__(self, n, k, j=None) -> "_Poly":
+        """This polynomial at n, k and j (j itself when not given), each a
+        polynomial or an int."""
+        powers = ([_ONE], [_ONE], [_ONE])
+        out = _Poly({})
+        for exponents, c in self.terms.items():
+            term = _Poly.of(c)
+            for pows, x, e in zip(powers, (n, k, _J if j is None else j), exponents):
+                while len(pows) <= e:
+                    pows.append(pows[-1] * x)
+                if e:
+                    term = term * pows[e]
+            out += term
         return out
 
-    def at(self, n: int, k: int) -> int:
-        return sum(c * n**i * k**j for (i, j), c in self.terms.items())
+    def at(self, n: int, k: int, j: int = 0) -> int:
+        return sum(c * n**a * k**b * j**d for (a, b, d), c in self.terms.items())
 
     def __str__(self) -> str:
         out = ""
-        for (i, j), c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("n", i), ("k", j)) if e)
+        for exponents, c in sorted(self.terms.items(), reverse=True):
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip("nkj", exponents) if e)
             factor = str(abs(c)) if abs(c) != 1 or not mono else ""
             out += (" - " if c < 0 else " + ") + "*".join(filter(None, (factor, mono)))
         text = out[3:] if out else "0"
         return "-" + text if out.startswith(" - ") else text
 
 
-_ONE = _Poly({(0, 0): 1})
-_N = _Poly({(1, 0): 1})
-_K = _Poly({(0, 1): 1})
+_ONE = _Poly({(0, 0, 0): 1})
+_N = _Poly({(1, 0, 0): 1})
+_K = _Poly({(0, 1, 0): 1})
+_J = _Poly({(0, 0, 1): 1})
 
 
 def _product(factors: Iterable[_Poly]) -> _Poly:
@@ -178,6 +163,33 @@ def _product(factors: Iterable[_Poly]) -> _Poly:
     for f in factors:
         out = out * f
     return out
+
+
+class _Summand(NamedTuple):
+    """A sum S(n) = sum_k F(n, k) as :func:`_prove` reads it.
+
+    F(n, k) vanishes off low <= k <= top(n), top(n) <= top(n+1).  On
+    low <= k <= H = top(n+1), F(n+1, k) = h U and F(n, k) = h E with h a
+    hypergeometric term, nonzero there, whose ratio h(n, k+1)/h(n, k) is
+    a/b, b nonzero for low <= k < H.  From n to n + 1 the sum rises by
+    h(n, low) rise[0]/rise[1], or stays the same where ``rise`` is None.
+    ``right`` are the polynomials that keep one sign where F and the rise
+    are defined, and ``base`` the two sides of the base case.
+    """
+
+    label: str
+    low: object
+    high: _Poly
+    U: _Poly
+    E: _Poly
+    a: _Poly
+    b: _Poly
+    right: Tuple[_Poly, ...]
+    base: Tuple[object, object]
+    rise: Optional[Tuple[_Poly, _Poly]] = None
+
+    def summand(self, start) -> "_Summand":
+        return self
 
 
 class _ConvolutionSum(NamedTuple):
@@ -193,19 +205,45 @@ class _ConvolutionSum(NamedTuple):
     step: int = 1
     central: int = 0
 
+    def summand(self, start: int) -> _Summand:
+        """F, the summand over the right side, as a :class:`_Summand`, with
+        the sum at n = start as its base.  h = sign^k c_k c_(H-k) /
+        (r(n+1) prod_i (2L+2i-2k-1)) up to a factor free of k, i = 1..step,
+        since c_(L-k) = c_(H-k) prod_i (L+i-k)/(2 (2L+2i-2k-1)); its ratio
+        has b = (k+1)(2L-2k-1), odd in its second factor; r's ratio is
+        u/v = r(n+1) 4 (4n+2)^central / (r(n) (n+1)^central)."""
+        L, H, steps = self.step * _N, self.step * _N + self.step, range(1, self.step + 1)
+        u = 4 * self.rhs(_N + 1, _K) * (4 * _N + 2) ** self.central
+        v = self.rhs * (_N + 1) ** self.central
+        c = [comb(2 * i, i) for i in range(self.step * start + 1)]
+        top = self.step * start
+        lhs = sum(self.sign**k * self.weight.at(start, k) * c[k] * c[top - k]
+                  for k in range(top + 1))
+        rhs = Fraction(self.rhs.at(start, 0) * 4**start * c[start] ** self.central, self.den)
+        return _Summand(
+            self.label, 0, H,
+            v * 2**self.step * self.weight(_N + 1, _K)
+            * _product(2 * L + 2 * i - 2 * _K - 1 for i in steps),
+            u * self.weight * _product(L + i - _K for i in steps),
+            self.sign * (2 * _K + 1) * (H - _K), (_K + 1) * (2 * L - 2 * _K - 1),
+            (self.rhs,), (lhs, rhs),
+        )
+
 
 class _Certificate(NamedTuple):
-    """A WZ certificate z = numer / prod(denom), valid from n = start, for a
-    sum whose n-difference vanishes below k = low."""
+    """A certificate z = numer / prod(denom), valid from n = start (an int,
+    or a polynomial in j), for a sum whose n-difference vanishes on the
+    ``low`` indices above the lower end of its support."""
 
-    start: int
+    start: object
     low: int
     numer: _Poly
     denom: Tuple[_Poly, ...]
 
 
 # The certificates come from sympy's gosper_term of F(n+1,k) - F(n,k) in k
-# (after gammasimp), F the summand over its right side; sympy is not a
+# (after combsimp), F the summand over its right side;
+# tools/derive_certificates.py derives them again.  sympy is not a
 # dependency and nothing here imports it, as the checks below prove each
 # certificate afresh.  The k(n-k)-weighted sum has one too,
 # (k-1)(2k-2n-1)/(4k-3n-1), but its pole lies inside the support (n = 5,
@@ -225,85 +263,114 @@ _K2_Z = _Certificate(
 _KN = _ConvolutionSum("k(n-k)", _K * (_N - _K), _N * (_N - 1), 8)
 _ALTERNATING_KN = _ConvolutionSum("alternating k(n-k)", _K * (_N - _K), _Poly({}), sign=-1)
 
+# The coefficient of t^j of the binomial transform, F(n, k) =
+# C(k,j) c_k c_(n-k) / (4^(n-j) C(n,j) c_j) on j <= k <= n, n >= j:
+# h = F(n+1, k) / ((2n-2k+1)(n+1-j)), the first factor odd and the second
+# at least 1, so F(n, k) = h 2(n+1)(n+1-k) and b = (k+1-j)(2n-2k-1) != 0.
+# At the base n = j the sum is its one term F(j, j).  F(0, 0) = 1 at j = 0
+# (every factor is 1), and along the diagonal F(n+1, k+1; j+1) / F(n, k; j)
+# = (2k+1)(j+1) / ((n+1)(2j+1)): the base's two sides are this ratio's
+# numerator and denominator at n = k = j, whose equality makes F(j, j) = 1.
+_TRANSFORM = _Summand(
+    "binomial transform", _J, _N + 1,
+    (2 * _N - 2 * _K + 1) * (_N + 1 - _J), 2 * (_N + 1) * (_N + 1 - _K),
+    (2 * _K + 1) * (_N + 1 - _K), (_K + 1 - _J) * (2 * _N - 2 * _K - 1),
+    (_N + 1 - _J,), (((2 * _K + 1) * (_J + 1))(_J, _J), ((_N + 1) * (2 * _J + 1))(_J, _J)),
+)
+_TRANSFORM_Z = _Certificate(
+    _J, 0, (_K - _J) * (2 * _K - 2 * _N - 1), (2 * _J * _K - 2 * _J * _N - _J - _N - 1,)
+)
+# S(v) = v sum_k C(v-1,k) (-1)^k / (k+1)^2, in n = v, on 0 <= k <= v-1:
+# with h = (-1)^k C(v+1,k+1) / ((v+1)(k+1)), F(v+1, k) = h (v+1) and
+# F(v, k) = h (v-k), since v C(v-1,k) = (k+1) C(v,k+1).  S rises by
+# 1/(v+1) = h(v, 0)/(v+1) from S(1) = 1, so S(v) = H_v.
+_HARMONIC = _Summand(
+    "harmonic", 0, _N, _N + 1, _N - _K, -(_N - _K) * (_K + 1), (_K + 2) ** 2, (_N + 1,),
+    (sum(Fraction(comb(0, k) * (-1) ** k, (k + 1) ** 2) for k in range(1)), Fraction(1)),
+    (_ONE, _N + 1),
+)
+_HARMONIC_Z = _Certificate(1, 0, -(_K + 1), (_N + 1,))
 
-def _sign(f: _Poly, start: int) -> int:
-    """+1 or -1 where every coefficient of f(start + t), a polynomial in t
-    alone, has that sign, so f has it at every integer n >= start; 0 where
-    this test proves no sign."""
+
+def _sign(f: _Poly, start) -> int:
+    """+1 or -1 where every coefficient of f(start + t, ., j), a polynomial
+    in t and j alone, has that sign, so f has it at every n >= start and
+    j >= 0; 0 where this test proves no sign."""
     coeffs = f(_N + start, _K).terms
     for s in (1, -1):
-        if s * coeffs.get((0, 0), 0) > 0 and all(s * c > 0 for c in coeffs.values()):
+        if s * coeffs.get((0, 0, 0), 0) > 0 and all(s * c > 0 for c in coeffs.values()):
             return s
     return 0
 
 
-def _nonzero_between(f: _Poly, start: int, low, high) -> bool:
+def _nonzero_between(f: _Poly, start, low, high) -> bool:
     """Whether f(n, k) != 0 for n >= start and low(n) <= k <= high(n) is
-    proven (low and high polynomials in n, or ints): f affine in k with one
-    sign at both ends, or convex (concave) in k and negative (positive) at
-    both ends."""
+    proven (low and high polynomials in n and j, or ints): f affine in k
+    with one sign at both ends, or convex (concave) in k and negative
+    (positive) at both ends."""
     ends = {_sign(f(_N, low), start), _sign(f(_N, high), start)}
-    degree = max((j for _, j in f.terms), default=0)
+    degree = max((b for _, b, _ in f.terms), default=0)
     if degree <= 1:
         return ends in ({1}, {-1})
-    lead = _sign(_Poly({(i, 0): c for (i, j), c in f.terms.items() if j == 2}), start)
+    lead = _sign(_Poly({(a, 0, c): x for (a, b, c), x in f.terms.items() if b == 2}), start)
     return degree == 2 and lead != 0 and ends == {-lead}
 
 
-def _prove(s: _ConvolutionSum, z: _Certificate) -> List[Failure]:
-    """Prove the sum ``s`` for every n >= z.start by a WZ certificate.
+def _prove(s, z: _Certificate) -> List[Failure]:
+    """Prove the sum ``s`` (a :class:`_Summand`, or a sum that gives one)
+    for every n >= z.start by a certificate.
 
-    With F(n, k) the summand over the right side (0 off 0 <= k <= L),
-    f(n, k) = F(n+1, k) - F(n, k) and G = z f on low <= k <= H = L + step
-    (0 elsewhere), G(n, k+1) - G(n, k) = f(n, k) at every k telescopes to
-    sum_k F(n+1, k) = sum_k F(n, k), and the base sum makes that 1.  On
-    0 <= k <= H, f = h p / (v 2^step) with p below and the nonzero
-    hypergeometric term h = sign^k c_k c_(H-k) / (rhs(n+1) prod_j (2L+2j-2k-1)),
-    j = 1..step, whose ratio h(n, k+1)/h(n, k) is a/b with
-    b = (k+1)(2L-2k-1) != 0; u/v = rhs(n+1)/rhs(n).  The obligations:
+    With f(n, k) = F(n+1, k) - F(n, k) = h p, p = U - E, and G = z f on
+    low' <= k <= H (low' = low + z.low; 0 elsewhere), G(n, k+1) - G(n, k) =
+    f(n, k) at every low' <= k <= H telescopes to sum_k F(n+1, k) -
+    sum_k F(n, k) = -G(n, low'), which the lower end makes the sum's rise,
+    and the base makes the sum right at n = start.  The obligations:
 
-    * right side: r(n) keeps one sign, so F is defined;
-    * support: p(n, k) = 0 for 0 <= k < low, so f vanishes there;
-    * denominator: no factor of z's denominator vanishes on low <= k <= H;
-    * lower end: numer(n, low) p(n, low) = 0, so G(n, low) = 0;
+    * right side: each of s.right keeps one sign, so F and the rise are
+      defined;
+    * support: p = 0 on low <= k < low', so f vanishes there;
+    * denominator: no factor of z's denominator vanishes on low' <= k <= H;
+    * lower end: numer(n, low') p(n, low') = 0, so G(n, low') = 0, or where
+      the sum rises, numer(n, low') p(n, low') rise[1] + rise[0]
+      denom(n, low') = 0, so -G(n, low') is the rise;
     * upper end: (numer(n, H) + denom(n, H)) p(n, H) = 0, so
       G(n, H+1) - G(n, H) = f(n, H);
-    * interior: for low <= k < H the identity divided by h(n, k)/(v 2^step)
-      and multiplied by b denom(k) denom(k+1), in Z[n, k];
-    * base: the sum at n = start over the integers.
+    * interior: for low' <= k < H the identity divided by h(n, k) and
+      multiplied by b denom(k) denom(k+1), in Z[n, k, j];
+    * base: its two sides.
 
     Each failure names the sum and the obligation, with the two sides that
     differ (the interior's difference against 0), or the polynomial of no
     proven sign and "nonzero".
     """
+    d = s.summand(z.start)
     failures: List[Failure] = []
 
     def require(obligation, lhs, rhs):
         if lhs != rhs:
-            failures.append(({"identity": s.label, "obligation": obligation}, lhs, rhs))
+            failures.append(({"identity": d.label, "obligation": obligation}, lhs, rhs))
 
-    L, H, j = s.step * _N, s.step * _N + s.step, range(1, s.step + 1)
-    u = 4 * s.rhs(_N + 1, _K) * (4 * _N + 2) ** s.central
-    v = s.rhs * (_N + 1) ** s.central
-    p = (v * 2**s.step * s.weight(_N + 1, _K) * _product(2 * L + 2 * i - 2 * _K - 1 for i in j)
-         - u * s.weight * _product(L + i - _K for i in j))
-    a, b = s.sign * (2 * _K + 1) * (H - _K), (_K + 1) * (2 * L - 2 * _K - 1)
-    if not _sign(s.rhs, z.start):
-        failures.append(({"identity": s.label, "obligation": "right side"}, s.rhs, "nonzero"))
-    for k in range(z.low):
-        require("support", p(_N, k), 0)
-    for f in z.denom:  # on low <= k < H, and at H alone, where a convex factor may turn
-        if not (_nonzero_between(f, z.start, z.low, H - 1) and _sign(f(_N, H), z.start)):
-            failures.append(({"identity": s.label, "obligation": "denominator"}, f, "nonzero"))
+    def nonzero(obligation, f, proven):
+        if not proven:
+            failures.append(({"identity": d.label, "obligation": obligation}, f, "nonzero"))
+
+    p, H, low = d.U - d.E, d.high, d.low + z.low
+    for f in d.right:
+        nonzero("right side", f, _sign(f, z.start))
+    for i in range(z.low):
+        require("support", p(_N, d.low + i), 0)
+    for f in z.denom:  # on low' <= k < H, and at H alone, where a convex factor may turn
+        nonzero("denominator", f,
+                _nonzero_between(f, z.start, low, H - 1) and _sign(f(_N, H), z.start))
     q = _product(z.denom)
-    require("lower end", z.numer(_N, z.low) * p(_N, z.low), 0)
+    lower = z.numer(_N, low) * p(_N, low)
+    if d.rise:
+        lower = lower * d.rise[1] + d.rise[0] * q(_N, low)
+    require("lower end", lower, 0)
     require("upper end", (z.numer(_N, H) + q(_N, H)) * p(_N, H), 0)
     q1, p1 = q(_N, _K + 1), p(_N, _K + 1)
-    require("interior", z.numer(_N, _K + 1) * p1 * a * q - (z.numer + q) * p * b * q1, 0)
-    c = [comb(2 * i, i) for i in range(s.step * z.start + 1)]
-    n, top = z.start, s.step * z.start
-    lhs = sum(s.sign**k * s.weight.at(n, k) * c[k] * c[top - k] for k in range(top + 1))
-    require("base", lhs, Fraction(s.rhs.at(n, 0) * 4**n * c[n] ** s.central, s.den))
+    require("interior", z.numer(_N, _K + 1) * p1 * d.a * q - (z.numer + q) * p * d.b * q1, 0)
+    require("base", *d.base)
     return failures
 
 
@@ -385,80 +452,30 @@ def check_weighted_convolution(n_max: int) -> IdentityReport:
     return IdentityReport("weighted-convolution", f"1 <= n <= {n_max}", failures)
 
 
-def _pascal_rows() -> Iterator[List[int]]:
-    """Rows [C(n, k) for 0 <= k <= n] of Pascal's triangle, n = 0, 1, 2, ..."""
-    row = [1]
-    while True:
-        yield row
-        row = [1] + list(map(add, row[:-1], row[1:])) + [1]
+def check_binomial_transform(n_max: int) -> IdentityReport:
+    """Prove the binomial transform linking the two convolution kernels.
 
-
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    """sum_k coeffs[k] x^k."""
-    acc = 0
-    for a in reversed(coeffs):
-        acc = acc * x + a
-    return acc
-
-
-def check_binomial_transform(
-    n_max: int, t_values: Sequence[int] = (-3, -2, -1, 0, 1, 2, 3)
-) -> IdentityReport:
-    """Check the binomial transform linking the two convolution kernels.
-
-    For 0 <= n <= n_max and each integer t:
+    For every n >= 0 and every t:
 
         sum_k 4^(n-k) C(n,k) C(2k,k) t^k
             = sum_k C(2k,k) C(2(n-k),n-k) (1+t)^k
 
-    checked as exact integers.  At t = 0 both sides collapse to 4^n.  The
-    coefficients of both sides are formed once per n (C(n,k) by stepping
-    the Pascal row) and evaluated by Horner's rule in t and in 1 + t.
+    Both sides are polynomials in t.  Their coefficients of t^j agree,
+
+        sum_k C(k,j) C(2k,k) C(2(n-k),n-k) = 4^(n-j) C(n,j) C(2j,j),
+
+    for every n >= j >= 0 by one WZ certificate in n, k and j
+    (:func:`_prove`), and both vanish at n < j.  ``n_max`` only labels the
+    range.
     """
     _check_range("n_max", n_max, 0, TRANSFORM_N_LIMIT)
-    if not t_values:
-        raise UsageError("t_values must be nonempty")
-    c = _central_prefix(n_max)
-    failures: List[Failure] = []
-    for n, row in zip(range(n_max + 1), _pascal_rows()):
-        lhs_coeffs = [(b * ck) << 2 * (n - k) for k, (b, ck) in enumerate(zip(row, c))]
-        rhs_coeffs = _pair_products(c, n)
-        for t in t_values:
-            lhs = _horner(lhs_coeffs, t)
-            rhs = _horner(rhs_coeffs, 1 + t)
-            if lhs != rhs:
-                failures.append(({"n": n, "t": t}, lhs, rhs))
-    ts = ",".join(str(t) for t in t_values)
-    return IdentityReport("binomial-transform", f"0 <= n <= {n_max}; t in {{{ts}}}", failures)
-
-
-def _random_rational_sequences(count: int, n_max: int, seed: int) -> List[List[Fraction]]:
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        length = rng.randint(1, n_max + 1)
-        out.append(
-            [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(length)]
-        )
-    return out
-
-
-def _ratio_weighted_sequence(x: Fraction, length: int) -> List[Fraction]:
-    """f_n = C(2n,n) x^n / 4^n, the archetypal sequence fed to the split."""
-    seq: List[Fraction] = []
-    stream = central_binomials()
-    xn = Fraction(1)
-    for n in range(length):
-        seq.append(next(stream) * xn / 4**n)
-        xn *= x
-    return seq
+    return IdentityReport("binomial-transform", f"0 <= n <= {n_max}; every t",
+                          _prove(_TRANSFORM, _TRANSFORM_Z))
 
 
 def check_sign_split(
     sample_sequences: Optional[Iterable[Sequence[Fraction]]] = None,
     n_max: int = SIGN_SPLIT_N_DEFAULT,
-    count: int = 200,
-    seed: int = 20260823,
 ) -> IdentityReport:
     """Check the sign-split rearrangement on finite rational sequences.
 
@@ -469,25 +486,26 @@ def check_sign_split(
     * difference form: sum_n (s+(n) - s-(n)) f_n = -2 sum_j (-1)^j f_{2j+1}
 
     Both hold exactly at every truncation length because the combined sign
-    weight vanishes on the complementary parity class.  When no sequences are
-    given, ``count`` seeded random rational sequences of length <= n_max + 1
-    are used, plus three sequences of the form C(2n,n) x^n / 4^n at rational
-    x, which is the shape the series engine actually sums.
+    weight vanishes on the complementary parity class.  Both forms are
+    linear in f, so when no sequences are given they are proven for every
+    sequence of length <= n_max + 1: each side's integer weight of f_n
+    agrees at every n <= n_max.  Given sequences are summed exactly.
     """
     _check_range("n_max", n_max, 0, SIGN_SPLIT_N_LIMIT)
-    if sample_sequences is None:
-        seqs = _random_rational_sequences(count, n_max, seed)
-        for x in (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)):
-            seqs.append(_ratio_weighted_sequence(x, n_max + 1))
-        origin = f"{count} random + 3 binomial-ratio sequences"
-    else:
-        seqs = [list(s) for s in sample_sequences]
-        origin = f"{len(seqs)} supplied sequences"
     ceil_half = [sign(SignPattern.CEIL_HALF, n) for n in range(n_max + 1)]
     floor_half = [sign(SignPattern.FLOOR_HALF, n) for n in range(n_max + 1)]
     sum_weights = list(map(add, ceil_half, floor_half))
     diff_weights = list(map(sub, ceil_half, floor_half))
     failures: List[Failure] = []
+    if sample_sequences is None:
+        for n in range(n_max + 1):
+            half, odd = divmod(n, 2)
+            for form, lhs, rhs in (("sum", sum_weights[n], 0 if odd else 2 * (-1) ** half),
+                                   ("difference", diff_weights[n], -2 * (-1) ** half if odd else 0)):
+                if lhs != rhs:
+                    failures.append(({"n": n, "form": form}, lhs, rhs))
+        return IdentityReport("sign-split", f"every sequence, 0 <= n <= {n_max}", failures)
+    seqs = [list(s) for s in sample_sequences]
     for idx, f in enumerate(seqs):
         f = [Fraction(v) for v in f[: n_max + 1]]
         # every f_n as a_n / den over the sequence's least common denominator
@@ -502,7 +520,7 @@ def check_sign_split(
         if lhs_diff != rhs_diff:
             failures.append(({"sequence": idx, "form": "difference"}, lhs_diff, rhs_diff))
     return IdentityReport(
-        "sign-split", f"{origin}, truncation <= {n_max + 1} terms", failures
+        "sign-split", f"{len(seqs)} supplied sequences, truncation <= {n_max + 1} terms", failures
     )
 
 
@@ -617,29 +635,19 @@ def check_lemma2(x_samples: Sequence, ctx: PrecisionContext) -> IdentityReport:
 
 
 def check_harmonic_integral(v_max: int) -> IdentityReport:
-    """Check the logarithmic moment sum behind the harmonic-number series.
+    """Prove the logarithmic moment sum behind the harmonic-number series.
 
     Expanding (1 - x^2)^(v-1) binomially inside int_0^1 x (1-x^2)^(v-1) ln x dx
     and using int_0^1 x^(2k+1) ln x dx = -1/(2k+2)^2 turns the integral into
-    a finite rational sum, so for 1 <= v <= v_max this checks
+    a finite rational sum, so for every v >= 1 this proves
 
-        sum_k C(v-1,k) (-1)^k / (2k+2)^2 = H_v / (4v)
+        sum_k C(v-1,k) (-1)^k / (2k+2)^2 = H_v / (4v),
 
-    as exact rationals, H_v the v-th harmonic number.
+    H_v the v-th harmonic number.  S(v) = v sum_k C(v-1,k) (-1)^k / (k+1)^2
+    has S(1) = 1 and S(v+1) - S(v) = sum_k C(v+1,k+1) (-1)^k / (v+1), which
+    is 1/(v+1) by the Gosper certificate -(k+1)/(v+1) (:func:`_prove`), so
+    S(v) = H_v.  ``v_max`` only labels the range.
     """
     _check_range("v_max", v_max, 1, HARMONIC_V_LIMIT)
-    failures: List[Failure] = []
-    harmonics = harmonic_stream()
-    next(harmonics)  # H_0 = 0
-    lcm_v = 1  # lcm(1, ..., v), so lcm(2, 4, ..., 2v)^2 = 4 lcm_v^2
-    # row holds C(v-1, k) for 0 <= k <= v-1
-    for v, row in zip(range(1, v_max + 1), _pascal_rows()):
-        h_v = next(harmonics)
-        lcm_v = lcm(lcm_v, v)
-        # (-1)^k C(v-1,k) / (2k+2)^2 = (-1)^k C(v-1,k) (lcm_v/(k+1))^2 / (4 lcm_v^2)
-        scaled = [b * (lcm_v // (k + 1)) ** 2 for k, b in enumerate(row)]
-        lhs = Fraction(sum(scaled[0::2]) - sum(scaled[1::2]), 4 * lcm_v * lcm_v)
-        rhs = h_v / (4 * v)
-        if lhs != rhs:
-            failures.append(({"v": v}, lhs, rhs))
-    return IdentityReport("harmonic-log-moment", f"1 <= v <= {v_max}", failures)
+    return IdentityReport("harmonic-log-moment", f"1 <= v <= {v_max}",
+                          _prove(_HARMONIC, _HARMONIC_Z))

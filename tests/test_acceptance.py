@@ -157,7 +157,7 @@ def test_criterion_08_exact_identity_sweeps():
     assert check_convolution(300).passed
     assert check_weighted_convolution(300).passed
     assert check_binomial_transform(60).passed
-    assert check_sign_split(n_max=63, count=200).passed
+    assert check_sign_split(n_max=63).passed
 
 
 def test_criterion_09_lemma_suite():

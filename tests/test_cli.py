@@ -102,7 +102,7 @@ def test_max_terms_and_terms_used_count_from_the_first_nonzero_index(capsys, fam
     assert json.loads(out)["results"][0]["terms_used"] == terms
     code, out, err = run(capsys, *argv, "--max-terms", str(terms - 1))
     assert code == 3
-    assert f"predicts N = {terms}, past the cap of {terms - 1} terms" in err
+    assert f"predicts N = {terms} ({terms} terms), past the cap of {terms - 1} terms" in err
 
 
 def test_force_terms_counts_from_the_first_nonzero_index(capsys):
@@ -224,6 +224,26 @@ def test_identity_huge_n_max_fails_fast(capsys):
         assert out == ""
         assert "must be in [" in err and "got 10000000" in err
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("ident, limit", [
+    ("convolution", 2000), ("weighted-convolution", 2000), ("binomial-transform", 1000),
+    ("sign-split", 2000), ("harmonic-integral", 1000),
+])
+def test_range_checks_take_under_a_second_at_their_limits(capsys, ident, limit):
+    """The exact checks hold for every n, so --n-max only labels their range:
+    at its limit each passes within a second, naming the limit in its
+    range, and one past it exits 2."""
+    argv = ("identity", "--id", ident, "--format", "json", "--n-max")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, str(limit))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    row = json.loads(out)["results"][0]
+    assert row["status"] == "pass" and str(limit) in row["range"]
+    code, out, err = run(capsys, *argv, str(limit + 1))
+    assert code == 2
+    assert out == "" and "must be in [" in err and f"got {limit + 1}" in err
 
 
 def test_identity_huge_digits_fails_fast(capsys, monkeypatch):
@@ -607,8 +627,25 @@ def test_capped_refusal_names_the_smaller_of_the_two_counts(capsys, family, x, c
     assert re.search(rf"terms_used\s+{cap}\n", out)
     code, out, err = run(capsys, *argv, str(cap - 1))
     assert code == 3
-    assert f"{model} predicts N = {cap - 1}, past the cap of {cap - 1} terms" in err
+    assert f"{model} predicts N = {cap - 1} ({cap} terms), past the cap of {cap - 1} terms" in err
     assert "CVZ" not in err
+
+
+@pytest.mark.parametrize("family, x, first", [("F1", "17/64", 0), ("H3", "-1/2", 1)])
+def test_kernel_cap_refusal_names_the_least_cap_that_certifies(capsys, family, x, first):
+    """The kernel's refusal names N and the terms from ``first`` to N: a cap
+    of that count certifies, one term less refuses naming the same count."""
+    argv = ("compare", "--family", family, f"--x={x}", "--digits", "40", "--max-terms")
+    code, out, err = run(capsys, *argv, "1")
+    assert code == 3
+    N, count = map(int, re.search(r"predicts N = (\d+) \((\d+) terms\)", err).groups())
+    assert count == N + 1 - first
+    code, out, err = run(capsys, *argv, str(count))
+    assert code == 0, err
+    assert re.search(rf"terms_used\s+{count}\n", out)
+    code, out, err = run(capsys, *argv, str(count - 1))
+    assert code == 3
+    assert f"predicts N = {N} ({count} terms), past the cap of {count - 1} terms" in err
 
 
 def test_ratio_rounding_to_one_exits_3_naming_the_model(capsys):

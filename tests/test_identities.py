@@ -1,6 +1,8 @@
+import importlib.util
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import cbcseries.cli as cli
+import cbcseries.exact as exact
 import cbcseries.identities as identities
-from cbcseries.exact import central_binomials
 from cbcseries.families import SignPattern
 from cbcseries.identities import (
     CONVOLUTION_N_LIMIT,
@@ -31,7 +33,9 @@ LEMMA_SAMPLES = [Fraction(7 * (2 * k - 19), 200) for k in range(20)]
 
 
 def c_prefix(n):
-    stream = central_binomials()
+    """C(2k, k) for k <= n, read through ``exact`` at call time, so that a
+    monkeypatch of its stream reaches the reference sweeps below."""
+    stream = exact.central_binomials()
     return [next(stream) for _ in range(n + 1)]
 
 
@@ -45,10 +49,12 @@ def test_weighted_convolution_sweep():
 
 # the WZ proofs of the two convolution checks: (sum, certificate) by name
 PROOFS = [("_PLAIN", "_PLAIN_Z"), ("_ALTERNATING", "_ALTERNATING_Z"), ("_K2", "_K2_Z")]
-P, N, K = identities._Poly, identities._N, identities._K
+# the proofs of the binomial transform and the harmonic log-moment sum
+NEW_PROOFS = [("_TRANSFORM", "_TRANSFORM_Z"), ("_HARMONIC", "_HARMONIC_Z")]
+P, N, K, J = identities._Poly, identities._N, identities._K, identities._J
 
 
-@pytest.mark.parametrize("names", PROOFS, ids=[s for s, _ in PROOFS])
+@pytest.mark.parametrize("names", PROOFS + NEW_PROOFS, ids=[s for s, _ in PROOFS + NEW_PROOFS])
 def test_every_certificate_meets_its_obligations(names):
     s, z = (getattr(identities, name) for name in names)
     assert identities._prove(s, z) == []
@@ -109,6 +115,158 @@ def test_a_certificate_with_a_pole_on_the_support_fails_its_denominator():
     ]
 
 
+def _transform_summand(n, k, j):
+    """C(k,j) c_k c_(n-k) / (4^(n-j) C(n,j) c_j) as an exact Fraction, 0 off
+    j <= k <= n."""
+    if not j <= k <= n:
+        return Fraction(0)
+    return Fraction(comb(k, j) * comb(2 * k, k) * comb(2 * (n - k), n - k),
+                    4 ** (n - j) * comb(n, j) * comb(2 * j, j))
+
+
+def _harmonic_summand(v, k):
+    """v C(v-1,k) (-1)^k / (k+1)^2 as an exact Fraction, 0 off 0 <= k < v."""
+    if not 0 <= k < v:
+        return Fraction(0)
+    return Fraction(v * comb(v - 1, k) * (-1) ** k, (k + 1) ** 2)
+
+
+def _gosper(z, f, n, k, j=0):
+    """G = z f at (n, k), 0 where f is."""
+    d = f(n, k)
+    return d and Fraction(z.numer.at(n, k, j), prod(x.at(n, k, j) for x in z.denom)) * d
+
+
+@pytest.mark.parametrize("j", range(7))
+def test_transform_certificate_makes_a_wz_pair_pointwise(j):
+    """G(n, k+1) - G(n, k) = F(n+1, k) - F(n, k) in Fractions at n <= 15 and
+    -2 <= k <= n + 4, the sum is 1 at every such n, and the base term
+    F(j, j) is 1: an oracle for the certificate that shares no algebra with
+    _prove."""
+    z = identities._TRANSFORM_Z
+
+    def f(n, k):
+        return _transform_summand(n + 1, k, j) - _transform_summand(n, k, j)
+
+    for n in range(j, 16):
+        for k in range(-2, n + 5):
+            assert _gosper(z, f, n, k + 1, j) - _gosper(z, f, n, k, j) == f(n, k), (n, k)
+        assert sum(_transform_summand(n, k, j) for k in range(n + 1)) == 1
+    assert _transform_summand(j, j, j) == 1
+
+
+def test_harmonic_certificate_telescopes_pointwise():
+    """At every v <= 19, in Fractions: G(v, k+1) - G(v, k) = f(v, k) for
+    0 <= k <= v + 2, with f = F(v+1, k) - F(v, k) and G = z f; the sum of f
+    is -G(v, 0) = 1/(v+1); and the sum of F is H_v, from F(1, 0) = 1."""
+    z = identities._HARMONIC_Z
+
+    def f(v, k):
+        return _harmonic_summand(v + 1, k) - _harmonic_summand(v, k)
+
+    h = Fraction(0)
+    for v in range(1, 20):
+        h += Fraction(1, v)
+        for k in range(v + 3):
+            assert _gosper(z, f, v, k + 1) - _gosper(z, f, v, k) == f(v, k), (v, k)
+        assert sum(f(v, k) for k in range(-2, v + 3)) == -_gosper(z, f, v, 0) == Fraction(1, v + 1)
+        assert sum(_harmonic_summand(v, k) for k in range(v)) == h
+    assert _harmonic_summand(1, 0) == 1
+
+
+# (sum, obligation, a change to the sum or certificate that only that
+# obligation reads, or that breaks it first): each obligation of the two new
+# proofs holds, and is checked
+OBLIGATIONS = [
+    ("_TRANSFORM", "right side", lambda s, z: (s._replace(right=(N - J - 1,)), z)),
+    ("_TRANSFORM", "support", lambda s, z: (s, z._replace(low=1))),
+    ("_TRANSFORM", "denominator", lambda s, z: (s, z._replace(denom=z.denom + (N - 2 * K,)))),
+    ("_TRANSFORM", "lower end", lambda s, z: (s._replace(rise=(identities._ONE, N + 1)), z)),
+    ("_TRANSFORM", "upper end", lambda s, z: (s._replace(high=N + 2), z)),
+    ("_TRANSFORM", "interior", lambda s, z: (s._replace(a=s.a + 1), z)),
+    ("_TRANSFORM", "base", lambda s, z: (s._replace(base=(s.base[0] + J, s.base[1])), z)),
+    ("_HARMONIC", "support", lambda s, z: (s, z._replace(low=1))),
+    ("_HARMONIC", "denominator", lambda s, z: (s, z._replace(denom=z.denom + (N - 2 * K,)))),
+    ("_HARMONIC", "right side", lambda s, z: (s._replace(right=(N - 2,)), z)),
+    ("_HARMONIC", "lower end", lambda s, z: (s._replace(rise=(s.rise[0] + 1, s.rise[1])), z)),
+    ("_HARMONIC", "upper end", lambda s, z: (s._replace(high=N + 1), z)),
+    ("_HARMONIC", "interior", lambda s, z: (s._replace(b=s.b + 1), z)),
+    ("_HARMONIC", "base", lambda s, z: (s._replace(base=(s.base[0], Fraction(3, 2))), z)),
+]
+
+
+@pytest.mark.parametrize("name, obligation, change", OBLIGATIONS,
+                         ids=[f"{n}-{o}" for n, o, _ in OBLIGATIONS])
+def test_each_obligation_of_the_new_proofs_is_checked(name, obligation, change):
+    s, z = getattr(identities, name), getattr(identities, name + "_Z")
+    label = s.label
+    assert all(p["obligation"] != obligation for p, _, _ in identities._prove(s, z))
+    failures = identities._prove(*change(s, z))
+    assert ({"identity": label, "obligation": obligation}) in [p for p, _, _ in failures]
+
+
+def _coefficient_corruptions(name):
+    """(where, changed sum, changed certificate) for every coefficient of
+    the certificate of the sum ``name`` and of the polynomials that fix its
+    sum (not ``right``, whose polynomials need only keep a sign), off by +1
+    and by -1."""
+    s, z = getattr(identities, name), getattr(identities, name + "_Z")
+    fields = [(z, "numer"), (z, "denom"), (s, "U"), (s, "E"), (s, "a"), (s, "b"), (s, "rise"),
+              (s, "base")]
+    for owner, field in fields:
+        value = getattr(owner, field)
+        items = value if isinstance(value, tuple) else (value,)
+        for i, poly in enumerate(items):
+            if not isinstance(poly, P):  # no rise, or a base of numbers
+                continue
+            for exponent in poly.terms:
+                for by in (1, -1):
+                    bumped = items[:i] + (_bump(poly, exponent, by),) + items[i + 1:]
+                    changed = owner._replace(
+                        **{field: bumped if isinstance(value, tuple) else bumped[0]})
+                    yield (f"{field}[{i}]{exponent}{by:+d}",
+                           changed if owner is s else s, changed if owner is z else z)
+
+
+@pytest.mark.parametrize("name", [s for s, _ in NEW_PROOFS])
+def test_every_coefficient_off_by_one_fails_naming_its_obligation(name):
+    """Each coefficient of the new certificates and of their sums' parts, off
+    by 1 either way, fails the proof, each failure naming the sum and one of
+    the obligations of _prove."""
+    names = {"right side", "support", "denominator", "lower end", "upper end", "interior",
+             "base"}
+    label = getattr(identities, name).label
+    count = 0
+    for where, s, z in _coefficient_corruptions(name):
+        failures = identities._prove(s, z)
+        assert failures, where
+        for params, _, _ in failures:
+            assert params["identity"] == label and params["obligation"] in names, where
+        count += 1
+    assert count >= 30
+
+
+def test_committed_certificates_equal_the_derived_ones():
+    """tools/derive_certificates.py derives every committed certificate again
+    with sympy's gosper_term; each equals it as a rational function.  sympy
+    is not a dependency, so this skips where it is not installed."""
+    sympy = pytest.importorskip("sympy")
+    path = Path(__file__).resolve().parents[1] / "tools" / "derive_certificates.py"
+    spec = importlib.util.spec_from_file_location("derive_certificates", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def expression(poly):
+        return sum(c * tool.n**a * tool.k**b * tool.j**d for (a, b, d), c in poly.terms.items())
+
+    derived = tool.derive()
+    assert sorted(derived) == sorted(z for _, z in PROOFS + NEW_PROOFS)
+    for name, z_derived in derived.items():
+        z = getattr(identities, name)
+        committed = expression(z.numer) / sympy.Mul(*map(expression, z.denom))
+        assert sympy.cancel(z_derived - committed) == 0, name
+
+
 def _bump(poly, exponent, by=1):
     terms = dict(poly.terms)
     terms[exponent] = terms.get(exponent, 0) + by
@@ -120,28 +278,47 @@ def _corrupt(name, field, value):
     return name, old._replace(**{field: value(getattr(old, field))})
 
 
+# identity id -> the check that proves it
+RANGE_PROOFS = {
+    "convolution": check_convolution,
+    "weighted-convolution": check_weighted_convolution,
+    "binomial-transform": check_binomial_transform,
+    "harmonic-integral": check_harmonic_integral,
+}
 # (check id, corrupted module attribute, the (identity, obligation) pairs reported)
 CORRUPTIONS = [
-    ("convolution", _corrupt("_PLAIN_Z", "numer", lambda p: _bump(p, (1, 1), -1)),
+    ("convolution", _corrupt("_PLAIN_Z", "numer", lambda p: _bump(p, (1, 1, 0), -1)),
      [("plain", "upper end"), ("plain", "interior")]),
-    ("convolution", _corrupt("_ALTERNATING_Z", "denom", lambda d: (d[0], _bump(d[1], (1, 0)))),
+    ("convolution", _corrupt("_ALTERNATING_Z", "denom", lambda d: (d[0], _bump(d[1], (1, 0, 0)))),
      [("alternating", "upper end"), ("alternating", "interior")]),
-    ("convolution", _corrupt("_PLAIN", "rhs", lambda p: _bump(p, (0, 0))),
+    ("convolution", _corrupt("_PLAIN", "rhs", lambda p: _bump(p, (0, 0, 0))),
      [("plain", "base")]),
     ("convolution", _corrupt("_ALTERNATING", "den", lambda d: 2 * d),
      [("alternating", "base")]),
-    ("weighted-convolution", _corrupt("_K2_Z", "numer", lambda p: _bump(p, (1, 2), 1)),
+    ("weighted-convolution", _corrupt("_K2_Z", "numer", lambda p: _bump(p, (1, 2, 0), 1)),
      [("k^2", "lower end"), ("k^2", "upper end"), ("k^2", "interior")]),
-    ("weighted-convolution", _corrupt("_K2_Z", "denom", lambda d: (d[0], _bump(d[1], (1, 1), 4))),
+    ("weighted-convolution", _corrupt("_K2_Z", "denom", lambda d: (d[0], _bump(d[1], (1, 1, 0), 4))),
      [("k^2", "denominator"), ("k^2", "upper end"), ("k^2", "interior")]),
-    ("weighted-convolution", _corrupt("_K2", "rhs", lambda p: _bump(p, (1, 0))),
+    ("weighted-convolution", _corrupt("_K2", "rhs", lambda p: _bump(p, (1, 0, 0))),
      [("k^2", "interior"), ("k^2", "base"), ("k(n-k)", "n S1 - S2: right side")]),
     ("weighted-convolution", _corrupt("_K1", "den", lambda d: d + 1),
      [("k", "2 S1 = n S0: right side"), ("k(n-k)", "n S1 - S2: right side")]),
-    ("weighted-convolution", _corrupt("_KN", "rhs", lambda p: _bump(p, (0, 0))),
+    ("weighted-convolution", _corrupt("_KN", "rhs", lambda p: _bump(p, (0, 0, 0))),
      [("k(n-k)", "n S1 - S2: right side")]),
-    ("weighted-convolution", _corrupt("_ALTERNATING_KN", "weight", lambda p: _bump(p, (0, 1))),
+    ("weighted-convolution", _corrupt("_ALTERNATING_KN", "weight", lambda p: _bump(p, (0, 1, 0))),
      [("alternating k(n-k)", "k <-> n-k")]),
+    ("binomial-transform", _corrupt("_TRANSFORM_Z", "numer", lambda p: _bump(p, (1, 1, 0), 1)),
+     [("binomial transform", "lower end"), ("binomial transform", "upper end"),
+      ("binomial transform", "interior")]),
+    ("binomial-transform", _corrupt("_TRANSFORM_Z", "denom", lambda d: (_bump(d[0], (0, 0, 1)),)),
+     [("binomial transform", "denominator"), ("binomial transform", "upper end"),
+      ("binomial transform", "interior")]),
+    ("binomial-transform", _corrupt("_TRANSFORM", "E", lambda p: _bump(p, (0, 0, 0))),
+     [("binomial transform", "interior")]),
+    ("harmonic-integral", _corrupt("_HARMONIC_Z", "numer", lambda p: _bump(p, (0, 0, 0), -1)),
+     [("harmonic", "lower end"), ("harmonic", "upper end"), ("harmonic", "interior")]),
+    ("harmonic-integral", _corrupt("_HARMONIC", "rise", lambda r: (r[0], _bump(r[1], (1, 0, 0)))),
+     [("harmonic", "lower end")]),
 ]
 
 
@@ -153,8 +330,7 @@ def test_corrupted_certificate_fails_naming_its_obligation(capsys, monkeypatch, 
     fails, each failure names the identity and the obligation, and the
     identity command exits 1 naming them on stderr."""
     monkeypatch.setattr(identities, *corrupted)
-    check = check_convolution if ident == "convolution" else check_weighted_convolution
-    report = check(20)
+    report = RANGE_PROOFS[ident](20)
     assert report.status == "fail"
     assert [(p["identity"], p["obligation"]) for p, _, _ in report.failures] == reported
     assert all(set(p) == {"identity", "obligation"} for p, _, _ in report.failures)
@@ -196,7 +372,9 @@ def test_binomial_transform_small_case_by_hand():
 
 
 def test_sign_split_default_batch():
-    assert check_sign_split(n_max=63, count=50).passed
+    report = check_sign_split(n_max=63)
+    assert report.passed
+    assert report.range == "every sequence, 0 <= n <= 63"
 
 
 def test_sign_split_difference_form_by_hand():
@@ -284,8 +462,6 @@ def test_range_validation():
         check_weighted_convolution(0)
     with pytest.raises(UsageError):
         check_harmonic_integral(0)
-    with pytest.raises(UsageError):
-        check_binomial_transform(5, t_values=())
 
 
 def test_range_limits_refuse_huge_sweeps_at_once():
@@ -303,13 +479,14 @@ def test_range_limits_refuse_huge_sweeps_at_once():
 
 
 # ---------------------------------------------------------------------------
-# the per-n formulas the checks used before they formed each product once,
-# kept as an independent reference; they read the prefix, the harmonic
-# stream and sign() through the module, so a monkeypatch reaches both sides
+# the per-n formulas the checks swept before they became proofs, kept as an
+# independent reference; they read the prefix and the harmonic stream
+# through ``exact`` and sign() through ``identities`` at call time, so a
+# monkeypatch reaches them
 
 
 def reference_convolution(n_max):
-    c = identities._central_prefix(n_max)
+    c = c_prefix(n_max)
     failures = []
     for n in range(n_max + 1):
         plain = sum(c[k] * c[n - k] for k in range(n + 1))
@@ -323,7 +500,7 @@ def reference_convolution(n_max):
 
 
 def reference_weighted_convolution(n_max):
-    c = identities._central_prefix(n_max)
+    c = c_prefix(n_max)
     failures = []
     for n in range(1, n_max + 1):
         prods = [c[k] * c[n - k] for k in range(n + 1)]
@@ -346,8 +523,8 @@ def reference_weighted_convolution(n_max):
     return IdentityReport("weighted-convolution", f"1 <= n <= {n_max}", failures)
 
 
-def reference_binomial_transform(n_max, t_values=(-3, -2, -1, 0, 1, 2, 3)):
-    c = identities._central_prefix(n_max)
+def reference_binomial_transform(n_max, t_values=(-3, -2, -1, 0, 1, 2, 3, 5, -7)):
+    c = c_prefix(n_max)
     failures = []
     for n in range(n_max + 1):
         for t in t_values:
@@ -355,8 +532,7 @@ def reference_binomial_transform(n_max, t_values=(-3, -2, -1, 0, 1, 2, 3)):
             rhs = sum(c[k] * c[n - k] * (1 + t) ** k for k in range(n + 1))
             if lhs != rhs:
                 failures.append(({"n": n, "t": t}, lhs, rhs))
-    ts = ",".join(str(t) for t in t_values)
-    return IdentityReport("binomial-transform", f"0 <= n <= {n_max}; t in {{{ts}}}", failures)
+    return IdentityReport("binomial-transform", f"0 <= n <= {n_max}; every t", failures)
 
 
 def reference_sign_split(seqs, n_max):
@@ -383,7 +559,7 @@ def reference_sign_split(seqs, n_max):
 
 def reference_harmonic_integral(v_max):
     failures = []
-    harmonics = identities.harmonic_stream()
+    harmonics = exact.harmonic_stream()
     next(harmonics)
     for v in range(1, v_max + 1):
         h_v = next(harmonics)
@@ -407,10 +583,9 @@ def assert_same_report(new, ref):
 def test_reports_equal_the_reference(n_max):
     assert_same_report(check_convolution(n_max), reference_convolution(n_max))
     assert_same_report(check_binomial_transform(n_max), reference_binomial_transform(n_max))
-    assert_same_report(
-        check_binomial_transform(n_max, t_values=(5, -7)),
-        reference_binomial_transform(n_max, t_values=(5, -7)),
-    )
+    assert_same_report(check_sign_split(n_max=n_max), IdentityReport(
+        "sign-split", f"every sequence, 0 <= n <= {n_max}",
+        reference_sign_split(reference_basis(n_max), n_max)))
     if n_max >= 1:
         assert_same_report(
             check_weighted_convolution(n_max), reference_weighted_convolution(n_max)
@@ -418,49 +593,57 @@ def test_reports_equal_the_reference(n_max):
         assert_same_report(check_harmonic_integral(n_max), reference_harmonic_integral(n_max))
 
 
+def reference_basis(n_max):
+    """The unit sequences e_0, ..., e_n_max: a linear identity holds for every
+    sequence of length <= n_max + 1 exactly when it holds for each."""
+    return [[Fraction(int(i == n)) for i in range(n + 1)] for n in range(n_max + 1)]
+
+
 def _corrupt_prefix(monkeypatch, j):
-    real_prefix = identities._central_prefix
+    real_stream = exact.central_binomials
 
-    def corrupted(n_max):
-        c = real_prefix(n_max)
-        if j <= n_max:
-            c[j] += 1
-        return c
+    def corrupted():
+        for k, c in enumerate(real_stream()):
+            yield c + 1 if k == j else c
 
-    monkeypatch.setattr(identities, "_central_prefix", corrupted)
+    monkeypatch.setattr(exact, "central_binomials", corrupted)
 
 
 @pytest.mark.parametrize("j", [0, 1, 5, 12])
 def test_corrupted_prefix_fails_exactly_where_the_reference_does(monkeypatch, j):
-    """One c_j off by 1: the binomial transform fails, at n >= j and nowhere
-    else.  The convolution proofs read no prefix and still pass; their
-    corruptions are in test_corrupted_certificate_fails_naming_its_obligation."""
+    """One c_j off by 1: the reference sweeps fail (the binomial transform at
+    n >= j and nowhere else), while the proofs, which read no prefix, still
+    pass; their corruptions are in
+    test_corrupted_certificate_fails_naming_its_obligation."""
     _corrupt_prefix(monkeypatch, j)
     n_max = 20
     assert reference_convolution(n_max).failures
     assert check_convolution(n_max).passed and check_weighted_convolution(n_max).passed
 
-    transform = check_binomial_transform(n_max)
-    assert_same_report(transform, reference_binomial_transform(n_max))
-    assert transform.failures
-    assert {p["n"] for p, _, _ in transform.failures} == set(range(j, n_max + 1))
+    reference = reference_binomial_transform(n_max)
+    assert {p["n"] for p, _, _ in reference.failures} == set(range(j, n_max + 1))
+    assert check_binomial_transform(n_max).passed
 
 
 def test_corrupted_harmonic_stream_fails_exactly_at_that_v(monkeypatch):
-    real_stream = identities.harmonic_stream
+    """H_3 and H_17 off: the reference sweep fails exactly at those v, while
+    the proof, which reads no harmonic number, still passes."""
+    real_stream = exact.harmonic_stream
 
     def corrupted():
         for v, h in enumerate(real_stream()):
             yield h + Fraction(1, 10**9) if v in (3, 17) else h
 
-    monkeypatch.setattr(identities, "harmonic_stream", corrupted)
-    report = check_harmonic_integral(30)
-    assert_same_report(report, reference_harmonic_integral(30))
-    assert [p["v"] for p, _, _ in report.failures] == [3, 17]
+    monkeypatch.setattr(exact, "harmonic_stream", corrupted)
+    assert [p["v"] for p, _, _ in reference_harmonic_integral(30).failures] == [3, 17]
+    assert check_harmonic_integral(30).passed
 
 
 def test_corrupted_sign_fails_exactly_where_the_reference_does(monkeypatch):
-    """One flipped sign weight breaks both forms for sequences long enough to reach it."""
+    """One flipped sign weight breaks both forms: the weight comparison at
+    that n and nowhere else, as the reference sweep over the unit sequences
+    fails at e_6 alone, and the supplied-sequence check for every sequence
+    long enough to reach it, as the reference does."""
     real_sign = identities.sign
 
     def corrupted(pattern, n):
@@ -474,14 +657,13 @@ def test_corrupted_sign_fails_exactly_where_the_reference_does(monkeypatch):
     assert [(p["sequence"], p["form"]) for p, _, _ in report.failures] == [
         (2, "sum"), (2, "difference"), (3, "sum"), (3, "difference")
     ]
-    default = check_sign_split(n_max=20, count=30, seed=7)
-    batch = identities._random_rational_sequences(30, 20, 7) + [
-        identities._ratio_weighted_sequence(x, 21)
-        for x in (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5))
+    default = check_sign_split(n_max=20)
+    assert [(p, lhs, rhs) for p, lhs, rhs in default.failures] == [
+        ({"n": 6, "form": "sum"}, 0, -2), ({"n": 6, "form": "difference"}, 2, 0)
     ]
-    assert default.failures == reference_sign_split(batch, 20)
-    reaching = [i for i, f in enumerate(batch) if len(f) > 6 and f[6] != 0]
-    assert sorted({p["sequence"] for p, _, _ in default.failures}) == reaching
+    basis = reference_sign_split(reference_basis(20), 20)
+    assert [(p["sequence"], p["form"]) for p, _, _ in basis] == [(6, "sum"), (6, "difference")]
+    assert check_sign_split(n_max=5).passed
 
 
 @settings(deadline=None, max_examples=30)
