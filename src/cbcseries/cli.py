@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from mpmath import mp
 
@@ -148,11 +148,35 @@ def _echo_spec(args: argparse.Namespace) -> dict:
     return out
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the dicts, lists,
+    strings, ints, bools and None a record holds.  The json module runs its C
+    encoder only without an indent; here each string goes through the C
+    escaper and the indented layout is joined around it."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_encode_str(key)}: {_json(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_json(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"a record holds no {type(value).__name__}")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _emit(record: dict, fmt: str) -> None:
     out = sys.stdout
     if fmt == "json":
-        json.dump(record, out, indent=2)
-        out.write("\n")
+        out.write(_json(record) + "\n")
         return
     rows = record["results"]
     if fmt == "csv":
@@ -374,7 +398,8 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="data-stream format (default text)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(
         prog="cbcseries",
         description="Certified evaluation and verification of central-binomial series.",
@@ -428,17 +453,27 @@ def _build_parser() -> argparse.ArgumentParser:
     # fails if a later version stops
     for p in sub.choices.values():
         p._negative_number_matcher = _NEGATIVE_VALUE_RE
-    return ap
+    return ap, sub.choices
 
 
 # built once, at import: parsing keeps its state in the namespace it returns,
-# and help and usage read the terminal and sys.stdout/stderr when they print
-_PARSER = _build_parser()
+# and help and usage read the terminal and sys.stdout/stderr when they print.
+# main hands a request straight to its subcommand's parser, which parses it as
+# the top-level parser's subparsers action would, at about half the cost.
+_PARSER, _SUBPARSERS = _build_parser()
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        if sub is None:  # no argv, -h/--help or an unknown command
+            args = _PARSER.parse_args(argv)
+        else:
+            args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,15 +1,14 @@
 """Exact integer and rational building blocks.
 
-Everything here is exact arithmetic: binomial coefficients, the incremental
-stream of central binomial coefficients C(2n, n), Fibonacci/Lucas numbers at arbitrary (signed) index, and harmonic
-numbers as Fractions.  No floating point enters this module.
+Everything here is exact arithmetic: binomial coefficients, Fibonacci/Lucas
+numbers at arbitrary (signed) index, and harmonic numbers as Fractions.  No
+floating point enters this module.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
 
 from cbcseries.precision import UsageError
 
@@ -25,19 +24,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def central_binomials() -> Iterator[int]:
-    """Yield the exact stream C(2n, n) = 1, 2, 6, 20, 70, ... from n = 0.
-
-    Each step applies C(2n+2, n+1) = C(2n, n) * 2(2n+1)/(n+1), so term n costs
-    O(1) bigint work; C(4n, 2n) is every second element.
-    """
-    c, n = 1, 0
-    while True:
-        yield c
-        c = c * (2 * (2 * n + 1)) // (n + 1)
-        n += 1
 
 
 def fib_lucas(k: int) -> tuple[int, int]:
@@ -71,13 +57,3 @@ def harmonic(n: int) -> Fraction:
         raise UsageError(f"harmonic: n must be >= 0, got {n}")
     L = math.lcm(*range(1, n + 1))  # one common denominator, one reduction
     return Fraction(sum(L // k for k in range(1, n + 1)), L)
-
-
-def harmonic_stream() -> Iterator[Fraction]:
-    """Yield H_0, H_1, H_2, ... incrementally."""
-    total = Fraction(0)
-    k = 0
-    while True:
-        yield total
-        k += 1
-        total += Fraction(1, k)

@@ -16,6 +16,8 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import cbcseries
@@ -726,6 +728,96 @@ def test_json_output_is_reproducible(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "F3", "--x", "1/2"),
+    ("eval", "--family", "C1", "--x=-1/2", "--force-terms", "10", "--digits", "20"),
+    ("closed", "--family", "T1", "--phi", "-pi/6"),
+    ("compare", "--family", "G1", "--m", "1", "--s", "0", "--p", "8", "--tol", "1e-20"),
+    ("constants", "--digits", "12"),
+    ("identity", "--id", "all"),
+    ("identity", "--id", "convolution", "--n-max", "20"),
+    ("examples", "--set", "ex6"),
+    ("list-families",),
+])
+def test_json_writer_equals_json_dumps_on_every_subcommand(capsys, argv):
+    """Each subcommand's record, written by the writer and by the json module
+    with indent=2, gives the same text, and main prints it."""
+    args = cli._PARSER.parse_args(argv)
+    record, ok = cli._DISPATCH[args.command](args)
+    assert ok
+    assert cli._json(record) == json.dumps(record, indent=2)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(record, indent=2) + "\n"
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀a ') | st.characters(),
+                     max_size=8)
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.integers(-(2**200), 2**200) | _JSON_TEXT)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({
+    "schema_version": st.integers(),
+    "command": _JSON_TEXT,
+    "parameters": st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4),
+    "results": st.lists(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4), max_size=3),
+}))
+def test_json_writer_equals_json_dumps_on_drawn_records(record):
+    assert cli._json(record) == json.dumps(record, indent=2)
+
+
+# argv lists that reach every way the parser answers: help, a missing or
+# unknown command, a missing, unknown or invalid argument, an abbreviated flag,
+# mutually exclusive flags and a negative value taken for a flag
+USAGE_CENSUS = [
+    (),
+    ("--help",),
+    ("evaluate",),
+    ("eval",),
+    ("eval", "--help"),
+    ("eval", "--family", "F3", "--seq", "F"),
+    ("eval", "--family", "F3", "--x", "1/2", "extra"),
+    ("list-families", "--digits", "3"),
+    ("eval", "--family", "-1/2"),
+    ("eval", "--family", "F3", "--digits", "-1/2"),
+    ("compare", "--fam", "F3", "--x", "-1/2"),
+    ("examples", "--set", "ex6", "--id", "ex6-F3-x1"),
+    ("constants", "--he"),
+    ("identity", "--id", "frobnicate"),
+    ("-h", "eval"),
+    ("compare", "--family", "F3", "--x", "1/3", "--format", "json"),
+]
+# the census argv that leave arguments over, and the words the error names
+UNRECOGNIZED = {
+    ("eval", "--family", "F3", "--seq", "F"): "--seq F",
+    ("eval", "--family", "F3", "--x", "1/2", "extra"): "extra",
+    ("list-families", "--digits", "3"): "--digits 3",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_CENSUS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_subcommand_dispatch_answers_as_the_top_level_parser(capsys, monkeypatch, argv):
+    """main hands argv to its subcommand's parser; with no subcommand parser
+    to hand it to, every argv goes through the top-level parser and the json
+    module, and the exit code, stdout and stderr are the same."""
+    monkeypatch.setenv("COLUMNS", "80")
+    dispatched = run(capsys, *argv)
+    with monkeypatch.context() as top_level:
+        top_level.setattr(cli, "_SUBPARSERS", {})
+        top_level.setattr(cli, "_json", lambda record: json.dumps(record, indent=2))
+        assert run(capsys, *argv) == dispatched
+    if argv in UNRECOGNIZED:
+        assert dispatched == (2, "", "usage: cbcseries [-h] COMMAND ...\n"
+                              f"cbcseries: error: unrecognized arguments: {UNRECOGNIZED[argv]}\n")
 
 
 def test_installed_console_script(tmp_path):

@@ -22,7 +22,7 @@ from cbcseries.engine import (
     term_fraction,
 )
 from cbcseries.closedforms import closed_value
-from cbcseries.exact import central_binomials, fib_lucas
+from cbcseries.exact import fib_lucas
 from cbcseries.families import (
     ALL_FAMILIES,
     C_FAMILIES,
@@ -38,6 +38,8 @@ from cbcseries.families import (
 )
 from cbcseries.precision import UsageError, make_context
 from cbcseries.registry import list_examples
+
+from exact_streams import central_binomials
 
 CTX = make_context(30)
 CTX40 = make_context(40)

@@ -1,16 +1,12 @@
 import math
 from fractions import Fraction
 
-from cbcseries.exact import (
-    binomial,
-    central_binomials,
-    fib_lucas,
-    harmonic,
-    harmonic_stream,
-)
+from cbcseries.exact import binomial, fib_lucas, harmonic
 from cbcseries.precision import UsageError, make_context
 
 from mpmath import mp
+
+from exact_streams import central_binomials, harmonic_stream
 
 
 def test_binomial_matches_math_comb():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 import cbcseries.cli as cli
-import cbcseries.exact as exact
 import cbcseries.identities as identities
 from cbcseries.families import SignPattern
 from cbcseries.identities import (
@@ -27,15 +26,17 @@ from cbcseries.identities import (
 )
 from cbcseries.precision import UsageError, make_context
 
+import exact_streams
+
 CTX40 = make_context(40)
 
 LEMMA_SAMPLES = [Fraction(7 * (2 * k - 19), 200) for k in range(20)]
 
 
 def c_prefix(n):
-    """C(2k, k) for k <= n, read through ``exact`` at call time, so that a
-    monkeypatch of its stream reaches the reference sweeps below."""
-    stream = exact.central_binomials()
+    """C(2k, k) for k <= n, read through ``exact_streams`` at call time, so
+    that a monkeypatch of its stream reaches the reference sweeps below."""
+    stream = exact_streams.central_binomials()
     return [next(stream) for _ in range(n + 1)]
 
 
@@ -481,7 +482,7 @@ def test_range_limits_refuse_huge_sweeps_at_once():
 # ---------------------------------------------------------------------------
 # the per-n formulas the checks swept before they became proofs, kept as an
 # independent reference; they read the prefix and the harmonic stream
-# through ``exact`` and sign() through ``identities`` at call time, so a
+# through ``exact_streams`` and sign() through ``identities`` at call time, so a
 # monkeypatch reaches them
 
 
@@ -559,7 +560,7 @@ def reference_sign_split(seqs, n_max):
 
 def reference_harmonic_integral(v_max):
     failures = []
-    harmonics = exact.harmonic_stream()
+    harmonics = exact_streams.harmonic_stream()
     next(harmonics)
     for v in range(1, v_max + 1):
         h_v = next(harmonics)
@@ -600,13 +601,13 @@ def reference_basis(n_max):
 
 
 def _corrupt_prefix(monkeypatch, j):
-    real_stream = exact.central_binomials
+    real_stream = exact_streams.central_binomials
 
     def corrupted():
         for k, c in enumerate(real_stream()):
             yield c + 1 if k == j else c
 
-    monkeypatch.setattr(exact, "central_binomials", corrupted)
+    monkeypatch.setattr(exact_streams, "central_binomials", corrupted)
 
 
 @pytest.mark.parametrize("j", [0, 1, 5, 12])
@@ -628,13 +629,13 @@ def test_corrupted_prefix_fails_exactly_where_the_reference_does(monkeypatch, j)
 def test_corrupted_harmonic_stream_fails_exactly_at_that_v(monkeypatch):
     """H_3 and H_17 off: the reference sweep fails exactly at those v, while
     the proof, which reads no harmonic number, still passes."""
-    real_stream = exact.harmonic_stream
+    real_stream = exact_streams.harmonic_stream
 
     def corrupted():
         for v, h in enumerate(real_stream()):
             yield h + Fraction(1, 10**9) if v in (3, 17) else h
 
-    monkeypatch.setattr(exact, "harmonic_stream", corrupted)
+    monkeypatch.setattr(exact_streams, "harmonic_stream", corrupted)
     assert [p["v"] for p, _, _ in reference_harmonic_integral(30).failures] == [3, 17]
     assert check_harmonic_integral(30).passed
 
