@@ -7,8 +7,8 @@ forms, and compares the two with certified truncation and rounding error
 bounds at user-chosen precision.  Seven identities are checked: the five
 exact ones are proved for every n (the two central-binomial convolutions,
 the binomial transform and the harmonic log-moment sum by WZ and Gosper
-certificates, the sign split by its weights), and two analytic lemmas are
-compared numerically at high precision.
+certificates, the sign split by its weights over one period of the signs),
+and two analytic lemmas are compared numerically at high precision.
 """
 
 from cbcseries.precision import (

@@ -28,9 +28,10 @@ from cbcseries.engine import (
     sum_adaptive,
     sum_fixed,
 )
-from cbcseries.families import ALL_FAMILIES, FAMILIES, FamilySpec, PhiValue, list_families
+from cbcseries.families import (
+    ALL_FAMILIES, FAMILIES, MAX_RATIONAL_DIGITS, FamilySpec, PhiValue, check_rational_digits,
+    list_families)
 from cbcseries.identities import (
-    SIGN_SPLIT_N_DEFAULT,
     check_binomial_transform,
     check_convolution,
     check_harmonic_integral,
@@ -56,6 +57,10 @@ SCHEMA_VERSION = 1
 
 _TOL_HELP = f"comparison tolerance, >= 0 (default 10^({TOLERANCE_EXPONENT}-digits))"
 _PI_RE = re.compile(r"^([+-]?)pi(?:/(\d+))?$")
+# a decimal exponent of 10^5 or more in absolute value, whose power of ten
+# Fraction would build in full (Fraction("1e-10000000") alone takes 5 s); as
+# int() reads at most 4300 digits before it, the value has more than 4300 too
+_HUGE_EXPONENT_RE = re.compile(r"e[+-]?[0_]*[1-9](_?\d){5,}\s*$", re.IGNORECASE)
 
 # the words each subcommand reads as values, not flags: a negative number, as
 # argparse's own matcher, and a negative fraction or angle ("--x -1/2",
@@ -69,7 +74,7 @@ _IDENTITY_CHECKS = {
     "convolution": (300, lambda n, ctx: check_convolution(n)),
     "weighted-convolution": (300, lambda n, ctx: check_weighted_convolution(n)),
     "binomial-transform": (60, lambda n, ctx: check_binomial_transform(n)),
-    "sign-split": (SIGN_SPLIT_N_DEFAULT, lambda n, ctx: check_sign_split(n_max=n)),
+    "sign-split": (63, lambda n, ctx: check_sign_split(n)),
     "arcsin-split": (None, lambda n, ctx: check_lemma1(_lemma_samples(), ctx)),
     "derivative-forms": (None, lambda n, ctx: check_lemma2(_lemma_samples(), ctx)),
     "harmonic-integral": (100, lambda n, ctx: check_harmonic_integral(n)),
@@ -82,11 +87,17 @@ _RANGE_CHECKS = sorted(i for i, (default, _) in _IDENTITY_CHECKS.items() if defa
 # flag parsing helpers
 
 
-def _parse_fraction(text: str, flag: str) -> Fraction:
+def _parse_fraction(text: str, flag: str, forms: str = "p/q or a decimal") -> Fraction:
+    """The exact value of ``text``, refused past MAX_RATIONAL_DIGITS digits."""
+    if _HUGE_EXPONENT_RE.search(text):
+        raise UsageError(f"{flag} must have a numerator and denominator of at most "
+                         f"{MAX_RATIONAL_DIGITS} digits, the digit limit")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{flag}: cannot parse {text!r} (use p/q or a decimal)")
+        raise UsageError(f"{flag}: cannot parse {text!r} (use {forms})")
+    check_rational_digits(flag, value)
+    return value
 
 
 def _parse_phi(text: str) -> PhiValue:
@@ -97,10 +108,7 @@ def _parse_phi(text: str) -> PhiValue:
         if den == 0:
             raise UsageError("--phi: pi/0 is not an angle")
         return PhiValue(Fraction(num, den), times_pi=True)
-    try:
-        return PhiValue(Fraction(text), times_pi=False)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"--phi: cannot parse {text!r} (use pi/K, -pi/K, or a decimal)")
+    return PhiValue(_parse_fraction(text, "--phi", "pi/K, -pi/K, or a decimal"), times_pi=False)
 
 
 def _spec_from_args(args: argparse.Namespace) -> FamilySpec:

@@ -991,9 +991,7 @@ def _sum(spec: FamilySpec, plan: _Plan) -> Tuple[Real, Optional[Real], Real]:
         d, c = moments.weights(n, Fraction(1))
         head_sum = moments.cvz(k.num, k.den, 1 << B, 0, c)
         tail_sum = moments.cvz(k.num, k.den, 1 << B, M, moments.weights(n, Fraction(1))[1])
-        saved = iv.prec
-        try:
-            iv.prec = B + 32
+        with moments.iv_precision(B + 32):
             head = moments.iv_fraction(Fraction(*_head(row, ratio, ratio.z)))  # a_0
             tail_head = (moments.iv_fraction(ratio.kappa) * moments.iv_fraction(ratio.z) ** M
                          * moments.central_binomial_enclosure(a * M + b, B + 8) / (a * M + b + 1))
@@ -1001,8 +999,6 @@ def _sum(spec: FamilySpec, plan: _Plan) -> Tuple[Real, Optional[Real], Real]:
             slack = iv.ldexp(iv.mpf([-units, units]), -B)
             total = (head * (head_sum / scale + slack)
                      + (-1) ** N * tail_head * (tail_sum / scale + slack))
-        finally:
-            iv.prec = saved
         ends = _ends(total)
         B = -min(v._mpf_[2] for v in ends)  # the lowest bit's exponent
         lo, hi = sorted(ratio.flip * int(mp.ldexp(v, B)) for v in ends)

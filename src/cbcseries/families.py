@@ -60,6 +60,11 @@ from cbcseries.precision import PrecisionContext, Real, UsageError
 # (Python 3.11, one Xeon core), so a larger index is refused before any F/L
 # number is formed.
 MAX_INDEX = 10**6
+# Most digits in the numerator or denominator of a rational parameter:
+# Python's default limit on converting an int to text, past which no message
+# could print the value.
+MAX_RATIONAL_DIGITS = 4300
+_RATIONAL_BOUND = 10**MAX_RATIONAL_DIGITS
 _RATIONAL_QUARTER_PI = Fraction(7853981, 10**7)  # the largest rational |phi| taken as <= pi/4
 
 
@@ -70,16 +75,15 @@ class SignPattern(enum.Enum):
     PLUS = "plus"
 
 
+# each pattern's signs at n = 0, 1, 2, 3: every one has period 4 in n
+_SIGN_PERIOD = {SignPattern.CEIL_HALF: (1, -1, -1, 1), SignPattern.FLOOR_HALF: (1, 1, -1, -1),
+                SignPattern.ALTERNATING: (1, -1, 1, -1), SignPattern.PLUS: (1, 1, 1, 1)}
+
+
 def sign(pattern: SignPattern, n: int) -> int:
     if n < 0:
         raise UsageError(f"sign: n must be >= 0, got {n}")
-    if pattern is SignPattern.CEIL_HALF:
-        return -1 if ((n + 1) // 2) % 2 else 1
-    if pattern is SignPattern.FLOOR_HALF:
-        return -1 if (n // 2) % 2 else 1
-    if pattern is SignPattern.ALTERNATING:
-        return -1 if n % 2 else 1
-    return 1
+    return _SIGN_PERIOD[pattern][n % 4]
 
 
 @dataclass(frozen=True)
@@ -254,6 +258,15 @@ def _abs_le(x: XValue, bound: Fraction) -> bool:
     return abs(x) <= bound
 
 
+def check_rational_digits(name: str, value) -> None:
+    """Refuse a Fraction, or a surd's or angle's parts, whose numerator or
+    denominator has more than MAX_RATIONAL_DIGITS digits, without formatting it."""
+    for v in (getattr(value, "coeff", value), getattr(value, "radicand", 1)):
+        if isinstance(v, Fraction) and max(abs(v.numerator), v.denominator) >= _RATIONAL_BOUND:
+            raise UsageError(f"{name} must have a numerator and denominator of at most "
+                             f"{MAX_RATIONAL_DIGITS} digits, the digit limit")
+
+
 def _check_index(fam: str, name: str, value: int) -> None:
     """Refuse a Fibonacci/Lucas index with |value| past MAX_INDEX."""
     if abs(value) > MAX_INDEX:
@@ -325,6 +338,8 @@ class FamilySpec:
             raise UsageError(f"{fam} does not take parameter(s) {sorted(extra)}")
         if missing:
             raise UsageError(f"{fam} requires parameter(s) {sorted(missing)}")
+        for name in given & {"x", "phi", "p"}:
+            check_rational_digits(f"{fam}: {name}", getattr(self, name))
         self._validate(row)
 
     def _validate(self, row: Family):

@@ -6,11 +6,12 @@ binomial transform and the logarithmic moment sum are proven by WZ and
 Gosper certificates, checked as polynomial identities over the integers
 plus their boundary terms and base cases (:func:`_prove`) on every call.
 The sign-split rearrangement is linear in the sequence, so it is proven by
-comparing its integer weights.  Their ``n_max`` only labels the range, and a
-reported failure is exact, never a rounding artifact.  The two analytic
-checks (``check_lemma1``, ``check_lemma2``) compare high-precision numeric
-evaluations under an explicit :class:`~cbcseries.precision.PrecisionContext`
-and quote their tolerances in the report id.
+comparing its integer weights over one period of the signs.  Their ``n_max``
+only labels the range, and a reported failure is exact, never a rounding
+artifact.  The two analytic checks (``check_lemma1``, ``check_lemma2``)
+compare high-precision numeric evaluations under an explicit
+:class:`~cbcseries.precision.PrecisionContext` and quote their tolerances in
+the report id.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from operator import add, mul, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mp
@@ -39,8 +39,6 @@ HARMONIC_V_LIMIT = 1000
 # as digits^2: at this limit 1.8 s (arcsin-split) and 2.9 s
 # (derivative-forms), and at 100,000 digits each runs past two minutes.
 LEMMA_DIGITS_LIMIT = 5000
-# sequence length bound of the sign-split check when none is given
-SIGN_SPLIT_N_DEFAULT = 63
 
 
 @dataclass(frozen=True)
@@ -473,55 +471,30 @@ def check_binomial_transform(n_max: int) -> IdentityReport:
                           _prove(_TRANSFORM, _TRANSFORM_Z))
 
 
-def check_sign_split(
-    sample_sequences: Optional[Iterable[Sequence[Fraction]]] = None,
-    n_max: int = SIGN_SPLIT_N_DEFAULT,
-) -> IdentityReport:
-    """Check the sign-split rearrangement on finite rational sequences.
+def check_sign_split(n_max: int) -> IdentityReport:
+    """Prove the sign-split rearrangement for every sequence.
 
-    For any finite sequence f_0, ..., f_L with s+(n) = (-1)^ceil(n/2) and
-    s-(n) = (-1)^floor(n/2):
+    For any sequence f_0, f_1, ..., truncated at any length, with
+    s+(n) = (-1)^ceil(n/2) and s-(n) = (-1)^floor(n/2):
 
     * sum form:        sum_n (s+(n) + s-(n)) f_n = 2 sum_j (-1)^j f_{2j}
     * difference form: sum_n (s+(n) - s-(n)) f_n = -2 sum_j (-1)^j f_{2j+1}
 
-    Both hold exactly at every truncation length because the combined sign
-    weight vanishes on the complementary parity class.  Both forms are
-    linear in f, so when no sequences are given they are proven for every
-    sequence of length <= n_max + 1: each side's integer weight of f_n
-    agrees at every n <= n_max.  Given sequences are summed exactly.
+    Both forms are linear in f, so each holds for every sequence exactly
+    when both sides give f_n the same integer weight at every n.  Every
+    weight, s+(n) +- s-(n) on the left and +-2 or 0 on the right, has period
+    4 in n, so comparing them at n = 0..3 proves both forms for every n.
+    ``n_max`` only labels the range.
     """
     _check_range("n_max", n_max, 0, SIGN_SPLIT_N_LIMIT)
-    ceil_half = [sign(SignPattern.CEIL_HALF, n) for n in range(n_max + 1)]
-    floor_half = [sign(SignPattern.FLOOR_HALF, n) for n in range(n_max + 1)]
-    sum_weights = list(map(add, ceil_half, floor_half))
-    diff_weights = list(map(sub, ceil_half, floor_half))
     failures: List[Failure] = []
-    if sample_sequences is None:
-        for n in range(n_max + 1):
-            half, odd = divmod(n, 2)
-            for form, lhs, rhs in (("sum", sum_weights[n], 0 if odd else 2 * (-1) ** half),
-                                   ("difference", diff_weights[n], -2 * (-1) ** half if odd else 0)):
-                if lhs != rhs:
-                    failures.append(({"n": n, "form": form}, lhs, rhs))
-        return IdentityReport("sign-split", f"every sequence, 0 <= n <= {n_max}", failures)
-    seqs = [list(s) for s in sample_sequences]
-    for idx, f in enumerate(seqs):
-        f = [Fraction(v) for v in f[: n_max + 1]]
-        # every f_n as a_n / den over the sequence's least common denominator
-        den = lcm(*(v.denominator for v in f))
-        a = [v.numerator * (den // v.denominator) for v in f]
-        lhs_sum = Fraction(sum(map(mul, sum_weights, a)), den)
-        rhs_sum = Fraction(2 * (sum(a[0::4]) - sum(a[2::4])), den)
-        if lhs_sum != rhs_sum:
-            failures.append(({"sequence": idx, "form": "sum"}, lhs_sum, rhs_sum))
-        lhs_diff = Fraction(sum(map(mul, diff_weights, a)), den)
-        rhs_diff = Fraction(-2 * (sum(a[1::4]) - sum(a[3::4])), den)
-        if lhs_diff != rhs_diff:
-            failures.append(({"sequence": idx, "form": "difference"}, lhs_diff, rhs_diff))
-    return IdentityReport(
-        "sign-split", f"{len(seqs)} supplied sequences, truncation <= {n_max + 1} terms", failures
-    )
+    # the right sides' weights of f_n: (sum form, difference form)
+    for n, right in enumerate(((2, 0), (0, -2), (-2, 0), (0, 2))):
+        plus, minus = sign(SignPattern.CEIL_HALF, n), sign(SignPattern.FLOOR_HALF, n)
+        for form, lhs, rhs in zip(("sum", "difference"), (plus + minus, plus - minus), right):
+            if lhs != rhs:
+                failures.append(({"n": n, "form": form}, lhs, rhs))
+    return IdentityReport("sign-split", f"every sequence, 0 <= n <= {n_max}", failures)
 
 
 def _lemma1_argument(x, ctx: PrecisionContext):

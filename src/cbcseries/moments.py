@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
@@ -56,6 +57,17 @@ from cbcseries.precision import UsageError
 def iv_fraction(q: Fraction):
     """An ``mpmath.iv`` interval holding the Fraction q."""
     return iv.mpf(q.numerator) / q.denominator
+
+
+@contextmanager
+def iv_precision(bits: int) -> Iterator[None]:
+    """Run the block at ``iv.prec = bits``, restoring the caller's precision after."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 def _end(v, i: int) -> Fraction:
@@ -132,13 +144,9 @@ def central_binomial_enclosure(k: int, bits: int):
     if k < 0 or k % 2:
         raise UsageError(f"central_binomial_enclosure: k must be even and >= 0, got {k}")
     m = max(k // 2, bits // 2, 1)
-    saved = iv.prec
-    try:
-        iv.prec = bits + 16
+    with iv_precision(bits + 16):
         return (_central_enclosure(m, bits) * math.prod(range(k + 2, 2 * m + 1, 2))
                 / math.prod(range(k + 1, 2 * m, 2)))
-    finally:
-        iv.prec = saved
 
 
 @lru_cache(maxsize=4)
@@ -181,12 +189,8 @@ def harmonic_enclosure(n: int, bits: int) -> Tuple[int, int]:
     b = _stirling_coefficients(P - 1)  # B_2k/(2k) = b_k (2k - 1)
     acc = _horner([c * (2 * k - 1) for k, c in enumerate(b, start=1)], m * m, G)
     s = (1 << G) // (2 * m) - acc // (m * m) - sum((1 << G) // j for j in range(n + 1, m + 1))
-    saved = iv.prec
-    try:
-        iv.prec = G + m.bit_length().bit_length() + 8
+    with iv_precision(G + m.bit_length().bit_length() + 8):
         log = iv.ldexp(iv.log(m) + iv.euler, G)
-    finally:
-        iv.prec = saved
     slack = 2 * P + (1 << G - bits - 4)
     lo = math.floor(_end(log, 0)) + s - (m - n) - slack
     hi = math.ceil(_end(log, 1)) + s + slack
@@ -387,9 +391,7 @@ def j1_expansion(K: int) -> J1Expansion:
 
     r = _cauchy_radius(E, K, u0)
     dh = 1 + abs(b[P - 1]) * (2 * P - 1) * u0 ** (2 * P - K - 1)
-    saved = iv.prec
-    try:
-        iv.prec = 64
+    with iv_precision(64):
         cauchy = iv.exp(iv_fraction(majorant(E, r))) / iv_fraction(r ** (K + 1) * (1 - u0 / r))
         eps = (iv.exp(iv_fraction(majorant(E, u0) + eta * u0 ** (2 * J - 1)))
                * iv_fraction(eta * u0 ** (2 * J - 2 - K)))
@@ -401,8 +403,6 @@ def j1_expansion(K: int) -> J1Expansion:
         beta = _end(alpha * iv_fraction(_EULER_ABOVE + hmax)
                     + iv_fraction(majorant(a, u0) * dh + high), 1)
         alpha = _end(alpha, 1)
-    finally:
-        iv.prec = saved
     size = K + 5
     log, plain, euler, rlog, rplain = ([Fraction(0)] * size for _ in range(5))
     for m in range(K + 1):
@@ -440,20 +440,16 @@ def j1_tail(N: int, e: J1Expansion, bits: int):
     if N < e.first:
         raise UsageError(
             f"j1_tail: the order-{e.order} expansion holds from N = {e.first}, got {N}")
-    saved = iv.prec
-    try:
-        iv.prec = bits
 
-        def poly(c):  # sum_i c_i N^-i
-            h = _horner(c, N, bits)
-            return iv.ldexp(iv.mpf([h, h + 2 * len(c)]), -bits)
+    def poly(c):  # sum_i c_i N^-i
+        h = _horner(c, N, bits)
+        return iv.ldexp(iv.mpf([h, h + 2 * len(c)]), -bits)
 
+    with iv_precision(bits):
         ln = iv.log(N)
         value = ln * poly(e.log) + poly(e.plain) + iv.euler * poly(e.euler)
         radius = (ln * poly(e.rlog) + poly(e.rplain)) / iv.mpf(N) ** (e.order + 1)
         return (value + iv.mpf([-radius.b, radius.b])) / iv.sqrt(2 * iv.pi * N)
-    finally:
-        iv.prec = saved
 
 
 def j1_log2_radius(e: J1Expansion, N: float) -> float:

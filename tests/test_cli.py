@@ -25,7 +25,7 @@ import cbcseries.cli as cli
 import cbcseries.engine as engine
 import cbcseries.registry as registry
 from cbcseries.closedforms import closed_value
-from cbcseries.families import MAX_INDEX, FamilySpec
+from cbcseries.families import MAX_INDEX, FamilySpec, PhiValue, SurdValue
 from cbcseries.precision import GUARD_DIGITS, MAX_DIGITS, make_context
 from cbcseries.registry import ComparisonReport
 
@@ -293,6 +293,49 @@ def test_extreme_precision_and_indices_exit_2_fast(capsys):
             cbcseries.FamilySpec("G1", p=Fraction(8), **kwargs)
     with pytest.raises(cbcseries.UsageError, match="index limit"):
         cbcseries.FamilySpec("I2", r=MAX_INDEX + 2)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("eval", "--family", "F3", "--x", "1e-5000"), "--x"),
+    (("eval", "--family", "F3", "--x", "1e5000"), "--x"),
+    (("closed", "--family", "G1", "--m", "1", "--s", "0", "--p", "1e5000"), "--p"),
+    (("eval", "--family", "T3", "--phi", "1e-5000"), "--phi"),
+    (("eval", "--family", "F3", "--x", "1e-100000000"), "--x"),
+    (("eval", "--family", "F3", "--x", "1e-1_0000_0000"), "--x"),
+    (("eval", "--family", "F3", "--x", "1e-" + "9" * 5000), "--x"),
+    (("eval", "--family", "T3", "--phi", "-1e-100000000"), "--phi"),
+    (("compare", "--family", "F3", "--x", "1/2", "--tol", "1e-100000000"), "--tol"),
+    (("compare", "--family", "F3", "--x", "1/2", "--tol", "-1e-5000"), "--tol"),
+    (("examples", "--id", "trig-T1-pi6", "--tol", "1e100000000"), "--tol"),
+], ids=lambda v: v if isinstance(v, str) else " ".join(v)[:48])
+def test_rationals_past_the_digit_limit_exit_2_fast(capsys, argv, flag):
+    """A value with more than 4300 digits above or below its fraction bar
+    cannot be printed by any message, and one written with a huge exponent
+    would take seconds to build; both are refused before any work."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"{flag} must have a numerator and denominator of at most 4300 digits, the digit limit" in err
+
+
+def test_rationals_at_the_digit_limit_pass(capsys):
+    """4300 digits pass, from the CLI and the library; 4301 do not, in any part
+    of x, phi or p."""
+    argv = ("compare", "--family", "C1", "--digits", "30", "--format", "json", "--x")
+    for x in ("1e-4299", "1000e-4302", "5e-4300"):
+        code, out, err = run(capsys, *argv, x)
+        assert code == 0, err
+    FamilySpec("F3", x=Fraction(1, 10**4299))
+    cases = [
+        ("F3", {"x": Fraction(1, 10**4300)}),
+        ("F1", {"x": SurdValue(Fraction(1, 2), Fraction(10**4300 + 1))}),
+        ("T3", {"phi": PhiValue(Fraction(10**4300, 3))}),
+        ("G5", {"m": 1, "s": 0, "p": Fraction(10**4300)}),
+    ]
+    for family, kwargs in cases:
+        with pytest.raises(cbcseries.UsageError, match="at most 4300 digits, the digit limit"):
+            FamilySpec(family, **kwargs)
 
 
 @pytest.mark.parametrize("m, figure", [(1473, "2.75965e+308"), (1475, "7.22486e+308"),
@@ -820,6 +863,15 @@ def test_subcommand_dispatch_answers_as_the_top_level_parser(capsys, monkeypatch
                               f"cbcseries: error: unrecognized arguments: {UNRECOGNIZED[argv]}\n")
 
 
+def _env_with_src():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so a
+    child interpreter imports the package under test."""
+    src = str(Path(cbcseries.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_installed_console_script(tmp_path):
     # Runs the declared [project.scripts] entry through the same wrapper an
     # installer writes, so no install is needed; an installed `cbcseries`
@@ -841,9 +893,7 @@ def test_installed_console_script(tmp_path):
         "if __name__ == '__main__':\n"
         f"    sys.exit({entry.attr}())\n"
     )
-    src = str(Path(cbcseries.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _env_with_src()
 
     def run_wrapper(*argv):
         return subprocess.run(
@@ -882,7 +932,7 @@ def test_installed_console_script(tmp_path):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cbcseries", "list-families", "--format", "csv"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_env_with_src(),
     )
     assert proc.returncode == 0
     assert proc.stdout.count("\n") == 35

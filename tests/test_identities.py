@@ -378,25 +378,6 @@ def test_sign_split_default_batch():
     assert report.range == "every sequence, 0 <= n <= 63"
 
 
-def test_sign_split_difference_form_by_hand():
-    report = check_sign_split(sample_sequences=[[Fraction(n) for n in range(7)]])
-    assert report.passed
-    # for f_n = n the difference form collapses to -2 (1 - 3 + 5)
-    assert -2 * (1 - 3 + 5) == -6
-
-
-@settings(deadline=None, max_examples=50)
-@given(
-    st.lists(
-        st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30),
-        min_size=1,
-        max_size=40,
-    )
-)
-def test_sign_split_arbitrary_sequences(seq):
-    assert check_sign_split(sample_sequences=[seq]).passed
-
-
 def test_report_semantics():
     ok = IdentityReport("demo", "n <= 3")
     assert ok.status == "pass"
@@ -470,7 +451,7 @@ def test_range_limits_refuse_huge_sweeps_at_once():
         (check_convolution, identities.CONVOLUTION_N_LIMIT),
         (check_weighted_convolution, identities.CONVOLUTION_N_LIMIT),
         (check_binomial_transform, identities.TRANSFORM_N_LIMIT),
-        (lambda n: check_sign_split(n_max=n), identities.SIGN_SPLIT_N_LIMIT),
+        (check_sign_split, identities.SIGN_SPLIT_N_LIMIT),
         (check_harmonic_integral, identities.HARMONIC_V_LIMIT),
     )
     for check, limit in limits:
@@ -641,45 +622,57 @@ def test_corrupted_harmonic_stream_fails_exactly_at_that_v(monkeypatch):
 
 
 def test_corrupted_sign_fails_exactly_where_the_reference_does(monkeypatch):
-    """One flipped sign weight breaks both forms: the weight comparison at
-    that n and nowhere else, as the reference sweep over the unit sequences
-    fails at e_6 alone, and the supplied-sequence check for every sequence
-    long enough to reach it, as the reference does."""
+    """The ceil-half sign flipped at every n = 2 (mod 4), as a period-4 table
+    can only be changed: the proof, which reads sign at n < 4 alone, fails at
+    n = 2 in both forms whatever its range, and the reference sweep over the
+    unit sequences fails at e_2, e_6, ..., e_18 and nowhere else."""
+    real_sign = identities.sign
+    read = set()
+
+    def corrupted(pattern, n):
+        read.add(n)
+        value = real_sign(pattern, n)
+        return -value if pattern is SignPattern.CEIL_HALF and n % 4 == 2 else value
+
+    monkeypatch.setattr(identities, "sign", corrupted)
+    report = check_sign_split(20)
+    assert [(p, lhs, rhs) for p, lhs, rhs in report.failures] == [
+        ({"n": 2, "form": "sum"}, 0, -2), ({"n": 2, "form": "difference"}, 2, 0)
+    ]
+    assert check_sign_split(1).failures == report.failures
+    assert read == {0, 1, 2, 3}
+    basis = reference_sign_split(reference_basis(20), 20)
+    assert [(p["sequence"], p["form"]) for p, _, _ in basis] == [
+        (n, form) for n in (2, 6, 10, 14, 18) for form in ("sum", "difference")
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 40),
+    st.none() | st.tuples(st.sampled_from(list(SignPattern)), st.integers(0, 3)),
+)
+def test_sign_split_equals_the_reference(n_max, corruption):
+    """No corruption, or one pattern's sign flipped at every n = r (mod 4):
+    the proof names n = r in each form the flip breaks (both, for the two
+    half patterns the split reads; none for the others), whatever n_max is,
+    and the reference fails at exactly the unit sequences e_n with
+    n = r (mod 4) and n <= n_max, with the same weights."""
     real_sign = identities.sign
 
     def corrupted(pattern, n):
         value = real_sign(pattern, n)
-        return -value if pattern is SignPattern.CEIL_HALF and n == 6 else value
+        return -value if (pattern, n % 4) == corruption else value
 
-    monkeypatch.setattr(identities, "sign", corrupted)
-    seqs = [[Fraction(k + 1, 3 + k % 4) for k in range(length)] for length in (1, 6, 7, 12)]
-    report = check_sign_split(sample_sequences=seqs, n_max=10)
-    assert report.failures == reference_sign_split(seqs, 10)
-    assert [(p["sequence"], p["form"]) for p, _, _ in report.failures] == [
-        (2, "sum"), (2, "difference"), (3, "sum"), (3, "difference")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "sign", corrupted)
+        report = check_sign_split(n_max)
+        reference = reference_sign_split(reference_basis(n_max), n_max)
+    pattern, r = corruption or (None, 0)
+    forms = ("sum", "difference") if pattern in (SignPattern.CEIL_HALF, SignPattern.FLOOR_HALF) else ()
+    assert [(p["n"], p["form"]) for p, _, _ in report.failures] == [(r, form) for form in forms]
+    assert [(p["sequence"], p["form"]) for p, _, _ in reference] == [
+        (n, form) for n in range(r, n_max + 1, 4) for form in forms
     ]
-    default = check_sign_split(n_max=20)
-    assert [(p, lhs, rhs) for p, lhs, rhs in default.failures] == [
-        ({"n": 6, "form": "sum"}, 0, -2), ({"n": 6, "form": "difference"}, 2, 0)
-    ]
-    basis = reference_sign_split(reference_basis(20), 20)
-    assert [(p["sequence"], p["form"]) for p, _, _ in basis] == [(6, "sum"), (6, "difference")]
-    assert check_sign_split(n_max=5).passed
-
-
-@settings(deadline=None, max_examples=30)
-@given(
-    st.lists(
-        st.lists(
-            st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=30),
-            max_size=30,
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-    st.integers(0, 40),
-)
-def test_sign_split_equals_the_reference(seqs, n_max):
-    assert check_sign_split(sample_sequences=seqs, n_max=n_max).failures == reference_sign_split(
-        seqs, n_max
-    )
+    weights = {p["form"]: (lhs, rhs) for p, lhs, rhs in report.failures}
+    assert all(weights[p["form"]] == (lhs, rhs) for p, lhs, rhs in reference)
