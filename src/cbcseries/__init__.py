@@ -4,11 +4,11 @@ The package sums a catalog of series built from central binomial
 coefficients (plain, trigonometric-argument, quarter-index, Fibonacci and
 Lucas weighted, harmonic-number weighted), evaluates their elementary closed
 forms, and compares the two with certified truncation and rounding error
-bounds at user-chosen precision.  Seven identities are checked: the five
-exact ones are proved for every n (the two central-binomial convolutions,
-the binomial transform and the harmonic log-moment sum by WZ and Gosper
-certificates, the sign split by its weights over one period of the signs),
-and two analytic lemmas are compared numerically at high precision.
+bounds at user-chosen precision.  Seven identities are proved exactly: the
+five sums for every n (the two central-binomial convolutions, the binomial
+transform and the harmonic log-moment sum by WZ and Gosper certificates,
+the sign split by its weights over one period of the signs), and the two
+analytic lemmas for every real x, as identities in Z[x][sqrt(c(x))].
 """
 
 from cbcseries.precision import (

@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from mpmath import mp
 
+from cbcseries import __version__
 from cbcseries.closedforms import closed_value
 from cbcseries.engine import (
     DEFAULT_MAX_TERMS,
@@ -37,7 +38,6 @@ from cbcseries.identities import (
     check_harmonic_integral,
     check_lemma1,
     check_lemma2,
-    check_lemma_digits,
     check_sign_split,
     check_weighted_convolution,
 )
@@ -68,16 +68,16 @@ _HUGE_EXPONENT_RE = re.compile(r"e[+-]?[0_]*[1-9](_?\d){5,}\s*$", re.IGNORECASE)
 _NEGATIVE_VALUE_RE = re.compile(r"^-(\d|\.|pi)")
 
 # identity id -> (default --n-max of a range check, or None; the check run at
-# that bound and a context).  The lambdas look the check_* functions up as
-# module globals at call time.
+# that bound).  The lambdas look the check_* functions up as module globals at
+# call time.
 _IDENTITY_CHECKS = {
-    "convolution": (300, lambda n, ctx: check_convolution(n)),
-    "weighted-convolution": (300, lambda n, ctx: check_weighted_convolution(n)),
-    "binomial-transform": (60, lambda n, ctx: check_binomial_transform(n)),
-    "sign-split": (63, lambda n, ctx: check_sign_split(n)),
-    "arcsin-split": (None, lambda n, ctx: check_lemma1(_lemma_samples(), ctx)),
-    "derivative-forms": (None, lambda n, ctx: check_lemma2(_lemma_samples(), ctx)),
-    "harmonic-integral": (100, lambda n, ctx: check_harmonic_integral(n)),
+    "convolution": (300, lambda n: check_convolution(n)),
+    "weighted-convolution": (300, lambda n: check_weighted_convolution(n)),
+    "binomial-transform": (60, lambda n: check_binomial_transform(n)),
+    "sign-split": (63, lambda n: check_sign_split(n)),
+    "arcsin-split": (None, lambda n: check_lemma1()),
+    "derivative-forms": (None, lambda n: check_lemma2()),
+    "harmonic-integral": (100, lambda n: check_harmonic_integral(n)),
 }
 IDENTITY_IDS = tuple(_IDENTITY_CHECKS) + ("all",)
 _RANGE_CHECKS = sorted(i for i, (default, _) in _IDENTITY_CHECKS.items() if default is not None)
@@ -88,8 +88,12 @@ _RANGE_CHECKS = sorted(i for i, (default, _) in _IDENTITY_CHECKS.items() if defa
 
 
 def _parse_fraction(text: str, flag: str, forms: str = "p/q or a decimal") -> Fraction:
-    """The exact value of ``text``, refused past MAX_RATIONAL_DIGITS digits."""
-    if _HUGE_EXPONENT_RE.search(text):
+    """The exact value of ``text``, refused past MAX_RATIONAL_DIGITS digits:
+    a part of ``text`` with more digits than that, which int() would not read,
+    or a huge exponent, before Fraction parses it."""
+    if _HUGE_EXPONENT_RE.search(text) or len(text) > MAX_RATIONAL_DIGITS and any(
+            sum(map(str.isdecimal, part.partition("e")[0])) > MAX_RATIONAL_DIGITS
+            for part in text.lower().split("/")):
         raise UsageError(f"{flag} must have a numerator and denominator of at most "
                          f"{MAX_RATIONAL_DIGITS} digits, the digit limit")
     try:
@@ -295,11 +299,6 @@ def _cmd_compare(args: argparse.Namespace):
     return _record("compare", params, [row]), ok
 
 
-def _lemma_samples():
-    # 20 symmetric points, spacing 7/100, staying inside (-0.7, 0.7)
-    return [Fraction(7 * (2 * k - 19), 200) for k in range(20)]
-
-
 def _cmd_identity(args: argparse.Namespace):
     ident = args.id
     if args.n_max is not None and ident not in _RANGE_CHECKS:
@@ -307,15 +306,13 @@ def _cmd_identity(args: argparse.Namespace):
             "--n-max applies only to a single range-based check "
             f"({', '.join(_RANGE_CHECKS)})"
         )
-    ctx = make_context(args.digits)
+    make_context(args.digits)  # every check is exact: --digits is only validated
     selected = list(_IDENTITY_CHECKS) if ident == "all" else [ident]
-    if any(_IDENTITY_CHECKS[name][0] is None for name in selected):
-        check_lemma_digits(ctx)  # the lemma checks, before the first check runs
     rows = []
     ok = True
     for name in selected:
         default, run = _IDENTITY_CHECKS[name]
-        report = run(default if args.n_max is None else args.n_max, ctx)
+        report = run(default if args.n_max is None else args.n_max)
         rows.append(
             {
                 "id": report.id,
@@ -412,6 +409,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="cbcseries",
         description="Certified evaluation and verification of central-binomial series.",
     )
+    ap.add_argument("--version", action="version", version=f"cbcseries {__version__}")
     sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("constants", help="print the named constants")
@@ -437,7 +435,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="term cap (default 10^7)")
 
     p = sub.add_parser("identity",
-                       help="identity checks: proofs for every n, numeric lemmas")
+                       help="identity checks: proofs for every n and every real x")
     p.add_argument("--id", choices=IDENTITY_IDS, default="all",
                    help="which check to run (default all)")
     p.add_argument("--n-max", type=int,

@@ -1,17 +1,17 @@
-"""Exact proofs and checks of the finite identities behind the series catalog.
+"""Exact proofs of the finite identities and lemmas behind the series catalog.
 
-Every check in this module returns an :class:`IdentityReport`.  The five
-exact checks hold for every n.  The central-binomial self-convolutions, the
-binomial transform and the logarithmic moment sum are proven by WZ and
-Gosper certificates, checked as polynomial identities over the integers
-plus their boundary terms and base cases (:func:`_prove`) on every call.
-The sign-split rearrangement is linear in the sequence, so it is proven by
-comparing its integer weights over one period of the signs.  Their ``n_max``
-only labels the range, and a reported failure is exact, never a rounding
-artifact.  The two analytic checks (``check_lemma1``, ``check_lemma2``)
-compare high-precision numeric evaluations under an explicit
-:class:`~cbcseries.precision.PrecisionContext` and quote their tolerances in
-the report id.
+Every check in this module returns an :class:`IdentityReport`, and every one
+is a proof.  The five checks of sums hold for every n.  The
+central-binomial self-convolutions, the binomial transform and the
+logarithmic moment sum are proven by WZ and Gosper certificates, checked as
+polynomial identities over the integers plus their boundary terms and base
+cases (:func:`_prove`) on every call.  The sign-split rearrangement is
+linear in the sequence, so it is proven by comparing its integer weights
+over one period of the signs.  Their ``n_max`` only labels the range.  The
+paper's two analytic lemmas (``check_lemma1``, ``check_lemma2``) hold for
+every real x: each is proven by identities in Z[x][s] modulo s^2 = c(x),
+s = sqrt(c(x)) (:func:`_prove_in_field`).  A reported failure is exact,
+never a rounding artifact.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
-
-from mpmath import mp
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .families import SignPattern, sign
-from .precision import PrecisionContext, UsageError
+from .precision import UsageError
 
 Failure = Tuple[dict, object, object]
 
@@ -35,10 +33,6 @@ CONVOLUTION_N_LIMIT = 2000
 TRANSFORM_N_LIMIT = 1000
 SIGN_SPLIT_N_LIMIT = 2000
 HARMONIC_V_LIMIT = 1000
-# Largest --digits of the two numeric lemma checks, whose time grows about
-# as digits^2: at this limit 1.8 s (arcsin-split) and 2.9 s
-# (derivative-forms), and at 100,000 digits each runs past two minutes.
-LEMMA_DIGITS_LIMIT = 5000
 
 
 @dataclass(frozen=True)
@@ -75,15 +69,11 @@ def _check_range(name: str, value: int, low: int, high: int) -> None:
         raise UsageError(f"{name} must be in [{low}, {high}], got {value}")
 
 
-def check_lemma_digits(ctx: PrecisionContext) -> None:
-    """Refuse a lemma check past ``LEMMA_DIGITS_LIMIT`` before any work is done."""
-    _check_range("digits of the lemma checks", ctx.digits, 1, LEMMA_DIGITS_LIMIT)
-
-
 class _Poly:
     """An exact polynomial in n, k and j, held as {(a, b, c): coefficient of
     n^a k^b j^c} without zero coefficients: just the algebra the
-    certificates below need."""
+    certificates below need.  The lemma proofs read n as x and k as a
+    square root s = sqrt(c(x)), c a polynomial in n alone."""
 
     __slots__ = ("terms",)
 
@@ -99,6 +89,8 @@ class _Poly:
         for e, c in _Poly.of(other).terms.items():
             terms[e] = terms.get(e, 0) + c
         return _Poly(terms)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "_Poly":
         return _Poly({e: -c for e, c in self.terms.items()})
@@ -139,6 +131,29 @@ class _Poly:
 
     def at(self, n: int, k: int, j: int = 0) -> int:
         return sum(c * n**a * k**b * j**d for (a, b, d), c in self.terms.items())
+
+    def reduced(self, c: "_Poly") -> "_Poly":
+        """The remainder modulo k^2 - c, of degree at most 1 in k: each k^b
+        becomes k^(b mod 2) c^(b // 2).  As k^2 - c is monic in k, two
+        polynomials are equal modulo it exactly when their remainders are."""
+        powers = [_ONE]
+        terms: Dict[Tuple[int, int, int], int] = {}
+        for (a, b, d), x in self.terms.items():
+            while len(powers) <= b // 2:
+                powers.append(powers[-1] * c)
+            for (e, _, _), y in powers[b // 2].terms.items():
+                key = (a + e, b % 2, d)
+                terms[key] = terms.get(key, 0) + x * y
+        return _Poly(terms)
+
+    def s_derivative(self, c: "_Poly") -> "_Poly":
+        """s d/dx of this polynomial in x = n and s = k, s^2 = c(x): as
+        ds/dx = c'/(2s), that is s d/dx = s d/dn + (c'/2) d/dk, again a
+        polynomial (c' has even coefficients)."""
+        half = _Poly({(a - 1, 0, 0): a * x // 2 for (a, _, _), x in c.terms.items() if a})
+        by_n = _Poly({(a - 1, b + 1, d): a * x for (a, b, d), x in self.terms.items() if a})
+        by_k = _Poly({(a, b - 1, d): b * x for (a, b, d), x in self.terms.items() if b})
+        return by_n + half * by_k
 
     def __str__(self) -> str:
         out = ""
@@ -497,114 +512,134 @@ def check_sign_split(n_max: int) -> IdentityReport:
     return IdentityReport("sign-split", f"every sequence, 0 <= n <= {n_max}", failures)
 
 
-def _lemma1_argument(x, ctx: PrecisionContext):
-    """sqrt(2) x / sqrt(sqrt(1 + 4 x^4) + 1), the shared inverse-trig argument."""
-    xr = ctx.real(x)
-    s = mp.sqrt(1 + 4 * xr**4)
-    return mp.sqrt(2) * xr / mp.sqrt(s + 1)
+# The lemma proofs read x as n and s = sqrt(c(x)) as k.
+_X, _S = _N, _K
 
 
-def check_lemma1(x_samples: Sequence, ctx: PrecisionContext) -> IdentityReport:
-    """Check the real/imaginary split of arcsin((1+i)x) against closed forms.
+class _ArcsinSplit(NamedTuple):
+    """Lemma 1's claim g(x)^2 = numer / denom, with s = sqrt(c(x))."""
 
-    For each sample x with |x| <= 0.7, evaluates w = arcsin((1+i)x) on the
-    principal branch and requires
+    c: _Poly
+    numer: _Poly
+    denom: _Poly
 
-        Re w = arctan(g(x)),   Im w = artanh(g(x)),
-        g(x) = sqrt(2) x / sqrt(sqrt(1 + 4 x^4) + 1)
 
-    to 10^(3 - digits).
-    """
-    check_lemma_digits(ctx)
-    samples = list(x_samples)
+class _DerivativeForm(NamedTuple):
+    """One map of Lemma 2: arctan (sign 1) or artanh (sign -1) of
+    u = x / sqrt(1 + s), whose claimed derivatives are sqrt(p / (2 s^2))
+    and q sqrt(p / (2 s^6))."""
+
+    label: str
+    sign: int
+    p: _Poly
+    q: _Poly
+
+
+class _DerivativeForms(NamedTuple):
+    """Lemma 2's claims, with s = sqrt(c(x)): the two maps, F and G, and
+    the claimed F''G'' = product / (2 s^6)."""
+
+    c: _Poly
+    forms: Tuple[_DerivativeForm, _DerivativeForm]
+    product: _Poly
+
+
+# g(x) = sqrt(2) x / sqrt(s + 1), s = sqrt(1 + 4 x^4)
+_LEMMA1 = _ArcsinSplit(1 + 4 * _X**4, 2 * _X**2, _S + 1)
+# F = arctan(x / sqrt(1 + s)) and G = artanh(x / sqrt(1 + s)), s = sqrt(1 + x^4):
+# F' = sqrt((s - x^2) / (2 s^2)), F'' = -x (s + 2 x^2) sqrt((s - x^2) / (2 s^6)),
+# G' = sqrt((s + x^2) / (2 s^2)), G'' = x (s - 2 x^2) sqrt((s + x^2) / (2 s^6)),
+# F'G' = 1 / (2 s^2) and F''G'' = x^2 (3 x^4 - 1) / (2 s^6)
+_LEMMA2 = _DerivativeForms(
+    1 + _X**4,
+    (_DerivativeForm("F", 1, _S - _X**2, -_X * (_S + 2 * _X**2)),
+     _DerivativeForm("G", -1, _S + _X**2, _X * (_S - 2 * _X**2))),
+    _X**2 * (3 * _X**4 - 1),
+)
+
+
+def _prove_in_field(label: str, c: _Poly, obligations) -> List[Failure]:
+    """Prove each (obligation, lhs, rhs), polynomials in x and s, modulo
+    s^2 = c(x): the two sides have equal remainders (:meth:`_Poly.reduced`),
+    so they agree wherever s = sqrt(c(x)).  Each failure names the identity
+    and the obligation, with the two remainders."""
     failures: List[Failure] = []
-    with ctx.workprec():
-        tol = mp.mpf(10) ** (3 - ctx.digits)
-        for x in samples:
-            xr = ctx.real(x)
-            if abs(xr) > mp.mpf(7) / 10:
-                raise UsageError(f"sample {x!r} outside |x| <= 0.7")
-            w = mp.asin(mp.mpc(xr, xr))
-            g = _lemma1_argument(x, ctx)
-            re_rhs, im_rhs = mp.atan(g), mp.atanh(g)
-            if abs(w.real - re_rhs) > tol:
-                failures.append(({"x": str(x), "part": "Re"}, w.real, re_rhs))
-            if abs(w.imag - im_rhs) > tol:
-                failures.append(({"x": str(x), "part": "Im"}, w.imag, im_rhs))
-    return IdentityReport(
-        "arcsin-complex-split",
-        f"{len(samples)} samples, tol 1e-{ctx.digits - 3}",
-        failures,
-    )
+    for obligation, lhs, rhs in obligations:
+        lhs, rhs = _Poly.of(lhs).reduced(c), _Poly.of(rhs).reduced(c)
+        if lhs != rhs:
+            failures.append(({"identity": label, "obligation": obligation}, lhs, rhs))
+    return failures
 
 
-def _inverse_tangent_form(x, hyperbolic: bool):
-    """arctan or artanh of x / sqrt(1 + sqrt(1 + x^4)) at current precision."""
-    u = x / mp.sqrt(1 + mp.sqrt(1 + x**4))
-    return mp.atanh(u) if hyperbolic else mp.atan(u)
+def check_lemma1() -> IdentityReport:
+    """Prove the split of arcsin((1+i)x) into arctan and artanh, for every real x.
+
+    On the principal branch,
+
+        arcsin((1+i) x) = arctan(g) + i artanh(g),
+        g = sqrt(2) x / sqrt(s + 1),  s = sqrt(1 + 4 x^4).
+
+    With g^2 = 2x^2 / (s + 1) the one obligation is
+
+    * g^2 = x^2 (1 - g^4), that is 2x^2 (s+1) = x^2 ((s+1)^2 - 4x^4)
+      modulo s^2 = 1 + 4x^4.
+
+    For x != 0 it gives 1 - g^4 = g^2 / x^2 > 0, so g^2 < 1, and
+    g / sqrt(1 - g^4) = x, as g has the sign of x.  Then
+    sin(arctan g + i artanh g) = (1+i) g / sqrt(1 - g^4) = (1+i) x, from
+    sin(a + ib) = sin a cosh b + i cos a sinh b, and at x = 0 both sides
+    vanish.  |arctan g| < pi/4, and sin is injective on the strip
+    |Re w| < pi/2 that holds the principal arcsin, so the split holds.
+    """
+    c, numer, denom = _LEMMA1
+    return IdentityReport("arcsin-complex-split", "every real x", _prove_in_field(
+        "Lemma 1", c,
+        [("g^2 = x^2 (1 - g^4)", numer * denom, _X**2 * (denom**2 - numer**2))]))
 
 
-def check_lemma2(x_samples: Sequence, ctx: PrecisionContext) -> IdentityReport:
-    """Check the derivative closed forms of the paired inverse-tangent maps.
+def check_lemma2() -> IdentityReport:
+    """Prove the derivative closed forms of the paired inverse-tangent maps.
 
-    With F(x) = arctan(x / sqrt(1 + sqrt(1 + x^4))) and G the artanh twin,
-    and s = sqrt(1 + x^4), the claimed closed forms are
+    With s = sqrt(1 + x^4), u = x / sqrt(1 + s), F = arctan(u) and
+    G = artanh(u), for every real x:
 
         F'(x)  =  sqrt((s - x^2) / (2 (1 + x^4)))
         G'(x)  =  sqrt((s + x^2) / (2 (1 + x^4)))
         F''(x) = -x (s + 2 x^2) sqrt((s - x^2) / (2 (1 + x^4)^3))
         G''(x) =  x (s - 2 x^2) sqrt((s + x^2) / (2 (1 + x^4)^3))
+        F' G'  = 1 / (2 (1 + x^4))
+        F'' G'' = x^2 (3 x^4 - 1) / (2 (1 + x^4)^3)
 
-    Checked two ways per sample:
+    Write D = s d/dx, a map of Z[x][s] into itself (:meth:`_Poly.s_derivative`),
+    and each claimed F' as sqrt(p / (2 s^2)), F'' as q sqrt(p / (2 s^6)).
+    The obligations, modulo s^2 = 1 + x^4:
 
-    1. against central finite differences of F and G with step
-       h = 10^(-digits // 3), to a tolerance scaled by h^2;
-    2. the exact products F' G' = 1 / (2 (1 + x^4)) and
-       F'' G'' = x^2 (3 x^4 - 1) / (2 (1 + x^4)^3), to 10^(5 - digits).
+    * u': 2s(1+s) - x D(1+s) = 2(1+s).  As s (1+s)^(3/2) u' =
+      s(1+s) - x D(1+s)/2, u' = 1 / (s sqrt(1+s)) > 0.  s > x^2, as
+      s^2 = 1 + x^4, so u^2 = x^2 / (1+s) < 1 and both maps are defined.
+    * F'^2 and G'^2: 2(1+s) = p w^2, w = 1 + s +- x^2 = (1+s)(1 +- u^2).
+      Then F' = u' / (1 +- u^2) = sqrt(1+s) / (s w) > 0 has the square
+      p / (2 s^2), so F' is the claimed root.
+    * F'' and G'': s D(p) - 2p D(s) = 2qp, that is (F'^2)' = q p / s^4 =
+      2 F' (the claimed F'').  As F' > 0, F'' is the claimed form, its
+      sign included.
+    * F'G' and F''G'': p_F p_G = 1, so F'G' = sqrt(p_F p_G) / (2 s^2) is
+      1 / (2 s^2), and q_F q_G is the claimed x^2 (3 x^4 - 1), as
+      F''G'' = q_F q_G sqrt(p_F p_G) / (2 s^6).
     """
-    check_lemma_digits(ctx)
-    samples = list(x_samples)
-    failures: List[Failure] = []
-    with ctx.workprec():
-        h = mp.mpf(10) ** -(ctx.digits // 3)
-        fd_tol = 50 * (h * h + mp.mpf(10) ** (-(ctx.digits + 10)) / (h * h))
-        prod_tol = mp.mpf(10) ** (5 - ctx.digits)
-        for x in samples:
-            xr = ctx.real(x)
-            if xr == 0 or abs(xr) >= 1:
-                raise UsageError(f"sample {x!r} outside (-1, 1) minus the origin")
-            s = mp.sqrt(1 + xr**4)
-            q = 2 * (1 + xr**4)
-            d_tan = mp.sqrt((s - xr**2) / q)
-            d_tanh = mp.sqrt((s + xr**2) / q)
-            d2_tan = -xr * (s + 2 * xr**2) * mp.sqrt((s - xr**2) / (q * (1 + xr**4) ** 2))
-            d2_tanh = xr * (s - 2 * xr**2) * mp.sqrt((s + xr**2) / (q * (1 + xr**4) ** 2))
-            for label, hyp, d1, d2 in (
-                ("arctan", False, d_tan, d2_tan),
-                ("artanh", True, d_tanh, d2_tanh),
-            ):
-                fp = _inverse_tangent_form(xr + h, hyp)
-                fm = _inverse_tangent_form(xr - h, hyp)
-                f0 = _inverse_tangent_form(xr, hyp)
-                fd1 = (fp - fm) / (2 * h)
-                fd2 = (fp - 2 * f0 + fm) / (h * h)
-                if abs(fd1 - d1) > fd_tol:
-                    failures.append(({"x": str(x), "check": label + "'"}, fd1, d1))
-                if abs(fd2 - d2) > fd_tol:
-                    failures.append(({"x": str(x), "check": label + "''"}, fd2, d2))
-            p1 = d_tan * d_tanh
-            want1 = 1 / q
-            if abs(p1 - want1) > prod_tol:
-                failures.append(({"x": str(x), "check": "product'"}, p1, want1))
-            p2 = d2_tan * d2_tanh
-            want2 = xr**2 * (3 * xr**4 - 1) / (q * (1 + xr**4) ** 2)
-            if abs(p2 - want2) > prod_tol:
-                failures.append(({"x": str(x), "check": "product''"}, p2, want2))
-    return IdentityReport(
-        "paired-derivative-forms",
-        f"{len(samples)} samples, products to 1e-{ctx.digits - 5}",
-        failures,
-    )
+    c, forms, product = _LEMMA2
+    v = 1 + _S  # u = x / sqrt(v)
+    obligations = [("u'", 2 * _S * v - _X * v.s_derivative(c), 2 * v)]
+    for f in forms:
+        obligations += [
+            (f"{f.label}'^2", 2 * v, f.p * (v + f.sign * _X**2) ** 2),
+            (f"{f.label}''", _S * f.p.s_derivative(c) - 2 * f.p * _S.s_derivative(c),
+             2 * f.q * f.p),
+        ]
+    tan, tanh = forms
+    obligations += [("F'G'", tan.p * tanh.p, 1), ("F''G''", tan.q * tanh.q, product)]
+    return IdentityReport("paired-derivative-forms", "every real x",
+                          _prove_in_field("Lemma 2", c, obligations))
 
 
 def check_harmonic_integral(v_max: int) -> IdentityReport:

@@ -248,20 +248,17 @@ def test_range_checks_take_under_a_second_at_their_limits(capsys, ident, limit):
     assert out == "" and "must be in [" in err and f"got {limit + 1}" in err
 
 
-def test_identity_huge_digits_fails_fast(capsys, monkeypatch):
-    """The lemma checks refuse past their digits limit; for "all" before the
-    first sweep runs."""
-    def first_sweep(n):
-        raise AssertionError("the convolution sweep ran before the refusal")
-
-    monkeypatch.setattr(cli, "check_convolution", first_sweep)
-    for ident in ("arcsin-split", "derivative-forms", "all"):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "identity", "--id", ident, "--digits", "100000")
-        assert code == 2
-        assert out == ""
-        assert "digits of the lemma checks must be in [1, 5000], got 100000" in err
-        assert time.perf_counter() - start < 1.0
+def test_identity_huge_digits_runs_fast(capsys):
+    """Every identity check is exact, so --digits 100000 passes within a
+    second with the same rows as at 30 digits."""
+    argv = ("identity", "--id", "all", "--format", "json", "--digits")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "100000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    code, out30, err = run(capsys, *argv, "30")
+    assert code == 0
+    assert json.loads(out)["results"] == json.loads(out30)["results"]
 
 
 def test_extreme_precision_and_indices_exit_2_fast(capsys):
@@ -319,11 +316,30 @@ def test_rationals_past_the_digit_limit_exit_2_fast(capsys, argv, flag):
     assert f"{flag} must have a numerator and denominator of at most 4300 digits, the digit limit" in err
 
 
+@pytest.mark.parametrize("x", ["1/" + "3" * 4400, "3" * 4400 + "/7", "-" + "1" * 4301 + "/2",
+                               "0" * 4400 + "1/2", "0." + "3" * 4400, "1" * 4301 + "e-9"],
+                         ids=lambda x: f"{x[:8]}..{len(x)}")
+def test_fraction_text_past_the_digit_limit_names_the_limit(capsys, x):
+    """A numerator, denominator or decimal of more than 4300 digits, which
+    int() would not read, is refused naming the limit, without echoing the
+    text back."""
+    code, out, err = run(capsys, "eval", "--family", "F3", f"--x={x}")
+    assert (code, out) == (2, "")
+    assert err == ("error: --x must have a numerator and denominator of at most 4300 digits, "
+                   "the digit limit\n")
+
+
+def test_version_prints_the_package_version(capsys):
+    code, out, err = run(capsys, "--version")
+    assert (code, out, err) == (0, f"cbcseries {cbcseries.__version__}\n", "")
+    assert out == "cbcseries 0.1.0\n"
+
+
 def test_rationals_at_the_digit_limit_pass(capsys):
     """4300 digits pass, from the CLI and the library; 4301 do not, in any part
     of x, phi or p."""
     argv = ("compare", "--family", "C1", "--digits", "30", "--format", "json", "--x")
-    for x in ("1e-4299", "1000e-4302", "5e-4300"):
+    for x in ("1e-4299", "1000e-4302", "5e-4300", "1/1" + "0" * 4299):
         code, out, err = run(capsys, *argv, x)
         assert code == 0, err
     FamilySpec("F3", x=Fraction(1, 10**4299))
@@ -837,6 +853,7 @@ USAGE_CENSUS = [
     ("constants", "--he"),
     ("identity", "--id", "frobnicate"),
     ("-h", "eval"),
+    ("--version",),
     ("compare", "--family", "F3", "--x", "1/3", "--format", "json"),
 ]
 # the census argv that leave arguments over, and the words the error names
@@ -859,7 +876,7 @@ def test_subcommand_dispatch_answers_as_the_top_level_parser(capsys, monkeypatch
         top_level.setattr(cli, "_json", lambda record: json.dumps(record, indent=2))
         assert run(capsys, *argv) == dispatched
     if argv in UNRECOGNIZED:
-        assert dispatched == (2, "", "usage: cbcseries [-h] COMMAND ...\n"
+        assert dispatched == (2, "", "usage: cbcseries [-h] [--version] COMMAND ...\n"
                               f"cbcseries: error: unrecognized arguments: {UNRECOGNIZED[argv]}\n")
 
 

@@ -14,7 +14,6 @@ import cbcseries.identities as identities
 from cbcseries.families import SignPattern
 from cbcseries.identities import (
     CONVOLUTION_N_LIMIT,
-    LEMMA_DIGITS_LIMIT,
     IdentityReport,
     check_binomial_transform,
     check_convolution,
@@ -29,8 +28,6 @@ from cbcseries.precision import UsageError, make_context
 import exact_streams
 
 CTX40 = make_context(40)
-
-LEMMA_SAMPLES = [Fraction(7 * (2 * k - 19), 200) for k in range(20)]
 
 
 def c_prefix(n):
@@ -268,6 +265,31 @@ def test_committed_certificates_equal_the_derived_ones():
         assert sympy.cancel(z_derived - committed) == 0, name
 
 
+def test_lemma_claims_equal_the_ones_sympy_rederives():
+    """tools/derive_certificates.py differentiates Lemma 2's maps with sympy
+    and checks Lemma 1's g; every committed claim, read with x = n and
+    s = sqrt(c(x)) = k, leaves a residue that simplifies to 0.  sympy is not
+    a dependency, so this skips where it is not installed."""
+    sympy = pytest.importorskip("sympy")
+    path = Path(__file__).resolve().parents[1] / "tools" / "derive_certificates.py"
+    spec = importlib.util.spec_from_file_location("derive_certificates", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def expression(poly, c):
+        s = sympy.sqrt(sum(v * tool.x**a for (a, _, _), v in c.terms.items()))
+        return sum(v * tool.x**a * s**b for (a, b, _), v in poly.terms.items())
+
+    c1, numer, denom = identities._LEMMA1
+    c2, (tan, tanh), product = identities._LEMMA2
+    residues = tool.lemma_residues(
+        (expression(tan.p, c2), expression(tan.q, c2)),
+        (expression(tanh.p, c2), expression(tanh.q, c2)),
+        expression(product, c2), expression(numer, c1) / expression(denom, c1))
+    assert residues == {name: 0 for name in ("F'^2", "F'F''", "G'^2", "G'G''", "F'G'", "F''G''",
+                                             "g^2 = x^2 (1 - g^4)")}
+
+
 def _bump(poly, exponent, by=1):
     terms = dict(poly.terms)
     terms[exponent] = terms.get(exponent, 0) + by
@@ -390,9 +412,9 @@ def test_report_semantics():
 
 
 def test_lemma1_sweep():
-    report = check_lemma1(LEMMA_SAMPLES, CTX40)
+    report = check_lemma1()
     assert report.passed
-    assert "20 samples" in report.range
+    assert report.range == "every real x"
 
 
 def test_lemma1_spot_value():
@@ -404,28 +426,131 @@ def test_lemma1_spot_value():
         assert abs(w.imag - mp.atanh(g)) < mpf(10) ** -45
 
 
-def test_lemma1_rejects_out_of_range():
-    with pytest.raises(UsageError):
-        check_lemma1([Fraction(3, 4)], CTX40)
-
-
-def test_lemma_checks_refuse_past_their_digits_limit():
-    ctx = make_context(LEMMA_DIGITS_LIMIT + 1)
-    for check in (check_lemma1, check_lemma2):
-        with pytest.raises(UsageError, match="digits of the lemma checks"):
-            check(LEMMA_SAMPLES, ctx)
-
-
 def test_lemma2_sweep():
-    report = check_lemma2(LEMMA_SAMPLES, CTX40)
+    report = check_lemma2()
     assert report.passed
+    assert report.range == "every real x"
 
 
-def test_lemma2_rejects_zero_and_edge():
-    with pytest.raises(UsageError):
-        check_lemma2([Fraction(0)], CTX40)
-    with pytest.raises(UsageError):
-        check_lemma2([Fraction(1)], CTX40)
+def _lemma2_form(index, **change):
+    """Lemma 2's claims with F (index 0) or G (index 1) changed."""
+    forms = list(identities._LEMMA2.forms)
+    forms[index] = forms[index]._replace(**change)
+    return identities._LEMMA2._replace(forms=tuple(forms))
+
+
+def _flip(poly, exponent):
+    return _bump(poly, exponent, -2 * poly.terms[exponent])
+
+
+L1, L2 = identities._LEMMA1, identities._LEMMA2
+F2, G2 = L2.forms
+# (check id, the corrupted claims of Lemma 1 or 2, the obligations reported):
+# one coefficient or one sign off, together naming every obligation
+LEMMA_CORRUPTIONS = [
+    ("arcsin-split", ("_LEMMA1", L1._replace(numer=_bump(L1.numer, (2, 0, 0)))),
+     ["g^2 = x^2 (1 - g^4)"]),
+    ("arcsin-split", ("_LEMMA1", L1._replace(denom=_flip(L1.denom, (0, 0, 0)))),
+     ["g^2 = x^2 (1 - g^4)"]),
+    ("derivative-forms", ("_LEMMA2", L2._replace(c=_flip(L2.c, (0, 0, 0)))),
+     ["u'", "F'^2", "G'^2", "F'G'", "F''G''"]),
+    ("derivative-forms", ("_LEMMA2", _lemma2_form(0, sign=-1)), ["F'^2"]),
+    ("derivative-forms", ("_LEMMA2", _lemma2_form(1, sign=1)), ["G'^2"]),
+    ("derivative-forms", ("_LEMMA2", _lemma2_form(0, p=_flip(F2.p, (2, 0, 0)))),
+     ["F'^2", "F''", "F'G'"]),
+    ("derivative-forms", ("_LEMMA2", _lemma2_form(1, p=_flip(G2.p, (2, 0, 0)))),
+     ["G'^2", "G''", "F'G'"]),
+    ("derivative-forms", ("_LEMMA2", _lemma2_form(0, q=_flip(F2.q, (1, 1, 0)))),
+     ["F''", "F''G''"]),
+    ("derivative-forms", ("_LEMMA2", _lemma2_form(1, q=_bump(G2.q, (3, 0, 0)))),
+     ["G''", "F''G''"]),
+    ("derivative-forms", ("_LEMMA2", L2._replace(product=_flip(L2.product, (6, 0, 0)))),
+     ["F''G''"]),
+]
+LEMMA_CHECKS = {"arcsin-split": check_lemma1, "derivative-forms": check_lemma2}
+
+
+@pytest.mark.parametrize("ident, corrupted, reported", LEMMA_CORRUPTIONS,
+                         ids=[f"{i}-{n}" for n, (i, _, _) in enumerate(LEMMA_CORRUPTIONS)])
+def test_corrupted_lemma_claim_fails_naming_its_obligation(capsys, monkeypatch, ident,
+                                                           corrupted, reported):
+    """One coefficient or one sign of a lemma's claims off: the proof fails,
+    each failure naming the lemma and the obligation, and the identity
+    command exits 1 naming them on stderr."""
+    monkeypatch.setattr(identities, *corrupted)
+    report = LEMMA_CHECKS[ident]()
+    lemma = "Lemma 1" if ident == "arcsin-split" else "Lemma 2"
+    assert [(p["identity"], p["obligation"]) for p, _, _ in report.failures] == [
+        (lemma, obligation) for obligation in reported]
+    assert cli.main(["identity", "--id", ident]) == 1
+    assert str({"identity": lemma, "obligation": reported[0]}) in capsys.readouterr().err
+
+
+def test_every_lemma_coefficient_off_by_one_fails():
+    """Each coefficient of the lemmas' claims, off by 1 either way, fails
+    the proof naming one of its obligations."""
+    names = {"u'", "F'^2", "F''", "G'^2", "G''", "F'G'", "F''G''"}
+    corruptions = [(check_lemma1, "_LEMMA1", L1._replace(**{field: _bump(poly, e, by)}))
+                   for field, poly in (("numer", L1.numer), ("denom", L1.denom))
+                   for e in poly.terms for by in (1, -1)]
+    corruptions += [(check_lemma2, "_LEMMA2", _lemma2_form(i, **{field: _bump(poly, e, by)}))
+                    for i, form in enumerate(L2.forms)
+                    for field, poly in (("p", form.p), ("q", form.q))
+                    for e in poly.terms for by in (1, -1)]
+    corruptions += [(check_lemma2, "_LEMMA2", L2._replace(product=_bump(L2.product, e, by)))
+                    for e in L2.product.terms for by in (1, -1)]
+    for check, name, claims in corruptions:
+        saved = getattr(identities, name)
+        setattr(identities, name, claims)
+        try:
+            failures = check().failures
+        finally:
+            setattr(identities, name, saved)
+        assert failures, claims
+        for params, _, _ in failures:
+            assert params["obligation"] in names | {"g^2 = x^2 (1 - g^4)"}, claims
+    assert len(corruptions) == 26
+
+
+def test_reduction_and_derivative_by_hand():
+    """s^3 x = x (1 + x^4) s and s d/dx (x s) = s^2 + 2x^4 = 1 + 3x^4 modulo
+    s^2 = 1 + x^4."""
+    c = 1 + N**4
+    assert (K**3 * N).reduced(c) == N * K + N**5 * K
+    assert (N * K).s_derivative(c).reduced(c) == 1 + 3 * N**4
+    assert K.s_derivative(c) == 2 * N**3
+
+
+# points past the old |x| <= 0.7 samples: the lemmas are proven for every real x
+LEMMA_POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(-5, 2),
+                Fraction(1, 3), Fraction(-7, 10), Fraction(10)]
+
+
+@pytest.mark.parametrize("x", LEMMA_POINTS, ids=str)
+def test_lemmas_agree_with_mpmath(x):
+    """Both lemmas, numerically at 50 digits, by mpmath's own principal
+    arcsin and its numerical derivatives: an oracle that shares nothing
+    with the proofs."""
+    with mp.workdps(50):
+        x = mpf(x.numerator) / x.denominator
+        g = mp.sqrt(2) * x / mp.sqrt(mp.sqrt(1 + 4 * x**4) + 1)
+        w = mp.asin(mp.mpc(x, x))
+        assert abs(w - mp.mpc(mp.atan(g), mp.atanh(g))) < mpf(10) ** -45
+        s = mp.sqrt(1 + x**4)
+
+        def u(t):
+            return t / mp.sqrt(1 + mp.sqrt(1 + t**4))
+
+        tan = (mp.diff(lambda t: mp.atan(u(t)), x), mp.diff(lambda t: mp.atan(u(t)), x, 2))
+        tanh = (mp.diff(lambda t: mp.atanh(u(t)), x), mp.diff(lambda t: mp.atanh(u(t)), x, 2))
+        claims = (mp.sqrt((s - x**2) / (2 * s**2)),
+                  -x * (s + 2 * x**2) * mp.sqrt((s - x**2) / (2 * s**6)))
+        claims_h = (mp.sqrt((s + x**2) / (2 * s**2)),
+                    x * (s - 2 * x**2) * mp.sqrt((s + x**2) / (2 * s**6)))
+        for got, want in zip(tan + tanh, claims + claims_h):
+            assert abs(got - want) < mpf(10) ** -35
+        assert abs(tan[0] * tanh[0] - 1 / (2 * s**2)) < mpf(10) ** -35
+        assert abs(tan[1] * tanh[1] - x**2 * (3 * x**4 - 1) / (2 * s**6)) < mpf(10) ** -35
 
 
 def test_harmonic_integral_sweep():

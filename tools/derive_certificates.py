@@ -1,4 +1,5 @@
-"""Derive the certificates that ``cbcseries.identities`` proves its sums with.
+"""Derive the certificates that ``cbcseries.identities`` proves its sums with,
+and rederive its two lemmas with sympy's own calculus.
 
 Each certificate is sympy's ``gosper_term`` in k of f(n, k) = F(n+1, k) -
 F(n, k), F the summand of a sum over its right side: the rational z(n, k)
@@ -8,16 +9,19 @@ needed only here.  Run from the root of a checkout:
 
     python3 tools/derive_certificates.py
 
-It prints each certificate, factored.  ``derive()`` returns them, keyed by
-the name of the committed certificate in ``cbcseries.identities``.
+It prints each certificate, factored, then the residue of each lemma claim,
+which simplifies to 0.  ``derive()`` returns the certificates, keyed by the
+name of the committed certificate in ``cbcseries.identities``, and
+``lemma_residues()`` the residues for the claims it is given.
 """
 
 from __future__ import annotations
 
-from sympy import binomial, combsimp, factor, symbols
+from sympy import atan, atanh, binomial, combsimp, diff, factor, simplify, sqrt, symbols
 from sympy.concrete.gosper import gosper_term
 
 n, k, j = symbols("n k j", integer=True, nonnegative=True)
+x = symbols("x", real=True)
 
 
 def _c(x):
@@ -47,6 +51,36 @@ def derive():
     return out
 
 
+def lemma_residues(tan, tanh, product, g2):
+    """{claim: residue, simplified} of the paper's two lemmas, each residue 0
+    exactly when the claim holds.  Lemma 2, with s = sqrt(1 + x^4) and
+    u = x / sqrt(1 + s): F = arctan(u) and G = artanh(u) are differentiated
+    by sympy and compared with their claimed forms F' = sqrt(p / (2 s^2))
+    and F'' = q sqrt(p / (2 s^6)), ``tan`` = (p, q) and ``tanh`` that of G,
+    through F'^2 and F'F'', which hold no root of p; F'G' with 1 / (2 s^2)
+    and F''G'' with product / (2 s^6).  Lemma 1: the claimed g^2 against
+    x^2 (1 - g^4)."""
+    s = sqrt(1 + x**4)
+    u = x / sqrt(1 + s)
+    out, first, second = {}, [], []
+    for name, f, (p, q) in (("F", atan(u), tan), ("G", atanh(u), tanh)):
+        d1 = diff(f, x)
+        d2 = diff(d1, x)
+        first.append(d1)
+        second.append(d2)
+        out[f"{name}'^2"] = d1**2 - p / (2 * s**2)
+        out[f"{name}'{name}''"] = d1 * d2 - q * p / (2 * s**4)
+    out["F'G'"] = first[0] * first[1] - 1 / (2 * s**2)
+    out["F''G''"] = second[0] * second[1] - product / (2 * s**6)
+    out["g^2 = x^2 (1 - g^4)"] = g2 - x**2 * (1 - g2**2)
+    return {name: simplify(residue) for name, residue in out.items()}
+
+
 if __name__ == "__main__":
     for name, z in derive().items():
         print(f"{name} = {z}")
+    s, s1 = sqrt(1 + x**4), sqrt(1 + 4 * x**4)
+    residues = lemma_residues((s - x**2, -x * (s + 2 * x**2)), (s + x**2, x * (s - 2 * x**2)),
+                              x**2 * (3 * x**4 - 1), 2 * x**2 / (s1 + 1))
+    for name, residue in residues.items():
+        print(f"{name}: residue {residue}")
